@@ -264,7 +264,8 @@ def _run_mourre(cfg):
         spec = clamp_amplitude(spec, fields.eps / 2.0)
     dxv = (eval_potential(spec, grid).dxv if spec.family != "zero"
            else np.zeros(grid.n_points))
-    dec = eigendecompose(assemble_h(grid, fields, spec))
+    dec = eigendecompose(assemble_h(grid, fields, spec),
+                         window=(e["window_lo"], e["window_hi"]))
     bound = mourre_gap_bound(dec, e["window_lo"], e["window_hi"], fields, dxv)
     slack = e["rel_slack"] * fields.eps
     if spec.family == "zero":
@@ -278,13 +279,12 @@ def _run_mourre(cfg):
     return rows, {"bound": bound, "eps": fields.eps}, gates
 
 
-def _slot_lambda(dec, lo, hi):
-    """Midpoint of the widest eigenvalue-free slot inside (lo, hi)."""
-    lam = dec.eigenvalues
+def _widest_slot(lam, lo, hi):
+    """Midpoint and width of the widest eigenvalue-free slot inside (lo, hi)."""
     pts = np.concatenate([[lo], lam[(lam > lo) & (lam < hi)], [hi]])
     gaps = np.diff(pts)
     k = int(np.argmax(gaps))
-    return float(0.5 * (pts[k] + pts[k + 1]))
+    return float(0.5 * (pts[k] + pts[k + 1])), float(gaps[k])
 
 
 def _run_lap_probe(cfg):
@@ -300,7 +300,7 @@ def _run_lap_probe(cfg):
     if lam == 0.0:
         decq = eigendecompose(assemble_q(grid, FieldParams(fields.b), spec))
         lo, hi = sigma_q_gap_window(decq, grid, margin=0.3)
-        lam = _slot_lambda(dec, lo, hi)
+        lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
     deltas = tuple(2.0 ** (-k) for k in
                    range(int(e["delta_max_exp"]), int(e["delta_min_exp"]) + 1))
     rep = lap_probe(h, lam, WeightSpec(s=e["s"], delta=0.5), deltas)
@@ -322,14 +322,9 @@ def _run_lemma7(cfg):
     if e["auto_slot"]:
         # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
         # chi(Q) vanishes exactly at eps = 0
-        lam = decq.eigenvalues
-        pts = np.concatenate([[center - 0.25],
-                              lam[np.abs(lam - center) < 0.25],
-                              [center + 0.25]])
-        gaps = np.diff(pts)
-        k = int(np.argmax(gaps))
-        center = float(0.5 * (pts[k] + pts[k + 1]))
-        halfwidth = float(min(halfwidth, 0.45 * gaps[k]))
+        center, width = _widest_slot(decq.eigenvalues, center - 0.25,
+                                     center + 0.25)
+        halfwidth = min(halfwidth, 0.45 * width)
     chi = BumpFunction(center, halfwidth,
                        plateau=f["plateau"] if f["plateau"] > 0 else 0.5)
     rep = gap_cutoff_sweep(grid, cfg["fields"]["b"], spec, chi,

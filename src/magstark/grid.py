@@ -39,7 +39,13 @@ class GridSpec:
 
     @property
     def y(self):
-        return np.linspace(-self.ly, self.ly, self.ny)
+        """y samples, exactly odd: y[j] == -y[ny-1-j] bitwise.
+
+        linspace leaves mirrored samples unequal in the last bit, which breaks
+        the exact reflection symmetry the real-form eigensolve checks for.
+        """
+        y = np.linspace(-self.ly, self.ly, self.ny)
+        return 0.5 * (y - y[::-1])
 
     def meshes(self):
         """Flat coordinate arrays (X, Y) of length nx*ny, x fastest."""
@@ -69,6 +75,28 @@ class DiscreteOperator:
 
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.mat - self.mat.conj().T)))
+
+    def is_t_symmetric(self):
+        """True when conj(M) == P_y M P_y holds bitwise.
+
+        P_y is the reflection y -> -y, which maps the row block of grid row j
+        to that of row ny-1-j; with K the complex conjugation, this says M
+        commutes with the antiunitary K P_y.  The check runs one pair of
+        mirrored row blocks at a time, so it allocates no N x N temporary.
+        """
+        nx, ny = self.grid.nx, self.grid.ny
+        n = self.dim
+        if n != nx * ny:
+            return False
+        m = self.mat
+        for j in range((ny + 1) // 2):
+            rows = m[j * nx:(j + 1) * nx]
+            mirror = m[(ny - 1 - j) * nx:(ny - j) * nx]
+            if not np.array_equal(
+                    rows.conj(),
+                    mirror.reshape(nx, ny, nx)[:, ::-1].reshape(nx, n)):
+                return False
+        return True
 
 
 def make_grid(lx, ly, nx, ny) -> GridSpec:

@@ -19,8 +19,7 @@ from .grid import DiscreteOperator, GridSpec
 from .hamiltonian import FieldParams, assemble_h, assemble_q
 from .potentials import PotentialSpec
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
-                       apply_function, eigendecompose, localized_spectrum,
-                       weight_dx_s)
+                       eigendecompose, localized_spectrum, weight_dx_s)
 from .ssf import fit_loglog
 from .traces import operator_norm
 
@@ -79,10 +78,13 @@ def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, spec: PotentialSpec,
             raise SpectralWindowError(
                 f"cutoff support [{lo:.4g}, {hi:.4g}] is within {margin} of "
                 f"localized Q eigenvalue(s) {q_localized[inside][:4]}")
-    dec = eigendecompose(assemble_h(grid, fields, spec))
+    dec = eigendecompose(assemble_h(grid, fields, spec), window=(lo, hi))
     xf, _ = grid.meshes()
     wx = 1.0 / (1.0 + xf * xf)
-    return operator_norm(apply_function(dec, chi) * wx[None, :])
+    # chi(H) <x>^-2 = U_k [chi(lam_k) U_k* <x>^-2] and U_k has orthonormal
+    # columns, so the k x N factor in brackets has the same operator norm
+    u = dec.eigenvectors
+    return operator_norm(chi(dec.eigenvalues)[:, None] * (u.conj().T * wx))
 
 
 def gap_cutoff_sweep(grid: GridSpec, b, spec: PotentialSpec, chi: BumpFunction,

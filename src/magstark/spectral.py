@@ -4,6 +4,19 @@ All functional calculus goes through one exact Hermitian eigendecomposition:
 f(M) = U diag(f(lam)) U*.  Smooth compactly supported test functions are the
 C-infinity bump exp(1 - 1/(1-u^2)) on |u| < 1, optionally with a flat plateau
 where the function is identically 1.
+
+Two properties of the input make the eigensolve cheaper without changing
+what callers see:
+
+* Real form.  When M commutes exactly with the antiunitary T = K P_y (K the
+  complex conjugation, P_y the reflection y -> -y), as every assembled
+  operator with a potential even in y does, W = (I + i P_y)/sqrt(2) is
+  unitary and W* M W = Re M - (Im M) P_y is real symmetric.  Its eigenvectors
+  phi map back to eigenvectors u = (phi + i P_y phi)/sqrt(2) of M.  Any other
+  input takes the complex solve.
+* Window.  ``window=(lo, hi)`` computes only the eigenpairs with eigenvalue
+  in (lo, hi].  A function supported in [lo, hi] vanishes on every other
+  eigenvalue, so its f(M), traces and weighted traces are unchanged.
 """
 
 from dataclasses import dataclass
@@ -19,19 +32,33 @@ DENSE_LIMIT = 6400
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix."""
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
+
+    With ``window`` set, only the eigenpairs with eigenvalue in (lo, hi] are
+    held.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     source: DiscreteOperator
+    window: tuple | None = None
 
     @property
     def dim(self):
         return self.eigenvalues.size
 
     def reconstruction_defect(self):
-        m = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return float(np.max(np.abs(m - self.source.mat)))
+        """max|U diag(lam) U* - M|, or max|M U - U diag(lam)| when windowed.
+
+        A windowed decomposition reconstructs only a rank-k piece of M, so
+        there the defect is the eigen-residual of the pairs it holds.
+        """
+        u, lam, m = self.eigenvectors, self.eigenvalues, self.source.mat
+        if self.window is None:
+            return float(np.max(np.abs((u * lam) @ u.conj().T - m)))
+        if not lam.size:
+            return 0.0
+        return float(np.max(np.abs(m @ u - u * lam)))
 
     def orthonormality_defect(self):
         u = self.eigenvectors
@@ -39,15 +66,60 @@ class SpectralDecomposition:
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
 
-def eigendecompose(op: DiscreteOperator, dense_limit=DENSE_LIMIT):
-    """Full Hermitian eigendecomposition; refuses matrices over the dense limit."""
+def eigendecompose(op: DiscreteOperator, window=None, dense_limit=DENSE_LIMIT):
+    """Hermitian eigendecomposition; refuses matrices over the dense limit.
+
+    ``window=(lo, hi)`` restricts it to the eigenpairs in (lo, hi].  A
+    T-symmetric operator (see :meth:`DiscreteOperator.is_t_symmetric`) is
+    solved through its real form; the eigenvectors are returned for M itself
+    either way.
+    """
     n = op.dim
     if n > dense_limit:
         raise CapacityError(
             f"matrix dimension {n} exceeds the dense limit {dense_limit}; "
             "use a coarser grid or raise the limit")
-    lam, u = scipy.linalg.eigh(op.mat)
-    return SpectralDecomposition(lam, u, op)
+    subset = {}
+    if window is not None:
+        lo, hi = window
+        if not lo < hi:
+            raise ConfigurationError(f"window needs lo < hi, got {window}")
+        subset = {"subset_by_value": (lo, hi)}
+    if np.iscomplexobj(op.mat) and op.is_t_symmetric():
+        lam, u = _real_form_eigh(op, subset)
+    else:
+        lam, u = scipy.linalg.eigh(op.mat, **subset)
+    return SpectralDecomposition(lam, u, op, window)
+
+
+def _real_form(op: DiscreteOperator):
+    """Re M - (Im M) P_y in one real N x N buffer, built per column block."""
+    nx, ny = op.grid.nx, op.grid.ny
+    re, im = op.mat.real, op.mat.imag
+    r = np.empty(op.mat.shape)
+    for k in range(ny):
+        mk = ny - 1 - k
+        np.subtract(re[:, k * nx:(k + 1) * nx], im[:, mk * nx:(mk + 1) * nx],
+                    out=r[:, k * nx:(k + 1) * nx])
+    return r
+
+
+def _real_form_eigh(op: DiscreteOperator, subset):
+    """Eigenpairs of a T-symmetric M from its real form.
+
+    The real form goes to eigh as a temporary, so its buffer is freed before
+    the eigenvectors u = (phi + i P_y phi)/sqrt(2) are written straight into
+    one complex array.
+    """
+    nx, ny = op.grid.nx, op.grid.ny
+    lam, phi = scipy.linalg.eigh(_real_form(op), overwrite_a=True, **subset)
+    u = np.empty(phi.shape, dtype=complex)
+    s = np.sqrt(0.5)
+    np.multiply(phi, s, out=u.real)
+    for j in range(ny):
+        mj = ny - 1 - j
+        np.multiply(phi[mj * nx:(mj + 1) * nx], s, out=u.imag[j * nx:(j + 1) * nx])
+    return lam, u
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from .grid import DiscreteOperator, GridSpec
 from .hamiltonian import FieldParams, assemble_h, assemble_h0, partial_x
 from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, eigendecompose,
-                       localized_spectrum)
+                       localized_spectrum, trace_function,
+                       weighted_trace_function)
 
 
 @dataclass(frozen=True)
@@ -106,18 +107,16 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
         raise ConfigurationError("trace-formula experiments require eps > 0")
     _check_window(grid, f)
     fieldsV = eval_potential(spec, grid)
-    dech = eigendecompose(assemble_h(grid, fields, spec))
-    dech0 = eigendecompose(assemble_h0(grid, fields))
+    dech = eigendecompose(assemble_h(grid, fields, spec), window=f.support)
+    dech0 = eigendecompose(assemble_h0(grid, fields), window=f.support)
     if wall_cutoff is None:
         chi = np.ones(grid.n_points)
     else:
         chi = wall_cutoff_weights(grid, wall_cutoff)
-    densH = np.abs(dech.eigenvectors) ** 2
-    densH0 = np.abs(dech0.eigenvectors) ** 2
-    lhs = float((chi @ densH) @ f(dech.eigenvalues)
-                - (chi @ densH0) @ f(dech0.eigenvalues))
-    rhs = -(1.0 / fields.eps) * float(
-        (chi * fieldsV.dxv) @ densH @ f(dech.eigenvalues))
+    lhs = (weighted_trace_function(dech, chi, f)
+           - weighted_trace_function(dech0, chi, f))
+    rhs = -(1.0 / fields.eps) * weighted_trace_function(
+        dech, chi * fieldsV.dxv, f)
     return TraceFormulaReport(lhs, rhs, lhs - rhs, grid,
                               h=max(grid.hx, grid.hy))
 
@@ -151,10 +150,9 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
     fieldsV = eval_potential(spec, grid)
     h0 = assemble_h0(grid, fields)
     dech = eigendecompose(DiscreteOperator(
-        h0.mat + np.diag(fieldsV.v + 0j), grid, role="H"))
-    tr_full = float(np.sum(f(dech.eigenvalues)))
-    densH = np.abs(dech.eigenvectors) ** 2
-    w_full = float(fieldsV.dxv @ densH @ f(dech.eigenvalues))
+        h0.mat + np.diag(fieldsV.v + 0j), grid, role="H"), window=f.support)
+    tr_full = trace_function(dech, f)
+    w_full = weighted_trace_function(dech, fieldsV.dxv, f)
     rows = []
     for radius in trunc.radii:
         prof = trunc.profile(radius)
@@ -163,11 +161,11 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
         pos = r > 0
         dchi_r[pos] = prof.derivative(r[pos]) * (xf[pos] / r[pos])
         m = h0.mat + np.diag(chi_r * fieldsV.v + 0j)
-        dec_r = eigendecompose(DiscreteOperator(m, grid, role="H"))
-        dens_r = np.abs(dec_r.eigenvectors) ** 2
-        col1 = abs(float(np.sum(f(dec_r.eigenvalues))) - tr_full)
+        dec_r = eigendecompose(DiscreteOperator(m, grid, role="H"),
+                               window=f.support)
+        col1 = abs(trace_function(dec_r, f) - tr_full)
         wgt = dchi_r * fieldsV.v + chi_r * fieldsV.dxv
-        col2 = abs(float(wgt @ dens_r @ f(dec_r.eigenvalues)) - w_full)
+        col2 = abs(weighted_trace_function(dec_r, wgt, f) - w_full)
         rows.append((radius, col1, col2))
     return rows
 
@@ -238,16 +236,16 @@ def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
     samples = []
     for eps in eps_list:
         fields = FieldParams(b=b, eps=eps)
-        dech = eigendecompose(assemble_h(grid, fields, spec))
-        densH = np.abs(dech.eigenvectors) ** 2
+        dech = eigendecompose(assemble_h(grid, fields, spec),
+                              window=f.support)
         if estimator == "trace_difference":
-            dech0 = eigendecompose(assemble_h0(grid, fields))
-            densH0 = np.abs(dech0.eigenvectors) ** 2
-            val = float((chi @ densH) @ f(dech.eigenvalues)
-                        - (chi @ densH0) @ f(dech0.eigenvalues))
+            dech0 = eigendecompose(assemble_h0(grid, fields),
+                                   window=f.support)
+            val = (weighted_trace_function(dech, chi, f)
+                   - weighted_trace_function(dech0, chi, f))
         else:
-            val = -(1.0 / eps) * float(
-                (chi * fieldsV.dxv) @ densH @ f(dech.eigenvalues))
+            val = -(1.0 / eps) * weighted_trace_function(
+                dech, chi * fieldsV.dxv, f)
         samples.append((eps, abs(val)))
     target = float(spec.decay_n - 2)
     if any(v < 1e-13 for _, v in samples):

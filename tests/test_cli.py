@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from magstark.cli import default_config, load_config, main, run, run_convergence
@@ -141,3 +142,11 @@ def test_spectrum_runner_small(tmp_path):
     code, env = run("spectrum", cfg, tmp_path)
     assert code == 0
     assert env["results"]["n_localized"] >= 2
+
+
+def test_widest_slot_midpoint_and_width():
+    from magstark.cli import _widest_slot
+    lam = np.array([0.5, 1.0, 1.1, 1.5, 2.0])
+    mid, width = _widest_slot(lam, 0.9, 1.6)
+    assert mid == pytest.approx(1.3) and width == pytest.approx(0.4)
+    assert _widest_slot(lam, 1.2, 1.4) == (pytest.approx(1.3), pytest.approx(0.2))

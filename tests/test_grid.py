@@ -35,6 +35,13 @@ def test_flat_index_convention():
     assert yf[k] == g.y[j]
 
 
+@pytest.mark.parametrize("ny", [8, 17, 35, 40])
+def test_y_grid_exactly_odd(ny):
+    g = make_grid(6, 6, 9, ny)
+    assert np.array_equal(g.y, -g.y[::-1])
+    assert g.y[0] == -6.0 and g.y[-1] == 6.0
+
+
 def test_d1_exactly_hermitian():
     m = d1_op(8, 0.5)
     assert np.max(np.abs(m - m.conj().T)) == 0.0

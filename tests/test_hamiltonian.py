@@ -28,6 +28,19 @@ def test_assembled_operators_exactly_hermitian():
         assert op.hermiticity_defect() == 0.0
 
 
+@pytest.mark.parametrize("family", ["zero", "separable_power", "gaussian",
+                                    "compact_bump"])
+@pytest.mark.parametrize("eps", [0.5, 0.0])
+def test_assembled_operators_exactly_t_symmetric(family, eps):
+    # every family is even in y, so conj(M) == P_y M P_y holds bitwise
+    g = make_grid(6, 6, 21, 35)
+    fields = FieldParams(b=1.3, eps=eps)
+    spec = PotentialSpec(family, amplitude=0.7, width=2.5)
+    for op in (assemble_h0(g, fields), assemble_q(g, fields, spec),
+               assemble_h(g, fields, spec)):
+        assert op.is_t_symmetric()
+
+
 def test_eps_linearity():
     h1 = assemble_h0(GRID, FieldParams(b=1.0, eps=1.0))
     h0 = assemble_h0(GRID, FieldParams(b=1.0, eps=0.0))

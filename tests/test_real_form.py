@@ -1,0 +1,181 @@
+"""The real-form and windowed eigensolves against the dense complex reference.
+
+The reference is a plain complex ``scipy.linalg.eigh`` of the assembled
+matrix, the path every operator took before the K P_y real form existed.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magstark.errors import ConfigurationError
+from magstark.grid import DiscreteOperator, make_grid
+from magstark.hamiltonian import FieldParams, assemble_h
+from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
+from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
+from magstark.spectral import (BumpFunction, SpectralDecomposition,
+                               apply_function, eigendecompose, trace_function,
+                               weighted_trace_function)
+from magstark.ssf import wall_cutoff_weights
+from magstark.traces import operator_norm
+
+GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
+FIELDS = FieldParams(b=1.0, eps=0.5)
+F = BumpFunction(2.0, 0.8)
+
+
+def _reference(op):
+    lam, u = scipy.linalg.eigh(op.mat)
+    return SpectralDecomposition(lam, u, op)
+
+
+@pytest.fixture
+def eigh_inputs(monkeypatch):
+    """Record whether each eigensolve received a complex matrix."""
+    seen = []
+    orig = scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.iscomplexobj(a))
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return seen
+
+
+def _norm(dec):
+    return float(np.max(np.abs(dec.eigenvalues)))
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_real_form_matches_complex_reference(n, eigh_inputs):
+    g = make_grid(6, 6, n, n)
+    op = assemble_h(g, FIELDS, GAUSS)
+    ref = _reference(op)
+    eigh_inputs.clear()
+    dec = eigendecompose(op)
+    assert eigh_inputs == [False]
+    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12 * _norm(ref)
+    lam = ref.eigenvalues
+    gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
+    simple = gap > 1e-3
+    assert np.count_nonzero(simple) > n * n // 2
+    dens = np.abs(dec.eigenvectors[:, simple]) ** 2
+    ref_dens = np.abs(ref.eigenvectors[:, simple]) ** 2
+    assert np.max(np.abs(dens - ref_dens)) <= 1e-10
+    assert dec.orthonormality_defect() <= 1e-10
+    assert dec.reconstruction_defect() <= 1e-12 * n * n * _norm(ref)
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_windowed_traces_match_full_complex(n):
+    g = make_grid(6, 6, n, n)
+    op = assemble_h(g, FIELDS, GAUSS)
+    ref = _reference(op)
+    dec = eigendecompose(op, window=F.support)
+    lo, hi = F.support
+    assert np.all((dec.eigenvalues > lo) & (dec.eigenvalues <= hi))
+    assert dec.dim == np.count_nonzero((ref.eigenvalues > lo)
+                                       & (ref.eigenvalues <= hi))
+    assert abs(trace_function(dec, F) - trace_function(ref, F)) <= 1e-11
+    for w in (wall_cutoff_weights(g, 2.0), eval_potential(GAUSS, g).dxv):
+        assert abs(weighted_trace_function(dec, w, F)
+                   - weighted_trace_function(ref, w, F)) <= 1e-11
+    assert dec.reconstruction_defect() <= 1e-12 * _norm(ref)
+    assert dec.orthonormality_defect() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_windowed_mourre_bound_matches_full_complex(n):
+    g = make_grid(6, 6, n, n)
+    op = assemble_h(g, FIELDS, GAUSS)
+    dxv = eval_potential(GAUSS, g).dxv
+    full = mourre_gap_bound(_reference(op), 1.6, 2.4, FIELDS, dxv)
+    win = mourre_gap_bound(eigendecompose(op, window=(1.6, 2.4)), 1.6, 2.4,
+                           FIELDS, dxv)
+    assert abs(win - full) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_gap_cutoff_norm_matches_full_svd(n):
+    g = make_grid(6, 6, n, n)
+    chi = BumpFunction(2.0, 0.3, plateau=0.5)
+    ref = _reference(assemble_h(g, FIELDS, GAUSS))
+    xf, _ = g.meshes()
+    full = operator_norm(apply_function(ref, chi) / (1.0 + xf * xf)[None, :])
+    assert full > 0.01
+    val = gap_cutoff_norm(g, FIELDS, GAUSS, chi, q_localized=np.array([]))
+    assert abs(val - full) <= 1e-10 * full
+
+
+def test_windowed_reconstruction_defect_is_the_eigen_residual():
+    g = make_grid(6, 6, 21, 21)
+    op = assemble_h(g, FIELDS, GAUSS)
+    dec = eigendecompose(op, window=(0.5, 3.5))
+    assert 0 < dec.dim < op.dim
+    # a rank-k reconstruction sits ~|M| away from M; the residual does not
+    assert dec.reconstruction_defect() <= 1e-12 * _norm(_reference(op))
+    shifted = SpectralDecomposition(dec.eigenvalues + 1e-3, dec.eigenvectors,
+                                    op, dec.window)
+    expected = 1e-3 * np.max(np.abs(dec.eigenvectors))
+    assert abs(shifted.reconstruction_defect() - expected) <= 1e-10
+
+
+def test_empty_window():
+    g = make_grid(6, 6, 21, 21)
+    op = assemble_h(g, FIELDS, GAUSS)
+    dec = eigendecompose(op, window=(-50.0, -40.0))
+    assert dec.dim == 0 and dec.eigenvectors.shape == (op.dim, 0)
+    assert trace_function(dec, F) == 0.0
+    assert dec.reconstruction_defect() == 0.0
+
+
+def test_window_must_be_ordered():
+    g = make_grid(6, 6, 21, 21)
+    with pytest.raises(ConfigurationError, match="window"):
+        eigendecompose(assemble_h(g, FIELDS, GAUSS), window=(2.0, 1.0))
+
+
+def test_complex_fallback_for_y_odd_term(eigh_inputs):
+    g = make_grid(6, 6, 21, 21)
+    h = assemble_h(g, FIELDS, GAUSS)
+    _, yf = g.meshes()
+    op = DiscreteOperator(h.mat + np.diag(0.3 * yf), g, role="H")
+    assert h.is_t_symmetric() and not op.is_t_symmetric()
+    eigh_inputs.clear()
+    dec = eigendecompose(op)
+    assert eigh_inputs == [True]
+    ref = np.linalg.eigvalsh(op.mat)
+    assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert dec.reconstruction_defect() <= 1e-10 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(8, 13), ny=st.integers(8, 13),
+       lx=st.floats(1.0, 8.0), ly=st.floats(1.0, 8.0),
+       b=st.floats(0.2, 2.0), eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       family=st.sampled_from(FAMILIES), amplitude=st.floats(-2.0, 2.0),
+       width=st.floats(0.5, 4.0))
+def test_real_form_property(nx, ny, lx, ly, b, eps, family, amplitude, width):
+    g = make_grid(lx, ly, nx, ny)
+    op = assemble_h(g, FieldParams(b=b, eps=eps),
+                    PotentialSpec(family, amplitude=amplitude, width=width))
+    assert op.is_t_symmetric()
+    ref = np.linalg.eigvalsh(op.mat)
+    scale = np.max(np.abs(ref))
+    dec = eigendecompose(op)
+    assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * scale
+    assert dec.orthonormality_defect() <= 1e-12
+    assert dec.reconstruction_defect() <= 1e-12 * op.dim * scale
+    # a window keeps exactly the full solve's eigenvalues in (lo, hi]; its
+    # ends sit in the widest level spacing of each half, clear of round-off
+    half = op.dim // 2
+    i = int(np.argmax(np.diff(ref[:half])))
+    k = half + int(np.argmax(np.diff(ref[half:])))
+    lo, hi = 0.5 * (ref[i] + ref[i + 1]), 0.5 * (ref[k] + ref[k + 1])
+    win = eigendecompose(op, window=(lo, hi))
+    inside = dec.eigenvalues[(dec.eigenvalues > lo) & (dec.eigenvalues <= hi)]
+    assert win.dim == inside.size
+    assert np.max(np.abs(win.eigenvalues - inside)) <= 1e-12 * scale
