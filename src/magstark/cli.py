@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, MagstarkError
 from .grid import make_grid
-from .hamiltonian import FieldParams, assemble_h, assemble_h0, assemble_q
+from .hamiltonian import FieldParams, assemble
 from .mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from .potentials import PotentialSpec, clamp_amplitude, eval_potential
 from .spectral import (BumpFunction, WeightSpec, eigendecompose,
@@ -43,7 +43,6 @@ _BASE = {
     "potential": {"family": "gaussian", "amplitude": 0.5, "decay_n": 2,
                   "decay_delta": 0.5, "width": 2.0},
     "function": {"center": 2.0, "halfwidth": 0.8, "plateau": 0.0},
-    "experiment": {"threads": 0},
 }
 
 DEFAULTS = {
@@ -123,7 +122,7 @@ DEFAULTS = {
     },
 }
 
-_INT_KEYS = {"nx", "ny", "decay_n", "threads", "order", "delta_min_exp",
+_INT_KEYS = {"nx", "ny", "decay_n", "order", "delta_min_exp",
              "delta_max_exp", "clamp_to_half_eps", "cluster_min", "auto_slot"}
 _STR_KEYS = {"family", "estimator", "operator", "eps_list", "delta_list",
              "radii", "orders", "cluster_targets", "cluster_tols"}
@@ -260,13 +259,13 @@ def _run_mourre(cfg):
     fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
     spec = _potential_from(cfg)
     e = cfg["experiment"]
-    if spec.family != "zero" and e["clamp_to_half_eps"]:
+    if e["clamp_to_half_eps"]:
         spec = clamp_amplitude(spec, fields.eps / 2.0)
-    dxv = (eval_potential(spec, grid).dxv if spec.family != "zero"
-           else np.zeros(grid.n_points))
-    dec = eigendecompose(assemble_h(grid, fields, spec),
+    pv = eval_potential(spec, grid)
+    dec = eigendecompose(assemble(grid, fields, pv.v),
                          window=(e["window_lo"], e["window_hi"]))
-    bound = mourre_gap_bound(dec, e["window_lo"], e["window_hi"], fields, dxv)
+    bound = mourre_gap_bound(dec, e["window_lo"], e["window_hi"], fields,
+                             pv.dxv)
     slack = e["rel_slack"] * fields.eps
     if spec.family == "zero":
         ok = abs(bound - fields.eps) <= slack
@@ -292,13 +291,14 @@ def _run_lap_probe(cfg):
     fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
     spec = _potential_from(cfg)
     e = cfg["experiment"]
-    if spec.family != "zero" and e["clamp_to_half_eps"]:
+    if e["clamp_to_half_eps"]:
         spec = clamp_amplitude(spec, fields.eps / 2.0)
-    h = assemble_h(grid, fields, spec)
+    v = eval_potential(spec, grid).v
+    h = assemble(grid, fields, v)
     dec = eigendecompose(h)
     lam = e["lambda"]
     if lam == 0.0:
-        decq = eigendecompose(assemble_q(grid, FieldParams(fields.b), spec))
+        decq = eigendecompose(assemble(grid, FieldParams(fields.b), v))
         lo, hi = sigma_q_gap_window(decq, grid, margin=0.3)
         lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
     deltas = tuple(2.0 ** (-k) for k in
@@ -316,7 +316,8 @@ def _run_lemma7(cfg):
     spec = _potential_from(cfg)
     f = cfg["function"]
     e = cfg["experiment"]
-    decq = eigendecompose(assemble_q(grid, FieldParams(cfg["fields"]["b"]), spec))
+    decq = eigendecompose(assemble(grid, FieldParams(cfg["fields"]["b"]),
+                                   eval_potential(spec, grid).v))
     loc = localized_spectrum(decq, grid).values
     center, halfwidth = f["center"], f["halfwidth"]
     if e["auto_slot"]:
@@ -342,9 +343,8 @@ def _run_prop2(cfg):
     fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
     spec = _potential_from(cfg)
     e = cfg["experiment"]
-    h = assemble_h(grid, fields, spec)
-    v = (eval_potential(spec, grid).v if spec.family != "zero"
-         else np.zeros(grid.n_points))
+    v = eval_potential(spec, grid).v
+    h = assemble(grid, fields, v)
     re_z = e["re_z"]
     if re_z == 0.0:
         # pin the probe at the most V-coupled level in the bulk window,
@@ -369,10 +369,11 @@ def _run_prop4(cfg):
     grid = _grid_from(cfg)
     spec = _potential_from(cfg)
     e = cfg["experiment"]
-    q = assemble_q(grid, FieldParams(cfg["fields"]["b"]), spec)
-    dxv = eval_potential(spec, grid).dxv
+    pv = eval_potential(spec, grid)
+    q = assemble(grid, FieldParams(cfg["fields"]["b"]), pv.v)
     w = WeightSpec(s=e["s"], delta=e["delta"])
-    val = resolvent_chain_tracenorm(q, dxv, int(e["order"]), w, complex(e["re_z"], e["im_z"]))
+    val = resolvent_chain_tracenorm(q, pv.dxv, int(e["order"]), w,
+                                    complex(e["re_z"], e["im_z"]))
     rows = [("order", "trace_norm"), (int(e["order"]), val)]
     return rows, {"trace_norm": val}, \
         {"finite": (val, float("inf"), np.isfinite(val))}
@@ -382,7 +383,7 @@ def _run_appendix(cfg):
     grid = _grid_from(cfg)
     fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
     e = cfg["experiment"]
-    h0 = assemble_h0(grid, fields)
+    h0 = assemble(grid, fields, np.zeros(grid.n_points))
     res = weighted_resolvent_norms(h0, WeightSpec(s=e["s"], delta=e["delta"]), grid)
     rows = [("hs1", "tr2"), (res["hs1"], res["tr2"])]
     ok = np.isfinite(res["hs1"]) and np.isfinite(res["tr2"])
@@ -395,11 +396,10 @@ def _run_spectrum(cfg):
     spec = _potential_from(cfg)
     e = cfg["experiment"]
     if e["operator"] == "Q":
-        op = assemble_q(grid, FieldParams(fields.b), spec)
-    elif e["operator"] == "H":
-        op = assemble_h(grid, fields, spec)
-    else:
+        fields = FieldParams(fields.b)
+    elif e["operator"] != "H":
         raise ConfigurationError(f"operator must be Q or H, got {e['operator']!r}")
+    op = assemble(grid, fields, eval_potential(spec, grid).v)
     dec = eigendecompose(op)
     scores = localization_scores(dec, grid, e["margin"])
     rows = [("eigenvalue", "score", "localized")]
@@ -437,8 +437,9 @@ def _run_expansion(cfg):
     fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
     spec = _potential_from(cfg)
     e = cfg["experiment"]
-    q = assemble_q(grid, FieldParams(fields.b), spec)
-    h = assemble_h(grid, fields, spec)
+    v = eval_potential(spec, grid).v
+    q = assemble(grid, FieldParams(fields.b), v)
+    h = assemble(grid, fields, v)
     z = complex(e["re_z"], e["im_z"])
     orders = [int(v) for v in str(e["orders"]).split(",")]
     rows = [("order", "residual")]
@@ -473,30 +474,12 @@ def write_csv(path, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _thread_limiter(cfg):
-    """Apply the [experiment] threads knob when threadpoolctl is available.
-
-    Parallelism only affects timing, never results; with the package absent
-    the knob is recorded but BLAS keeps its own default.
-    """
-    n = int(cfg.get("experiment", {}).get("threads", 0))
-    if n > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-            return threadpool_limits(limits=n)
-        except ImportError:
-            pass
-    import contextlib
-    return contextlib.nullcontext()
-
-
 def run(experiment, cfg, outdir):
     """Execute one experiment, write envelope + CSV, return (exit_code, envelope)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    with _thread_limiter(cfg):
-        rows, results, gates = _RUNNERS[experiment](cfg)
+    rows, results, gates = _RUNNERS[experiment](cfg)
     wall = time.time() - t0
     verdicts = {name: bool(ok) for name, (_, _, ok) in gates.items()}
     envelope = {

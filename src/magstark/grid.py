@@ -2,9 +2,9 @@
 
 The domain is [-lx, lx] x [-ly, ly] sampled on nx * ny points including the
 walls.  Grid point (i, j) maps to flat index j*nx + i, i.e. row-major with x
-fastest.  A 1D operator A acting on the x axis embeds as kron(I_ny, A); one
-acting on y embeds as kron(A, I_nx).  All fields outside the sampled box are
-treated as zero (hard-wall / Dirichlet truncation).
+fastest.  A 1D operator A acting on the x axis embeds as kron(I_ny, A).  All
+fields outside the sampled box are treated as zero (hard-wall / Dirichlet
+truncation).
 """
 
 from dataclasses import dataclass, field
@@ -63,11 +63,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Hermitian matrix with its grid and a role tag (H0, H, Q0, Q, generic)."""
+    """Hermitian matrix on a grid."""
 
     mat: np.ndarray
     grid: GridSpec
-    role: str = "generic"
 
     @property
     def dim(self):
@@ -147,19 +146,10 @@ def position_op(grid: GridSpec, axis, power=1) -> DiscreteOperator:
     coord = {"x": xf, "y": yf}.get(axis)
     if coord is None:
         raise ConfigurationError(f"axis must be 'x' or 'y', got {axis!r}")
-    return DiscreteOperator(np.diag(coord ** power), grid, role="generic")
+    return DiscreteOperator(np.diag(coord ** power), grid)
 
 
 def embed_x(grid: GridSpec, m1d):
     """Embed a 1D x-axis operator into the 2D grid: kron(I_ny, m1d)."""
     return np.kron(np.eye(grid.ny, dtype=m1d.dtype), m1d)
 
-
-def embed_y(grid: GridSpec, m1d):
-    """Embed a 1D y-axis operator into the 2D grid: kron(m1d, I_nx)."""
-    return np.kron(m1d, np.eye(grid.nx, dtype=m1d.dtype))
-
-
-def scaled_embed_x(grid: GridSpec, yweights, m1d):
-    """kron(diag(yweights), m1d): a y-dependent coefficient times an x operator."""
-    return np.kron(np.diag(yweights), m1d)

@@ -1,14 +1,23 @@
 """Assembly of the discrete magnetic Stark operators and their x-commutator.
 
-The free operator is built in Landau gauge as
+One function builds every member of the family
 
-    H0 = Dx^2 - 2B Y Dx + B^2 Y^2 + Dy^2 + eps X
+    H(B, eps) = (Dx - B Y)^2 + Dy^2 + eps X + V
 
-with Dx, Dy the centered first differences, Dx^2, Dy^2 the three-point second
-differences, and X, Y diagonal coordinate matrices.  The cross term couples a
+in Landau gauge: H0 is the member with V = 0 and Q the member with eps = 0.
+Dx, Dy are centered first differences, Dx^2, Dy^2 three-point second
+differences with Dirichlet truncation, and X, Y, V diagonal.  Expanding the
+square, (Dx - B Y)^2 = Dx^2 - 2B Y Dx + B^2 Y^2; the cross term couples the
 y-diagonal with an x-stencil, so the two factors commute exactly and no
-symmetrization is needed.  Dropping the eps X term gives Q0; adding a sampled
-potential on the diagonal gives Q and H.
+symmetrization is needed.  With cx = 1/hx^2, cy = 1/hy^2, c1 = 1/(2hx), the
+row of grid point (i, j) carries a 5-point stencil plus the cross term:
+
+    diagonal        (2cx + 2cy) + (B y_j)^2 + eps x_i + V_ij
+    (i +- 1, j)     -cx + i (-2B y_j)(-+c1)
+    (i, j +- 1)     -cy
+
+It is written straight into one complex N x N array, so assembly holds a
+single dense matrix.
 """
 
 from dataclasses import dataclass
@@ -16,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import (DiscreteOperator, GridSpec, d1_op, d2_op, embed_x, embed_y,
-                   scaled_embed_x)
-from .potentials import PotentialSpec, eval_potential
+from .grid import DiscreteOperator, GridSpec, d1_op, embed_x
 
 
 @dataclass(frozen=True)
@@ -35,43 +42,30 @@ class FieldParams:
             raise ConfigurationError(f"eps must be nonnegative, got {self.eps}")
 
 
-def _kinetic(grid: GridSpec, b):
-    dx2 = embed_x(grid, d2_op(grid.nx, grid.hx))
-    dy2 = embed_y(grid, d2_op(grid.ny, grid.hy))
-    cross = scaled_embed_x(grid, -2.0 * b * grid.y, d1_op(grid.nx, grid.hx))
-    ysq = embed_y(grid, np.diag((b * grid.y) ** 2))
-    return dx2 + dy2 + cross + ysq
+def assemble(grid: GridSpec, fields: FieldParams, v) -> DiscreteOperator:
+    """H(B, eps) = (Dx - B Y)^2 + Dy^2 + eps X + diag(v).
 
-
-def assemble_h0(grid: GridSpec, fields: FieldParams) -> DiscreteOperator:
-    """Free operator H0 = (Dx - B Y)^2 + Dy^2 + eps X."""
-    m = _kinetic(grid, fields.b).astype(complex)
-    if fields.eps != 0.0:
-        xf, _ = grid.meshes()
-        m[np.diag_indices_from(m)] += fields.eps * xf
-    return DiscreteOperator(m, grid, role="H0")
-
-
-def assemble_q(grid: GridSpec, fields: FieldParams,
-               spec: PotentialSpec) -> DiscreteOperator:
-    """Electric-field-free operator Q = (Dx - B Y)^2 + Dy^2 + V."""
-    m = _kinetic(grid, fields.b).astype(complex)
-    role = "Q0"
-    if spec.family != "zero":
-        m[np.diag_indices_from(m)] += eval_potential(spec, grid).v
-        role = "Q"
-    return DiscreteOperator(m, grid, role=role)
-
-
-def assemble_h(grid: GridSpec, fields: FieldParams,
-               spec: PotentialSpec) -> DiscreteOperator:
-    """Full operator H = H0 + V."""
-    h0 = assemble_h0(grid, fields)
-    if spec.family == "zero":
-        return DiscreteOperator(h0.mat, grid, role="H")
-    m = h0.mat.copy()
-    m[np.diag_indices_from(m)] += eval_potential(spec, grid).v
-    return DiscreteOperator(m, grid, role="H")
+    ``v`` is the sampled potential on the flat grid (length N); pass zeros
+    for H0, and ``FieldParams(b)`` (eps = 0) for Q.
+    """
+    nx, n = grid.nx, grid.n_points
+    b = fields.b
+    cx = 1.0 / (grid.hx * grid.hx)
+    cy = 1.0 / (grid.hy * grid.hy)
+    c1 = 1.0 / (2.0 * grid.hx)
+    xf, yf = grid.meshes()
+    m = np.zeros((n, n), dtype=complex)
+    k = np.arange(n)
+    m[k, k] = (2.0 * cx + 2.0 * cy) + (b * yf) ** 2 + fields.eps * xf + v
+    # x neighbours: every point but the last of each grid row
+    k = k[(k % nx) != nx - 1]
+    cross = -2.0 * b * yf[k]
+    m[k, k + 1] = -cx + 1j * (cross * -c1)
+    m[k + 1, k] = -cx + 1j * (cross * c1)
+    k = np.arange(n - nx)
+    m[k, k + nx] = -cy
+    m[k + nx, k] = -cy
+    return DiscreteOperator(m, grid)
 
 
 def partial_x(grid: GridSpec):
@@ -88,4 +82,4 @@ def commutator_dx(op: DiscreteOperator):
     from the Dirichlet truncation.
     """
     d = partial_x(op.grid)
-    return DiscreteOperator(d @ op.mat - op.mat @ d, op.grid, role="generic")
+    return DiscreteOperator(d @ op.mat - op.mat @ d, op.grid)

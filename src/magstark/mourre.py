@@ -1,4 +1,4 @@
-"""Commutator positivity, weighted-resolvent probes, embedded-eigenvalue scans.
+"""Commutator positivity, gap-cutoff norms and weighted-resolvent probes.
 
 The commutator entering the positivity bound is the multiplication operator
 eps + dxV (the value of [d/dx, H] in the continuum algebra).  The raw matrix
@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ConfigurationError, SpectralWindowError
 from .grid import DiscreteOperator, GridSpec
-from .hamiltonian import FieldParams, assemble_h, assemble_q
-from .potentials import PotentialSpec
+from .hamiltonian import FieldParams, assemble
+from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
                        eigendecompose, localized_spectrum, weight_dx_s)
 from .ssf import fit_loglog
-from .traces import operator_norm
+from .traces import operator_norm, resolvent
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,9 @@ def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
 def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, spec: PotentialSpec,
                 chi: BumpFunction, q_localized=None, margin=0.2):
     """Operator norm of chi(H) <x>^-2 for a cutoff clear of localized sigma(Q)."""
+    v = eval_potential(spec, grid).v
     if q_localized is None:
-        decq = eigendecompose(assemble_q(grid, FieldParams(b=fields.b), spec))
+        decq = eigendecompose(assemble(grid, FieldParams(b=fields.b), v))
         q_localized = localized_spectrum(decq, grid).values
     lo, hi = chi.support
     q_localized = np.asarray(q_localized, dtype=float)
@@ -78,7 +79,7 @@ def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, spec: PotentialSpec,
             raise SpectralWindowError(
                 f"cutoff support [{lo:.4g}, {hi:.4g}] is within {margin} of "
                 f"localized Q eigenvalue(s) {q_localized[inside][:4]}")
-    dec = eigendecompose(assemble_h(grid, fields, spec), window=(lo, hi))
+    dec = eigendecompose(assemble(grid, fields, v), window=(lo, hi))
     xf, _ = grid.meshes()
     wx = 1.0 / (1.0 + xf * xf)
     # chi(H) <x>^-2 = U_k [chi(lam_k) U_k* <x>^-2] and U_k has orthonormal
@@ -107,38 +108,7 @@ def lap_probe(h: DiscreteOperator, lam, w: WeightSpec, delta_list) -> ProbeRepor
         raise ConfigurationError(
             f"delta_list must be decreasing and >= 1e-6, got {deltas}")
     wmat = weight_dx_s(h.grid, w)
-    n = h.dim
-    eye = np.eye(n, dtype=complex)
-    norms = []
-    for d in deltas:
-        r = np.linalg.solve((lam + 1j * d) * eye - h.mat, wmat.astype(complex))
-        norms.append(operator_norm(wmat @ r))
-    return ProbeReport(deltas, tuple(norms))
+    norms = tuple(operator_norm(wmat @ resolvent(h, lam + 1j * d) @ wmat)
+                  for d in deltas)
+    return ProbeReport(deltas, norms)
 
-
-@dataclass(frozen=True)
-class EmbeddedScan:
-    """Localized H eigenvalues in a window and their distance to sigma(Q)."""
-
-    entries: tuple        # (lambda_H, nearest_Q, distance)
-    max_distance: float | None
-
-
-def embedded_eigenvalue_scan(decH: SpectralDecomposition,
-                             decQ: SpectralDecomposition, grid: GridSpec,
-                             window, margin=0.05) -> EmbeddedScan:
-    """Compare localized H states inside the window with localized sigma(Q)."""
-    a, b = window
-    locH = localized_spectrum(decH, grid, margin=margin)
-    locQ = localized_spectrum(decQ, grid, margin=margin)
-    lam_h = locH.values[(locH.values >= a) & (locH.values <= b)]
-    entries = []
-    for lam in lam_h:
-        if len(locQ):
-            k = int(np.argmin(np.abs(locQ.values - lam)))
-            entries.append((float(lam), float(locQ.values[k]),
-                            float(abs(locQ.values[k] - lam))))
-        else:
-            entries.append((float(lam), float("nan"), float("inf")))
-    dmax = max((e[2] for e in entries), default=None)
-    return EmbeddedScan(tuple(entries), dmax)

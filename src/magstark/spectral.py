@@ -1,4 +1,4 @@
-"""Eigendecomposition, matrix functional calculus, projectors and weights.
+"""Eigendecomposition, matrix functional calculus and weights.
 
 All functional calculus goes through one exact Hermitian eigendecomposition:
 f(M) = U diag(f(lam)) U*.  Smooth compactly supported test functions are the
@@ -225,24 +225,6 @@ def weighted_trace_function(dec: SpectralDecomposition, weights, f):
     return float(weights @ dens @ fvals)
 
 
-def spectral_projector(dec: SpectralDecomposition, a, b):
-    """Orthogonal projector onto eigenvectors with eigenvalue in (a, b].
-
-    Eigenvalues exactly at a cut belong to the left interval, so adjacent
-    projectors tile without overlap.  An empty selection returns the zero
-    matrix (flagged by rank 0), not an error.
-    """
-    if not a < b:
-        raise ConfigurationError(f"need a < b, got a={a}, b={b}")
-    sel = (dec.eigenvalues > a) & (dec.eigenvalues <= b)
-    u = dec.eigenvectors[:, sel]
-    return u @ u.conj().T
-
-
-def projector_rank(dec: SpectralDecomposition, a, b):
-    return int(np.count_nonzero((dec.eigenvalues > a) & (dec.eigenvalues <= b)))
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Exponents for the <Dx>^-s, <x>^p and power-decay k_j weights."""
@@ -271,12 +253,6 @@ def weight_dx_s(grid: GridSpec, w: WeightSpec, power=None):
     lam, u = np.linalg.eigh(d2_op(grid.nx, grid.hx))
     w1d = (u * (1.0 + lam) ** (power / 2.0)) @ u.T
     return embed_x(grid, w1d)
-
-
-def weight_x_power(grid: GridSpec, p):
-    """Diagonal weight <x>^p with <x> = sqrt(1 + x^2)."""
-    xf, _ = grid.meshes()
-    return (1.0 + xf * xf) ** (p / 2.0)
 
 
 def decay_weight(grid: GridSpec, j, delta):

@@ -17,11 +17,12 @@ import numpy as np
 from .errors import (ConfigurationError, GapNotFoundError, GeometryError,
                      SpectralWindowError)
 from .grid import DiscreteOperator, GridSpec
-from .hamiltonian import FieldParams, assemble_h, assemble_h0, partial_x
+from .hamiltonian import FieldParams, assemble, partial_x
 from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, eigendecompose,
                        localized_spectrum, trace_function,
                        weighted_trace_function)
+from .traces import resolvent
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,9 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
         raise ConfigurationError("trace-formula experiments require eps > 0")
     _check_window(grid, f)
     fieldsV = eval_potential(spec, grid)
-    dech = eigendecompose(assemble_h(grid, fields, spec), window=f.support)
-    dech0 = eigendecompose(assemble_h0(grid, fields), window=f.support)
+    dech = eigendecompose(assemble(grid, fields, fieldsV.v), window=f.support)
+    dech0 = eigendecompose(assemble(grid, fields, np.zeros(grid.n_points)),
+                           window=f.support)
     if wall_cutoff is None:
         chi = np.ones(grid.n_points)
     else:
@@ -128,7 +130,7 @@ def commutator_trace_zero(grid: GridSpec, fields: FieldParams,
     Vanishes to round-off in finite dimension for every input; this is the
     exact backbone the trace identity rests on.
     """
-    dec = eigendecompose(assemble_h(grid, fields, spec))
+    dec = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
     u = dec.eigenvectors
     m = (u * (dec.eigenvalues * f(dec.eigenvalues))) @ u.conj().T  # H f(H)
     d = partial_x(grid)
@@ -148,9 +150,7 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
     xf, yf = grid.meshes()
     r = np.hypot(xf, yf)
     fieldsV = eval_potential(spec, grid)
-    h0 = assemble_h0(grid, fields)
-    dech = eigendecompose(DiscreteOperator(
-        h0.mat + np.diag(fieldsV.v + 0j), grid, role="H"), window=f.support)
+    dech = eigendecompose(assemble(grid, fields, fieldsV.v), window=f.support)
     tr_full = trace_function(dech, f)
     w_full = weighted_trace_function(dech, fieldsV.dxv, f)
     rows = []
@@ -160,8 +160,7 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
         dchi_r = np.zeros_like(chi_r)
         pos = r > 0
         dchi_r[pos] = prof.derivative(r[pos]) * (xf[pos] / r[pos])
-        m = h0.mat + np.diag(chi_r * fieldsV.v + 0j)
-        dec_r = eigendecompose(DiscreteOperator(m, grid, role="H"),
+        dec_r = eigendecompose(assemble(grid, fields, chi_r * fieldsV.v),
                                window=f.support)
         col1 = abs(trace_function(dec_r, f) - tr_full)
         wgt = dchi_r * fieldsV.v + chi_r * fieldsV.dxv
@@ -236,10 +235,11 @@ def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
     samples = []
     for eps in eps_list:
         fields = FieldParams(b=b, eps=eps)
-        dech = eigendecompose(assemble_h(grid, fields, spec),
+        dech = eigendecompose(assemble(grid, fields, fieldsV.v),
                               window=f.support)
         if estimator == "trace_difference":
-            dech0 = eigendecompose(assemble_h0(grid, fields),
+            dech0 = eigendecompose(assemble(grid, fields,
+                                            np.zeros(grid.n_points)),
                                    window=f.support)
             val = (weighted_trace_function(dech, chi, f)
                    - weighted_trace_function(dech0, chi, f))
@@ -279,11 +279,8 @@ def resolvent_expansion_check(q: DiscreteOperator, h: DiscreteOperator,
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    z = complex(z)
-    npts = q.dim
-    eye = np.eye(npts, dtype=complex)
-    rq = np.linalg.solve(z * eye - q.mat, eye)
-    rh = np.linalg.solve(z * eye - h.mat, eye)
+    rq = resolvent(q, z)
+    rh = resolvent(h, z)
     xf, _ = q.grid.meshes()
     block = rq * xf  # (z-Q)^-1 X
     total = np.zeros_like(rq)

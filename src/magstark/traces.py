@@ -113,13 +113,15 @@ def tracebound_sweep(h: DiscreteOperator, v_diag, probe: ProbeSpec):
 
 
 def weighted_resolvent_norms(h0: DiscreteOperator, w: WeightSpec, grid: GridSpec):
-    """Weighted resolvent norms: hs1 = ||k1 (H0+i)^-1||_HS, tr2 = ||k2 (H0+i)^-2||_tr."""
-    n = h0.dim
-    rinv = np.linalg.solve(h0.mat + 1j * np.eye(n), np.eye(n, dtype=complex))
+    """Weighted resolvent norms: hs1 = ||k1 (H0+i)^-1||_HS, tr2 = ||k2 (H0+i)^-2||_tr.
+
+    (-i - H0)^-1 = -(H0+i)^-1, and neither norm sees the sign.
+    """
+    r = resolvent(h0, -1j)
     k1 = decay_weight(grid, 1, w.delta)
     k2 = decay_weight(grid, 2, w.delta)
-    hs1 = frobenius_norm(k1[:, None] * rinv)
-    tr2 = nuclear_norm(k2[:, None] * (rinv @ rinv))
+    hs1 = frobenius_norm(k1[:, None] * r)
+    tr2 = nuclear_norm(k2[:, None] * (r @ r))
     return {"hs1": hs1, "tr2": tr2}
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from magstark.cli import load_config, run
 from magstark.grid import make_grid
-from magstark.hamiltonian import FieldParams, assemble_h, assemble_h0, assemble_q
+from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
@@ -44,7 +44,7 @@ def test_criterion_1_commutator_trace_zero():
                        (make_grid(6, 6, 25, 25), GAUSS),
                        (make_grid(8, 4, 25, 17), SEP3)]:
         re, im = commutator_trace_zero(grid, FieldParams(1.0, 0.5), spec, F_REF)
-        h = assemble_h(grid, FieldParams(1.0, 0.5), spec)
+        h = assemble(grid, FieldParams(1.0, 0.5), eval_potential(spec, grid).v)
         scale = 1e-10 * grid.n_points * np.max(np.abs(h.mat))
         worst = max(worst, abs(re) / scale, abs(im) / scale)
     ok = worst <= 1.0
@@ -85,7 +85,7 @@ def test_criterion_3_zero_potential_degenerate():
 
 def test_criterion_4_landau_levels():
     g = make_grid(6, 6, 61, 61)
-    dec = eigendecompose(assemble_q(g, FieldParams(b=1.0), ZERO))
+    dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
     loc = np.sort(localized_spectrum(dec, g, margin=0.05).values)
     c1 = loc[np.abs(loc - 1.0) <= 0.05]
     c3 = loc[np.abs(loc - 3.0) <= 0.15]
@@ -123,7 +123,8 @@ def test_criterion_6_gap_cutoff_slope():
     g = make_grid(12, 6, 61, 31)
     spec = PotentialSpec("separable_power", amplitude=0.15, decay_n=3,
                          decay_delta=0.5)
-    decq = eigendecompose(assemble_q(g, FieldParams(b=1.0), spec))
+    decq = eigendecompose(assemble(g, FieldParams(b=1.0),
+                                   eval_potential(spec, g).v))
     lamq = decq.eigenvalues
     # slot-dodged plateau cutoff in the first gap, clear of localized sigma(Q)
     pts = np.concatenate([[1.4], lamq[(lamq > 1.4) & (lamq < 2.0)], [2.0]])
@@ -142,7 +143,7 @@ def test_criterion_6_gap_cutoff_slope():
 
 def test_criterion_7_tracebound_sweep():
     g = make_grid(6, 6, 31, 31)
-    h = assemble_h(g, FieldParams(1.0, 0.5), SEP3)
+    h = assemble(g, FieldParams(1.0, 0.5), eval_potential(SEP3, g).v)
     v = eval_potential(SEP3, g).v
     dec = eigendecompose(h)
     lam = dec.eigenvalues
@@ -161,9 +162,10 @@ def test_criterion_8_lap_plateau_and_negative_control():
     eps = 0.1
     spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.3, width=1.5),
                            eps / 2.0)
-    h = assemble_h(g, FieldParams(1.0, eps), spec)
+    h = assemble(g, FieldParams(1.0, eps), eval_potential(spec, g).v)
     dec = eigendecompose(h)
-    decq = eigendecompose(assemble_q(g, FieldParams(1.0), spec))
+    decq = eigendecompose(assemble(g, FieldParams(1.0),
+                                   eval_potential(spec, g).v))
     lo, hi = sigma_q_gap_window(decq, g, margin=0.3)
     lam = dec.eigenvalues
     pts = np.concatenate([[lo], lam[(lam > lo) & (lam < hi)], [hi]])
@@ -175,7 +177,7 @@ def test_criterion_8_lap_plateau_and_negative_control():
     rep = lap_probe(h, lam0, w, deltas)
     # negative control: deep attractive well with a localized level
     well = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
-    h_neg = assemble_h(g, FieldParams(1.0, eps), well)
+    h_neg = assemble(g, FieldParams(1.0, eps), eval_potential(well, g).v)
     dec_neg = eigendecompose(h_neg)
     lam_neg = float(localized_spectrum(dec_neg, g, margin=0.05).values[0])
     rep_neg = lap_probe(h_neg, lam_neg, w, deltas)
@@ -189,11 +191,11 @@ def test_criterion_8_lap_plateau_and_negative_control():
 def test_criterion_9_mourre_gap_bound():
     g = make_grid(6, 6, 31, 31)
     fields = FieldParams(1.0, 0.5)
-    dec0 = eigendecompose(assemble_h(g, fields, ZERO))
+    dec0 = eigendecompose(assemble(g, fields, np.zeros(g.n_points)))
     b0 = mourre_gap_bound(dec0, 1.6, 2.4, fields, np.zeros(g.n_points))
     spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.4, width=1.5),
                            fields.eps / 2.0)
-    dec1 = eigendecompose(assemble_h(g, fields, spec))
+    dec1 = eigendecompose(assemble(g, fields, eval_potential(spec, g).v))
     b1 = mourre_gap_bound(dec1, 1.6, 2.4, fields,
                           eval_potential(spec, g).dxv)
     ok = (abs(b0 - fields.eps) <= 0.02 * fields.eps
@@ -208,11 +210,13 @@ def test_criterion_10_weighted_norm_stability():
     hs1, tr2, p4 = [], [], []
     for nx in (31, 41, 61):
         g = make_grid(6, 6, nx, nx)
-        res = weighted_resolvent_norms(assemble_h0(g, fields), w, g)
+        h0 = assemble(g, fields, np.zeros(g.n_points))
+        res = weighted_resolvent_norms(h0, w, g)
         hs1.append(res["hs1"])
         tr2.append(res["tr2"])
-        q = assemble_q(g, FieldParams(1.0), SEP3)
-        p4.append(resolvent_chain_tracenorm(q, eval_potential(SEP3, g).dxv, 2, w, 2.0 + 1.0j))
+        pv = eval_potential(SEP3, g)
+        q = assemble(g, FieldParams(1.0), pv.v)
+        p4.append(resolvent_chain_tracenorm(q, pv.dxv, 2, w, 2.0 + 1.0j))
     dh = abs(hs1[-1] - hs1[-2]) / hs1[-2]
     dt = abs(tr2[-1] - tr2[-2]) / tr2[-2]
     dp = abs(p4[-1] - p4[-2]) / p4[-2]
@@ -223,8 +227,8 @@ def test_criterion_10_weighted_norm_stability():
 
 def test_criterion_11_resolvent_expansion_exact():
     g = make_grid(6, 6, 31, 31)
-    q = assemble_q(g, FieldParams(1.0), GAUSS)
-    h = assemble_h(g, FieldParams(1.0, 0.3), GAUSS)
+    q = assemble(g, FieldParams(1.0), eval_potential(GAUSS, g).v)
+    h = assemble(g, FieldParams(1.0, 0.3), eval_potential(GAUSS, g).v)
     worst = max(resolvent_expansion_check(q, h, 0.3, 2.0 + 0.5j, n)
                 for n in (1, 2, 3))
     ok = worst <= 1e-8

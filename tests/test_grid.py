@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from magstark.errors import ConfigurationError
-from magstark.grid import (d1_op, d2_op, embed_x, make_grid, position_op,
-                           scaled_embed_x)
+from magstark.grid import d1_op, d2_op, embed_x, make_grid, position_op
 
 
 def test_make_grid_spacings():
@@ -132,9 +131,3 @@ def test_product_rule_converges_to_identity():
         errs.append(np.max(np.abs(out[mask] - u[mask])))
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
     assert order > 1.9
-
-
-def test_scaled_embed_hermitian():
-    g = make_grid(2, 2, 8, 8)
-    m = scaled_embed_x(g, g.y, d1_op(g.nx, g.hx))
-    assert np.max(np.abs(m - m.conj().T)) == 0.0

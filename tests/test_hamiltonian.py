@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from magstark.grid import make_grid, position_op
+from magstark.grid import d1_op, d2_op, embed_x, make_grid, position_op
 from magstark.errors import ConfigurationError
-from magstark.hamiltonian import (FieldParams, assemble_h, assemble_h0,
-                                  assemble_q, commutator_dx, partial_x)
+from magstark.hamiltonian import (FieldParams, assemble, commutator_dx,
+                                  partial_x)
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import eigendecompose, localized_spectrum
 
 GRID = make_grid(6, 6, 25, 25)
-ZERO = PotentialSpec("zero")
+NO_V = np.zeros(GRID.n_points)
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
+GAUSS_V = eval_potential(GAUSS, GRID).v
+FAMILIES = ["zero", "separable_power", "gaussian", "compact_bump"]
 
 
 def test_field_params_validation():
@@ -20,53 +22,80 @@ def test_field_params_validation():
         FieldParams(b=1.0, eps=-0.1)
 
 
+def _kron_reference(grid, fields, v):
+    """H(B, eps) as the sum of Kronecker products of the 1D stencils."""
+    d2x = embed_x(grid, d2_op(grid.nx, grid.hx))
+    d2y = np.kron(d2_op(grid.ny, grid.hy), np.eye(grid.nx))
+    cross = np.kron(np.diag(-2.0 * fields.b * grid.y), d1_op(grid.nx, grid.hx))
+    ysq = np.kron(np.diag((fields.b * grid.y) ** 2), np.eye(grid.nx))
+    m = (d2x + d2y + cross + ysq).astype(complex)
+    xf, _ = grid.meshes()
+    m[np.diag_indices_from(m)] += fields.eps * xf
+    m[np.diag_indices_from(m)] += v
+    return m
+
+
+@pytest.mark.parametrize("shape", [(21, 35), (41, 21)])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_assemble_matches_kron_reference_bitwise(shape, family, eps):
+    # the direct stencil write reproduces the Kronecker-product sum bit for
+    # bit, signed zeros included
+    g = make_grid(6, 6, *shape)
+    fields = FieldParams(b=1.3, eps=eps)
+    v = eval_potential(PotentialSpec(family, amplitude=0.7, width=2.5), g).v
+    m = assemble(g, fields, v).mat
+    assert np.array_equal(m.view(float),
+                          _kron_reference(g, fields, v).view(float))
+
+
 def test_assembled_operators_exactly_hermitian():
     fields = FieldParams(b=1.0, eps=0.5)
-    for op in (assemble_h0(GRID, fields),
-               assemble_q(GRID, fields, GAUSS),
-               assemble_h(GRID, fields, GAUSS)):
+    for op in (assemble(GRID, fields, NO_V),
+               assemble(GRID, FieldParams(b=1.0), GAUSS_V),
+               assemble(GRID, fields, GAUSS_V)):
         assert op.hermiticity_defect() == 0.0
 
 
-@pytest.mark.parametrize("family", ["zero", "separable_power", "gaussian",
-                                    "compact_bump"])
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("eps", [0.5, 0.0])
 def test_assembled_operators_exactly_t_symmetric(family, eps):
     # every family is even in y, so conj(M) == P_y M P_y holds bitwise
     g = make_grid(6, 6, 21, 35)
     fields = FieldParams(b=1.3, eps=eps)
-    spec = PotentialSpec(family, amplitude=0.7, width=2.5)
-    for op in (assemble_h0(g, fields), assemble_q(g, fields, spec),
-               assemble_h(g, fields, spec)):
+    v = eval_potential(PotentialSpec(family, amplitude=0.7, width=2.5), g).v
+    for op in (assemble(g, fields, np.zeros(g.n_points)),
+               assemble(g, FieldParams(b=1.3), v), assemble(g, fields, v)):
         assert op.is_t_symmetric()
 
 
 def test_eps_linearity():
-    h1 = assemble_h0(GRID, FieldParams(b=1.0, eps=1.0))
-    h0 = assemble_h0(GRID, FieldParams(b=1.0, eps=0.0))
+    h1 = assemble(GRID, FieldParams(b=1.0, eps=1.0), NO_V)
+    h0 = assemble(GRID, FieldParams(b=1.0, eps=0.0), NO_V)
     x = position_op(GRID, "x").mat
     assert np.array_equal(h1.mat - x, h0.mat)
 
 
 def test_zero_potential_collapses():
     fields = FieldParams(b=1.0, eps=0.5)
-    assert np.array_equal(assemble_h(GRID, fields, ZERO).mat,
-                          assemble_h0(GRID, fields).mat)
+    v = eval_potential(PotentialSpec("zero"), GRID).v
+    assert np.array_equal(assemble(GRID, fields, v).mat,
+                          assemble(GRID, fields, NO_V).mat)
 
 
 def test_q_minus_q0_is_potential_diagonal():
-    fields = FieldParams(b=1.0, eps=0.5)
-    diff = assemble_q(GRID, fields, GAUSS).mat - assemble_q(GRID, fields, ZERO).mat
+    fields = FieldParams(b=1.0)
+    diff = (assemble(GRID, fields, GAUSS_V).mat
+            - assemble(GRID, fields, NO_V).mat)
     off = diff - np.diag(np.diag(diff))
     assert np.max(np.abs(off)) == 0.0
-    v = eval_potential(GAUSS, GRID).v
-    assert np.allclose(np.diag(diff).real, v, rtol=0, atol=1e-13)
+    assert np.allclose(np.diag(diff).real, GAUSS_V, rtol=0, atol=1e-13)
 
 
 def test_h_minus_q_is_stark_term():
     fields = FieldParams(b=1.0, eps=0.7)
-    h = assemble_h(GRID, fields, GAUSS)
-    q = assemble_q(GRID, fields, GAUSS)
+    h = assemble(GRID, fields, GAUSS_V)
+    q = assemble(GRID, FieldParams(b=1.0), GAUSS_V)
     xf, _ = GRID.meshes()
     diff = h.mat - q.mat
     off = diff - np.diag(np.diag(diff))
@@ -74,18 +103,10 @@ def test_h_minus_q_is_stark_term():
     assert np.allclose(np.diag(diff).real, 0.7 * xf, rtol=0, atol=1e-12)
 
 
-def test_role_tags():
-    fields = FieldParams(b=1.0, eps=0.5)
-    assert assemble_h0(GRID, fields).role == "H0"
-    assert assemble_q(GRID, fields, ZERO).role == "Q0"
-    assert assemble_q(GRID, fields, GAUSS).role == "Q"
-    assert assemble_h(GRID, fields, GAUSS).role == "H"
-
-
 def test_landau_level_small_grid():
     # b=1 free Landau operator: lowest localized cluster sits near 1.0
     g = make_grid(6, 6, 41, 41)
-    dec = eigendecompose(assemble_q(g, FieldParams(b=1.0), ZERO))
+    dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
     loc = localized_spectrum(dec, g, margin=0.05)
     assert len(loc) >= 2
     lowest = np.sort(loc.values)[:2]
@@ -95,7 +116,8 @@ def test_landau_level_small_grid():
 def test_attractive_gaussian_pulls_below_landau():
     g = make_grid(6, 6, 31, 31)
     well = PotentialSpec("gaussian", amplitude=-0.4, width=2.0)
-    dec = eigendecompose(assemble_q(g, FieldParams(b=1.0), well))
+    dec = eigendecompose(assemble(g, FieldParams(b=1.0),
+                                  eval_potential(well, g).v))
     loc = localized_spectrum(dec, g, margin=0.05)
     assert len(loc) >= 1
     assert np.min(loc.values) < 0.95
@@ -105,7 +127,7 @@ def test_commutator_zero_potential_interior_is_averaging():
     # [d/dx, H0] interior rows equal eps times the averaging stencil exactly;
     # the kinetic part contributes only x-wall corner entries
     fields = FieldParams(b=1.0, eps=0.5)
-    comm = commutator_dx(assemble_h0(GRID, fields)).mat
+    comm = commutator_dx(assemble(GRID, fields, NO_V)).mat
     avg = np.zeros((GRID.nx, GRID.nx))
     idx = np.arange(GRID.nx - 1)
     avg[idx, idx + 1] = 0.5
@@ -138,10 +160,11 @@ def test_commutator_general_potential_second_order():
     errs = []
     for nx in (31, 61):
         g = make_grid(6, 6, nx, nx)
-        comm = commutator_dx(assemble_h(g, fields, GAUSS)).mat
+        pv = eval_potential(GAUSS, g)
+        comm = commutator_dx(assemble(g, fields, pv.v)).mat
         xf, yf = g.meshes()
         u = np.exp(-(xf ** 2 + yf ** 2) / 2.0)
-        target = (0.5 + eval_potential(GAUSS, g).dxv) * u
+        target = (0.5 + pv.dxv) * u
         mask = g.interior_mask(band=2)
         errs.append(np.max(np.abs((comm @ u - target)[mask])))
     order = np.log(errs[0] / errs[1]) / np.log(2.0)

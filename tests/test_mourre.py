@@ -3,26 +3,26 @@ import pytest
 
 from magstark.errors import ConfigurationError, SpectralWindowError
 from magstark.grid import make_grid
-from magstark.hamiltonian import FieldParams, assemble_h, assemble_q
-from magstark.mourre import (embedded_eigenvalue_scan, lap_probe, gap_cutoff_norm,
-                             mourre_gap_bound)
+from magstark.hamiltonian import FieldParams, assemble
+from magstark.mourre import lap_probe, gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
-                               localized_spectrum)
+                               localized_spectrum, weight_dx_s)
 
 ZERO = PotentialSpec("zero")
 GRID = make_grid(6, 6, 31, 31)
+NO_V = np.zeros(GRID.n_points)
 FIELDS = FieldParams(b=1.0, eps=0.5)
 
 
 def test_mourre_bound_zero_potential_equals_eps():
-    dec = eigendecompose(assemble_h(GRID, FIELDS, ZERO))
+    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
     bound = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, np.zeros(GRID.n_points))
     assert abs(bound - FIELDS.eps) <= 1e-12
 
 
 def test_mourre_bound_shift_by_constant():
-    dec = eigendecompose(assemble_h(GRID, FIELDS, ZERO))
+    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
     dxv = np.zeros(GRID.n_points)
     b0 = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv)
     b1 = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv + 0.3)
@@ -32,24 +32,24 @@ def test_mourre_bound_shift_by_constant():
 def test_mourre_bound_clamped_potential():
     spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.4, width=1.5),
                            FIELDS.eps / 2.0)
-    dxv = eval_potential(spec, GRID).dxv
-    dec = eigendecompose(assemble_h(GRID, FIELDS, spec))
-    bound = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv)
+    pv = eval_potential(spec, GRID)
+    dec = eigendecompose(assemble(GRID, FIELDS, pv.v))
+    bound = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, pv.dxv)
     assert bound >= FIELDS.eps / 2.0 - 0.02 * FIELDS.eps
 
 
 def test_mourre_bound_can_go_negative_for_strong_potential():
     spec = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
-    dxv = eval_potential(spec, GRID).dxv
+    pv = eval_potential(spec, GRID)
     fields = FieldParams(b=1.0, eps=0.1)
-    dec = eigendecompose(assemble_h(GRID, fields, spec))
-    bound = mourre_gap_bound(dec, 0.5, 1.5, fields, dxv)
+    dec = eigendecompose(assemble(GRID, fields, pv.v))
+    bound = mourre_gap_bound(dec, 0.5, 1.5, fields, pv.dxv)
     assert np.isfinite(bound)
     assert bound < fields.eps  # recorded, not asserted positive
 
 
 def test_mourre_empty_projector_sentinel():
-    dec = eigendecompose(assemble_h(GRID, FIELDS, ZERO))
+    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
     lo = float(dec.eigenvalues[0])
     with pytest.warns(UserWarning, match="no eigenvalues"):
         bound = mourre_gap_bound(dec, lo - 5.0, lo - 4.0, FIELDS,
@@ -70,7 +70,7 @@ def _gap_slot_chi(dec, lo=1.2, hi=2.8, plateau=0.5):
 def test_gap_cutoff_norm_vanishes_on_spectrum_free_cutoff():
     # with supp chi avoiding every eigenvalue, chi(Q0) is exactly zero
     g = make_grid(6, 6, 41, 41)
-    dec = eigendecompose(assemble_q(g, FieldParams(b=1.0), ZERO))
+    dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
     chi = _gap_slot_chi(dec)
     val = gap_cutoff_norm(g, FieldParams(b=1.0, eps=0.0), ZERO, chi,
                       q_localized=localized_spectrum(dec, g).values)
@@ -86,7 +86,7 @@ def test_gap_cutoff_support_overlap_error():
 
 
 def test_lap_probe_validation():
-    h = assemble_h(GRID, FIELDS, ZERO)
+    h = assemble(GRID, FIELDS, NO_V)
     with pytest.raises(ConfigurationError, match="delta_list"):
         lap_probe(h, 2.0, WeightSpec(s=0.75), (0.1, 0.2))
 
@@ -97,7 +97,7 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     # across the sweep)
     spec = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     fields = FieldParams(b=1.0, eps=0.1)
-    h = assemble_h(GRID, fields, spec)
+    h = assemble(GRID, fields, eval_potential(spec, GRID).v)
     dec = eigendecompose(h)
     loc = localized_spectrum(dec, GRID, margin=0.05)
     lam0 = float(loc.values[0])
@@ -109,7 +109,7 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
 
 def test_lap_probe_plateau_off_spectrum():
     # at a spectrum-free lambda the norms saturate once delta resolves the gap
-    h = assemble_h(GRID, FIELDS, ZERO)
+    h = assemble(GRID, FIELDS, NO_V)
     dec = eigendecompose(h)
     lam = dec.eigenvalues
     win = (lam > 1.5) & (lam < 2.5)
@@ -122,21 +122,20 @@ def test_lap_probe_plateau_off_spectrum():
     assert rep.plateau_ratio <= 1.15
 
 
-def test_embedded_scan_zero_potential_gap_empty():
-    g = make_grid(6, 6, 41, 41)
-    fields = FieldParams(b=1.0, eps=0.5)
-    decH = eigendecompose(assemble_h(g, fields, ZERO))
-    decQ = eigendecompose(assemble_q(g, FieldParams(b=1.0), ZERO))
-    scan = embedded_eigenvalue_scan(decH, decQ, g, window=(1.3, 2.7))
-    assert len(scan.entries) == 0 and scan.max_distance is None
 
-
-def test_embedded_scan_small_attractive_well():
-    # localized H levels track localized Q levels within the measured 0.3
-    g = make_grid(6, 6, 41, 41)
-    spec = PotentialSpec("gaussian", amplitude=-0.3, width=1.5)
-    decH = eigendecompose(assemble_h(g, FieldParams(b=1.0, eps=0.05), spec))
-    decQ = eigendecompose(assemble_q(g, FieldParams(b=1.0), spec))
-    scan = embedded_eigenvalue_scan(decH, decQ, g, window=(0.0, 3.5))
-    assert len(scan.entries) >= 1
-    assert scan.max_distance <= 0.3
+def test_lap_probe_matches_direct_solve():
+    # oracle: ||W (z - H)^-1 W|| from one solve against W, without the
+    # residual-checked resolvent
+    spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.3, width=1.5),
+                           0.05)
+    g = make_grid(6, 6, 21, 21)
+    h = assemble(g, FieldParams(b=1.0, eps=0.1), eval_potential(spec, g).v)
+    w = WeightSpec(s=0.75)
+    wmat = weight_dx_s(g, w)
+    deltas = (0.5, 0.125, 0.03125)
+    rep = lap_probe(h, 2.1, w, deltas)
+    eye = np.eye(g.n_points)
+    for d, norm in zip(deltas, rep.norms):
+        r = np.linalg.solve((2.1 + 1j * d) * eye - h.mat, wmat.astype(complex))
+        expected = np.linalg.norm(wmat @ r, 2)
+        assert abs(norm - expected) <= 1e-12 * expected

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from magstark.errors import ConfigurationError
 from magstark.grid import DiscreteOperator, make_grid
-from magstark.hamiltonian import FieldParams, assemble_h
+from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, SpectralDecomposition,
@@ -52,7 +52,7 @@ def _norm(dec):
 @pytest.mark.parametrize("n", [31, 41])
 def test_real_form_matches_complex_reference(n, eigh_inputs):
     g = make_grid(6, 6, n, n)
-    op = assemble_h(g, FIELDS, GAUSS)
+    op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     ref = _reference(op)
     eigh_inputs.clear()
     dec = eigendecompose(op)
@@ -72,7 +72,7 @@ def test_real_form_matches_complex_reference(n, eigh_inputs):
 @pytest.mark.parametrize("n", [31, 41])
 def test_windowed_traces_match_full_complex(n):
     g = make_grid(6, 6, n, n)
-    op = assemble_h(g, FIELDS, GAUSS)
+    op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     ref = _reference(op)
     dec = eigendecompose(op, window=F.support)
     lo, hi = F.support
@@ -90,7 +90,7 @@ def test_windowed_traces_match_full_complex(n):
 @pytest.mark.parametrize("n", [31, 41])
 def test_windowed_mourre_bound_matches_full_complex(n):
     g = make_grid(6, 6, n, n)
-    op = assemble_h(g, FIELDS, GAUSS)
+    op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     dxv = eval_potential(GAUSS, g).dxv
     full = mourre_gap_bound(_reference(op), 1.6, 2.4, FIELDS, dxv)
     win = mourre_gap_bound(eigendecompose(op, window=(1.6, 2.4)), 1.6, 2.4,
@@ -102,7 +102,7 @@ def test_windowed_mourre_bound_matches_full_complex(n):
 def test_gap_cutoff_norm_matches_full_svd(n):
     g = make_grid(6, 6, n, n)
     chi = BumpFunction(2.0, 0.3, plateau=0.5)
-    ref = _reference(assemble_h(g, FIELDS, GAUSS))
+    ref = _reference(assemble(g, FIELDS, eval_potential(GAUSS, g).v))
     xf, _ = g.meshes()
     full = operator_norm(apply_function(ref, chi) / (1.0 + xf * xf)[None, :])
     assert full > 0.01
@@ -112,7 +112,7 @@ def test_gap_cutoff_norm_matches_full_svd(n):
 
 def test_windowed_reconstruction_defect_is_the_eigen_residual():
     g = make_grid(6, 6, 21, 21)
-    op = assemble_h(g, FIELDS, GAUSS)
+    op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     dec = eigendecompose(op, window=(0.5, 3.5))
     assert 0 < dec.dim < op.dim
     # a rank-k reconstruction sits ~|M| away from M; the residual does not
@@ -125,7 +125,7 @@ def test_windowed_reconstruction_defect_is_the_eigen_residual():
 
 def test_empty_window():
     g = make_grid(6, 6, 21, 21)
-    op = assemble_h(g, FIELDS, GAUSS)
+    op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     dec = eigendecompose(op, window=(-50.0, -40.0))
     assert dec.dim == 0 and dec.eigenvectors.shape == (op.dim, 0)
     assert trace_function(dec, F) == 0.0
@@ -135,14 +135,15 @@ def test_empty_window():
 def test_window_must_be_ordered():
     g = make_grid(6, 6, 21, 21)
     with pytest.raises(ConfigurationError, match="window"):
-        eigendecompose(assemble_h(g, FIELDS, GAUSS), window=(2.0, 1.0))
+        eigendecompose(assemble(g, FIELDS, eval_potential(GAUSS, g).v),
+                       window=(2.0, 1.0))
 
 
 def test_complex_fallback_for_y_odd_term(eigh_inputs):
     g = make_grid(6, 6, 21, 21)
-    h = assemble_h(g, FIELDS, GAUSS)
+    h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     _, yf = g.meshes()
-    op = DiscreteOperator(h.mat + np.diag(0.3 * yf), g, role="H")
+    op = DiscreteOperator(h.mat + np.diag(0.3 * yf), g)
     assert h.is_t_symmetric() and not op.is_t_symmetric()
     eigh_inputs.clear()
     dec = eigendecompose(op)
@@ -160,8 +161,8 @@ def test_complex_fallback_for_y_odd_term(eigh_inputs):
        width=st.floats(0.5, 4.0))
 def test_real_form_property(nx, ny, lx, ly, b, eps, family, amplitude, width):
     g = make_grid(lx, ly, nx, ny)
-    op = assemble_h(g, FieldParams(b=b, eps=eps),
-                    PotentialSpec(family, amplitude=amplitude, width=width))
+    spec = PotentialSpec(family, amplitude=amplitude, width=width)
+    op = assemble(g, FieldParams(b=b, eps=eps), eval_potential(spec, g).v)
     assert op.is_t_symmetric()
     ref = np.linalg.eigvalsh(op.mat)
     scale = np.max(np.abs(ref))

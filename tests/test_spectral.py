@@ -3,13 +3,12 @@ import pytest
 
 from magstark.errors import CapacityError, ConfigurationError
 from magstark.grid import DiscreteOperator, d2_op, make_grid
-from magstark.hamiltonian import FieldParams, assemble_q
-from magstark.potentials import PotentialSpec
+from magstark.hamiltonian import FieldParams, assemble
+from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, apply_function,
                                decay_weight, eigendecompose,
                                localization_scores, localized_spectrum,
-                               projector_rank, spectral_projector,
-                               trace_function, weight_dx_s, weight_x_power)
+                               trace_function, weight_dx_s)
 
 GRID = make_grid(4, 4, 17, 17)
 
@@ -22,7 +21,7 @@ def _random_hermitian(n, seed):
 
 def _wrap(mat):
     g = make_grid(1, 1, 8, mat.shape[0] // 8)
-    return DiscreteOperator(mat, g, role="generic")
+    return DiscreteOperator(mat, g)
 
 
 def test_eigendecompose_diagonal():
@@ -98,29 +97,6 @@ def test_apply_function_algebra_morphism():
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
-def test_spectral_projector_properties():
-    dec = eigendecompose(_wrap(_random_hermitian(64, seed=3)))
-    lam = dec.eigenvalues
-    p = spectral_projector(dec, lam[0] - 1.0, lam[-1] + 1.0)
-    assert np.max(np.abs(p - np.eye(64))) <= 1e-10
-    a, b = float(lam[9]), float(lam[29])
-    p = spectral_projector(dec, a, b)
-    assert np.max(np.abs(p @ p - p)) <= 1e-10
-    assert projector_rank(dec, a, b) == 20  # (a, b]: excludes lam[9], includes lam[29]
-
-
-def test_projector_tiling_with_cut_on_eigenvalue():
-    vals = np.concatenate([[0.0, 1.0, 1.0, 2.0], np.linspace(3.0, 6.0, 60)])
-    d = np.diag(vals + 0j)
-    dec = eigendecompose(_wrap(d))
-    # eigenvalue exactly at the cut belongs to the left interval
-    left = spectral_projector(dec, -0.5, 1.0)
-    right = spectral_projector(dec, 1.0, 6.5)
-    whole = spectral_projector(dec, -0.5, 6.5)
-    assert np.max(np.abs(left + right - whole)) <= 1e-12
-    assert projector_rank(dec, -0.5, 1.0) == 3
-
-
 def test_weight_dx_s_bounds():
     w = WeightSpec(s=0.75)
     m = weight_dx_s(GRID, w)
@@ -148,9 +124,7 @@ def test_weight_dx_s_range_check():
 
 
 def test_position_and_decay_weights():
-    wx = weight_x_power(GRID, -2.0)
     xf, yf = GRID.meshes()
-    assert np.allclose(wx, (1 + xf ** 2) ** (-1.0), rtol=1e-14)
     k1 = decay_weight(GRID, 1, 0.5)
     expected = (1 + xf ** 2) ** (-0.75) * (1 + yf ** 2) ** (-0.5)
     assert np.allclose(k1, expected, rtol=1e-14)
@@ -159,7 +133,8 @@ def test_position_and_decay_weights():
 def test_localized_spectrum_margin_monotone():
     g = make_grid(6, 6, 31, 31)
     well = PotentialSpec("gaussian", amplitude=-0.6, width=2.0)
-    dec = eigendecompose(assemble_q(g, FieldParams(b=1.0), well))
+    dec = eigendecompose(assemble(g, FieldParams(b=1.0),
+                                  eval_potential(well, g).v))
     tight = localized_spectrum(dec, g, margin=0.3)
     loose = localized_spectrum(dec, g, margin=0.05)
     assert len(tight) <= len(loose)

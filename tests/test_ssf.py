@@ -4,8 +4,8 @@ import pytest
 from magstark.errors import (ConfigurationError, GapNotFoundError,
                              GeometryError, SpectralWindowError)
 from magstark.grid import make_grid
-from magstark.hamiltonian import FieldParams, assemble_h, assemble_h0, assemble_q
-from magstark.potentials import PotentialSpec
+from magstark.hamiltonian import FieldParams, assemble
+from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import BumpFunction, eigendecompose, trace_function
 from magstark.ssf import (TruncationSpec, epsilon_scaling,
                           resolvent_expansion_check, sigma_q_gap_window,
@@ -81,7 +81,7 @@ def test_wall_cutoff_weights_shape():
 def test_commutator_trace_zero():
     g = make_grid(6, 6, 21, 21)
     re, im = commutator_trace_zero(g, FieldParams(1.0, 0.5), GAUSS, F)
-    h = assemble_h(g, FieldParams(1.0, 0.5), GAUSS)
+    h = assemble(g, FieldParams(1.0, 0.5), eval_potential(GAUSS, g).v)
     scale = 1e-10 * g.n_points * np.max(np.abs(h.mat))
     assert abs(re) <= scale and abs(im) <= scale
 
@@ -123,7 +123,7 @@ def test_truncation_geometry_error():
 
 def test_xi_prime_zero_potential():
     g = make_grid(6, 6, 21, 21)
-    dec = eigendecompose(assemble_h0(g, FieldParams(1.0, 0.5)))
+    dec = eigendecompose(assemble(g, FieldParams(1.0, 0.5), np.zeros(g.n_points)))
     lam = np.linspace(0, 3, 200)
     curve = xi_prime_mollified(dec, dec, lam, eta=0.1)
     assert np.max(np.abs(curve)) == 0.0
@@ -132,8 +132,8 @@ def test_xi_prime_zero_potential():
 def test_xi_prime_total_integral_vanishes():
     g = make_grid(6, 6, 31, 31)
     fields = FieldParams(1.0, 0.5)
-    decH = eigendecompose(assemble_h(g, fields, GAUSS))
-    decH0 = eigendecompose(assemble_h0(g, fields))
+    decH = eigendecompose(assemble(g, fields, eval_potential(GAUSS, g).v))
+    decH0 = eigendecompose(assemble(g, fields, np.zeros(g.n_points)))
     eta = 0.1
     lam = np.linspace(float(decH.eigenvalues[0]) - 8 * eta,
                       float(decH.eigenvalues[-1]) + 8 * eta, 60001)
@@ -147,8 +147,8 @@ def test_xi_prime_integral_approximates_trace_difference():
     # eta = spacing/2
     g = make_grid(6, 6, 61, 61)
     fields = FieldParams(1.0, 0.5)
-    decH = eigendecompose(assemble_h(g, fields, GAUSS))
-    decH0 = eigendecompose(assemble_h0(g, fields))
+    decH = eigendecompose(assemble(g, fields, eval_potential(GAUSS, g).v))
+    decH0 = eigendecompose(assemble(g, fields, np.zeros(g.n_points)))
     lam_win = decH.eigenvalues[(decH.eigenvalues > 1.2) & (decH.eigenvalues < 2.8)]
     eta = 0.5 * float(np.median(np.diff(lam_win)))
     lam = np.linspace(1.2 - 8 * eta, 2.8 + 8 * eta, 4001)
@@ -160,7 +160,7 @@ def test_xi_prime_integral_approximates_trace_difference():
 
 def test_gap_window_first_landau_gap():
     g = make_grid(6, 6, 41, 41)
-    decq = eigendecompose(assemble_q(g, FieldParams(1.0), ZERO))
+    decq = eigendecompose(assemble(g, FieldParams(1.0), np.zeros(g.n_points)))
     a, b = sigma_q_gap_window(decq, g, margin=0.4)
     assert a <= 1.6 and b >= 2.4
     with pytest.raises(GapNotFoundError, match="margin"):
@@ -169,10 +169,11 @@ def test_gap_window_first_landau_gap():
 
 def test_gap_window_shrinks_with_attractive_potential():
     g = make_grid(6, 6, 41, 41)
-    decq0 = eigendecompose(assemble_q(g, FieldParams(1.0), ZERO))
+    decq0 = eigendecompose(assemble(g, FieldParams(1.0), np.zeros(g.n_points)))
     a0, b0 = sigma_q_gap_window(decq0, g, margin=0.3)
     well = PotentialSpec("gaussian", amplitude=-0.5, width=2.0)
-    decq = eigendecompose(assemble_q(g, FieldParams(1.0), well))
+    decq = eigendecompose(assemble(g, FieldParams(1.0),
+                                   eval_potential(well, g).v))
     a1, b1 = sigma_q_gap_window(decq, g, margin=0.3)
     assert (b1 - a1) < (b0 - a0)
 
@@ -207,8 +208,8 @@ def test_epsilon_scaling_validation():
 def test_resolvent_expansion_exact():
     g = make_grid(6, 6, 31, 31)
     spec = GAUSS
-    q = assemble_q(g, FieldParams(1.0), spec)
-    h = assemble_h(g, FieldParams(1.0, 0.3), spec)
+    q = assemble(g, FieldParams(1.0), eval_potential(spec, g).v)
+    h = assemble(g, FieldParams(1.0, 0.3), eval_potential(spec, g).v)
     # n = 1 is the second resolvent identity
     assert resolvent_expansion_check(q, h, 0.3, 2.0 + 0.5j, 1) <= 1e-10
     for n in (2, 3):
@@ -217,6 +218,6 @@ def test_resolvent_expansion_exact():
 
 def test_resolvent_expansion_eps_zero():
     g = make_grid(6, 6, 21, 21)
-    q = assemble_q(g, FieldParams(1.0), GAUSS)
-    h = assemble_h(g, FieldParams(1.0, 0.0), GAUSS)
+    q = assemble(g, FieldParams(1.0), eval_potential(GAUSS, g).v)
+    h = assemble(g, FieldParams(1.0, 0.0), eval_potential(GAUSS, g).v)
     assert resolvent_expansion_check(q, h, 0.0, 2.0 + 0.5j, 3) <= 1e-10

@@ -3,7 +3,7 @@ import pytest
 
 from magstark.errors import ConfigurationError, NearSingularityError
 from magstark.grid import DiscreteOperator, make_grid
-from magstark.hamiltonian import FieldParams, assemble_h, assemble_h0, assemble_q
+from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import WeightSpec
 from magstark.traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm,
@@ -55,7 +55,7 @@ SEP3 = PotentialSpec("separable_power", amplitude=1.0, decay_n=3,
 
 
 def test_resolvent_norm_and_identity():
-    h = assemble_h0(GRID, FIELDS)
+    h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
     r_i = resolvent(h, 1j)
     assert operator_norm(r_i) <= 1.0 + 1e-9
     z, zp = 1.0 + 0.5j, 2.0 - 0.25j
@@ -81,14 +81,14 @@ def test_resolvent_near_singularity():
 
 
 def test_tracebound_sweep_zero_potential():
-    h = assemble_h0(GRID, FIELDS)
+    h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
     probe = ProbeSpec(z=2.0 + 0.5j, z_prime=2.0 + 0.25j)
     rep = tracebound_sweep(h, np.zeros(GRID.n_points), probe)
     assert all(p == 0.0 for p in rep.products)
 
 
 def test_sandwich_norm_adjoint_symmetry():
-    h = assemble_h(GRID, FIELDS, SEP3)
+    h = assemble(GRID, FIELDS, eval_potential(SEP3, GRID).v)
     v = eval_potential(SEP3, GRID).v
     z, zp = 1.8 + 0.4j, 2.2 + 0.3j
     a = sandwich_trace_norm(h, v, z, zp)
@@ -97,7 +97,7 @@ def test_sandwich_norm_adjoint_symmetry():
 
 
 def test_tracebound_sweep_deterministic():
-    h = assemble_h(GRID, FIELDS, SEP3)
+    h = assemble(GRID, FIELDS, eval_potential(SEP3, GRID).v)
     v = eval_potential(SEP3, GRID).v
     probe = ProbeSpec(z=2.0 + 0.5j, z_prime=2.0 + 0.25j)
     r1 = tracebound_sweep(h, v, probe)
@@ -113,7 +113,7 @@ def test_probe_spec_validation():
 
 
 def test_weighted_resolvent_norms_monotone_in_delta():
-    h0 = assemble_h0(GRID, FIELDS)
+    h0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
     r1 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=0.5), GRID)
     r2 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=1.0), GRID)
     assert r2["hs1"] < r1["hs1"]
@@ -123,7 +123,7 @@ def test_weighted_resolvent_norms_monotone_in_delta():
 def test_weighted_norm_hs1_frobenius_identity():
     # hs1^2 = tr((H0 - i)^-1 k1^2 (H0 + i)^-1)
     from magstark.spectral import decay_weight
-    h0 = assemble_h0(GRID, FIELDS)
+    h0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
     w = WeightSpec(s=0.6, delta=0.5)
     res = weighted_resolvent_norms(h0, w, GRID)
     n = GRID.n_points
@@ -135,14 +135,14 @@ def test_weighted_norm_hs1_frobenius_identity():
 
 
 def test_chain_tracenorm_zero_derivative():
-    q = assemble_q(GRID, FieldParams(b=1.0), SEP3)
+    q = assemble(GRID, FieldParams(b=1.0), eval_potential(SEP3, GRID).v)
     w = WeightSpec(s=0.6, delta=0.5)
     val = resolvent_chain_tracenorm(q, np.zeros(GRID.n_points), 2, w, 2.0 + 1.0j)
     assert val == 0.0
 
 
 def test_chain_tracenorm_validation():
-    q = assemble_q(GRID, FieldParams(b=1.0), SEP3)
+    q = assemble(GRID, FieldParams(b=1.0), eval_potential(SEP3, GRID).v)
     dxv = eval_potential(SEP3, GRID).dxv
     with pytest.raises(ConfigurationError, match="n must be"):
         resolvent_chain_tracenorm(q, dxv, 1, WeightSpec(s=0.6, delta=0.5), 2.0 + 1.0j)
@@ -151,7 +151,7 @@ def test_chain_tracenorm_validation():
 
 
 def test_chain_tracenorm_continuity_in_z():
-    q = assemble_q(GRID, FieldParams(b=1.0), SEP3)
+    q = assemble(GRID, FieldParams(b=1.0), eval_potential(SEP3, GRID).v)
     dxv = eval_potential(SEP3, GRID).dxv
     w = WeightSpec(s=0.6, delta=0.5)
     a = resolvent_chain_tracenorm(q, dxv, 2, w, 2.0 + 1.0j)
