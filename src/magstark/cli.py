@@ -1,11 +1,19 @@
-"""Experiment runner: config ingestion, named experiments, report emission.
+"""Experiment runner: one table of named experiments, config ingestion, reports.
+
+Every experiment is declared once, as an entry of ``EXPERIMENTS``: its
+overrides of the shared reference config ``_BASE``, its runner, and the
+results key that ``convergence`` grades (by observed order for exact
+identities, by stability between the two finest grids otherwise), if any.
 
 Configs are flat INI files with [grid], [fields], [potential], [function] and
-[experiment] sections; every experiment ships reference defaults so a config
-file only needs the keys it overrides.  Each run writes a JSON envelope (full
-config echo, results, per-gate verdicts, timings) plus a CSV payload with
-fixed columns.  Floats are printed with repr's shortest round-trip form so
-identical configs produce byte-identical CSV files.
+[experiment] sections; a config file only needs the keys it overrides, and
+each value is parsed as the type of its default.  Every run validates the
+four model sections into a grid, field strengths, a potential and a test
+function, and hands them with the [experiment] section to the runner.  Each
+run writes a JSON envelope (full config echo, results, per-gate verdicts,
+timings) plus a CSV payload with fixed columns.  Floats are printed with
+repr's shortest round-trip form so identical configs produce byte-identical
+CSV files.
 
 Exit codes: 0 all gates pass, 2 a gate failed, 1 configuration/runtime error.
 """
@@ -17,6 +25,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,11 +41,8 @@ from .ssf import (TruncationSpec, epsilon_scaling, resolvent_expansion_check,
                   sigma_q_gap_window, trace_identity_check, truncation_convergence)
 from .traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
 
-EXPERIMENTS = ("verify-theorem1", "scaling", "mourre", "lap-probe", "lemma7",
-               "prop2", "prop4", "appendix-norms", "spectrum", "truncation",
-               "expansion-check")
-
-# Reference configurations; every value can be overridden from INI or --set.
+# Reference configuration shared by every experiment; each value can be
+# overridden per experiment, from INI or from --set.
 _BASE = {
     "grid": {"lx": 6.0, "ly": 6.0, "nx": 41, "ny": 41},
     "fields": {"b": 1.0, "eps": 0.5},
@@ -45,156 +51,22 @@ _BASE = {
     "function": {"center": 2.0, "halfwidth": 0.8, "plateau": 0.0},
 }
 
-DEFAULTS = {
-    "verify-theorem1": {
-        "grid": {"nx": 61, "ny": 61},
-        "experiment": {"wall_collar": 2.0, "rel_tol": 0.35},
-    },
-    "scaling": {
-        "grid": {"lx": 12.0, "ly": 2.4, "nx": 81, "ny": 17},
-        "potential": {"family": "separable_power", "amplitude": 1.0,
-                      "decay_n": 3},
-        "function": {"center": 2.0, "halfwidth": 0.5},
-        "experiment": {"eps_list": "0.4,0.283,0.2,0.141,0.1",
-                       "estimator": "commutator", "slope_lo": 0.5,
-                       "slope_hi": 1.5, "r2_min": 0.9, "wall_collar": 0.0},
-    },
-    "mourre": {
-        "experiment": {"window_lo": 1.6, "window_hi": 2.4,
-                       "clamp_to_half_eps": 1, "rel_slack": 0.02},
-        "potential": {"family": "gaussian", "amplitude": 0.3, "width": 1.5},
-    },
-    "lap-probe": {
-        "fields": {"eps": 0.1},
-        "potential": {"family": "gaussian", "amplitude": 0.3, "width": 1.5},
-        "experiment": {"lambda": 0.0, "s": 0.75, "delta_min_exp": 8,
-                       "delta_max_exp": 1, "plateau_max": 1.15,
-                       "clamp_to_half_eps": 1},
-    },
-    "lemma7": {
-        "grid": {"lx": 12.0, "ly": 6.0, "nx": 61, "ny": 31},
-        "potential": {"family": "separable_power", "amplitude": 0.15,
-                      "decay_n": 3},
-        "function": {"center": 1.6, "halfwidth": 0.05, "plateau": 0.5},
-        "experiment": {"eps_list": "0.2,0.141,0.1,0.071,0.05",
-                       "slope_lo": 1.6, "slope_hi": 2.4, "sigma_margin": 0.2,
-                       "auto_slot": 1},
-    },
-    "prop2": {
-        "grid": {"nx": 31, "ny": 31},
-        "potential": {"family": "separable_power", "amplitude": 1.0,
-                      "decay_n": 3},
-        "experiment": {"re_z": 0.0, "im_zp": 0.25,
-                       "delta_list": "0.5,0.25,0.125", "spread_max": 2.0},
-    },
-    "prop4": {
-        "grid": {"nx": 31, "ny": 31},
-        "fields": {"eps": 0.0},
-        "potential": {"family": "separable_power", "amplitude": 1.0,
-                      "decay_n": 3},
-        "experiment": {"order": 2, "s": 0.6, "delta": 0.5,
-                       "re_z": 2.0, "im_z": 1.0},
-    },
-    "appendix-norms": {
-        "grid": {"nx": 31, "ny": 31},
-        "fields": {"eps": 0.5},
-        "potential": {"family": "zero"},
-        "experiment": {"s": 0.6, "delta": 0.5},
-    },
-    "spectrum": {
-        "grid": {"nx": 61, "ny": 61},
-        "fields": {"eps": 0.0},
-        "potential": {"family": "zero"},
-        "experiment": {"operator": "Q", "margin": 0.05,
-                       "cluster_targets": "1.0,3.0", "cluster_tols": "0.05,0.15",
-                       "cluster_min": 2},
-    },
-    "truncation": {
-        "grid": {"lx": 12.0, "ly": 12.0, "nx": 41, "ny": 41},
-        "experiment": {"radii": "3.0,4.5,6.0"},
-    },
-    "expansion-check": {
-        "grid": {"nx": 31, "ny": 31},
-        "potential": {"family": "gaussian", "amplitude": 0.5, "width": 2.0},
-        "fields": {"eps": 0.3},
-        "experiment": {"orders": "1,2,3", "re_z": 2.0, "im_z": 0.5,
-                       "residual_max": 1e-8},
-    },
-}
-
-_INT_KEYS = {"nx", "ny", "decay_n", "order", "delta_min_exp",
-             "delta_max_exp", "clamp_to_half_eps", "cluster_min", "auto_slot"}
-_STR_KEYS = {"family", "estimator", "operator", "eps_list", "delta_list",
-             "radii", "orders", "cluster_targets", "cluster_tols"}
+# Convergence thresholds: an exact observable passes when every level sits at
+# EXACT_TOL or below, or when its observed order reaches ORDER_MIN; any other
+# observable passes when the two finest grids differ by at most STABILITY_TOL
+# relative.
+ORDER_MIN = 1.5
+EXACT_TOL = 1e-8
+STABILITY_TOL = 0.05
 
 
-def default_config(experiment):
-    if experiment not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    cfg = copy.deepcopy(_BASE)
-    for section, entries in DEFAULTS[experiment].items():
-        cfg.setdefault(section, {}).update(entries)
-    return cfg
+class Experiment(NamedTuple):
+    """One named experiment: its config, runner and convergence observable."""
 
-
-def _coerce(key, raw):
-    if key in _STR_KEYS:
-        return str(raw)
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"{key} must be an integer, got {raw!r}")
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigurationError(f"{key} must be a number, got {raw!r}")
-
-
-def load_config(experiment, path=None, overrides=()):
-    """Defaults, then INI file, then --set key=value overrides."""
-    cfg = default_config(experiment)
-    if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigurationError(f"cannot read config file {path}")
-        for section in parser.sections():
-            if section not in cfg:
-                raise ConfigurationError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in cfg[section]:
-                    raise ConfigurationError(
-                        f"unknown key {key!r} in section [{section}]")
-                cfg[section][key] = _coerce(key, raw)
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigurationError(
-                f"--set expects section.key=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        if section not in cfg or key not in cfg[section]:
-            raise ConfigurationError(f"unknown config entry {dotted!r}")
-        cfg[section][key] = _coerce(key, raw)
-    return cfg
-
-
-def _grid_from(cfg):
-    g = cfg["grid"]
-    return make_grid(g["lx"], g["ly"], g["nx"], g["ny"])
-
-
-def _potential_from(cfg):
-    p = cfg["potential"]
-    return PotentialSpec(p["family"], amplitude=p["amplitude"],
-                         decay_n=p["decay_n"], decay_delta=p["decay_delta"],
-                         width=p["width"])
-
-
-def _bump_from(cfg):
-    f = cfg["function"]
-    return BumpFunction(f["center"], f["halfwidth"], plateau=f["plateau"])
+    defaults: dict          # section -> overrides of _BASE
+    run: Callable           # (grid, fields, spec, f, experiment section)
+    observable: str | None = None   # results key graded by `convergence`
+    exact: bool = False     # grade by observed order, not by stability
 
 
 def _floats(raw):
@@ -207,19 +79,15 @@ def _fmt(v):
     return str(v)
 
 
-def _run_verify_theorem1(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    spec = _potential_from(cfg)
-    f = _bump_from(cfg)
-    collar = cfg["experiment"]["wall_collar"]
+def _run_verify_theorem1(grid, fields, spec, f, e):
+    collar = e["wall_collar"]
     rep = trace_identity_check(grid, fields, spec, f,
                          wall_cutoff=collar if collar > 0 else None)
     if spec.family == "zero":
         gates = {"zero_residual": (abs(rep.residual), 1e-12 * grid.n_points,
                                    abs(rep.residual) <= 1e-12 * grid.n_points)}
     else:
-        tol = cfg["experiment"]["rel_tol"]
+        tol = e["rel_tol"]
         gates = {"relative_residual": (rep.relative_residual, tol,
                                        rep.relative_residual <= tol)}
     rows = [("lhs", "rhs", "residual", "relative_residual"),
@@ -229,13 +97,9 @@ def _run_verify_theorem1(cfg):
     return rows, results, gates
 
 
-def _run_scaling(cfg):
-    grid = _grid_from(cfg)
-    spec = _potential_from(cfg)
-    f = _bump_from(cfg)
-    e = cfg["experiment"]
+def _run_scaling(grid, fields, spec, f, e):
     collar = e["wall_collar"]
-    rep = epsilon_scaling(grid, cfg["fields"]["b"], spec, f,
+    rep = epsilon_scaling(grid, fields.b, spec, f,
                           _floats(e["eps_list"]), estimator=e["estimator"],
                           wall_cutoff=collar if collar > 0 else None)
     rows = [("eps", "value")] + [(eps, v) for eps, v in rep.samples]
@@ -254,14 +118,8 @@ def _run_scaling(cfg):
     return rows, results, gates
 
 
-def _run_mourre(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    spec = _potential_from(cfg)
-    e = cfg["experiment"]
-    if e["clamp_to_half_eps"]:
-        spec = clamp_amplitude(spec, fields.eps / 2.0)
-    pv = eval_potential(spec, grid)
+def _run_mourre(grid, fields, spec, f, e):
+    pv = eval_potential(clamp_amplitude(spec, fields.eps / 2.0), grid)
     dec = eigendecompose(assemble(grid, fields, pv.v),
                          window=(e["window_lo"], e["window_hi"]))
     bound = mourre_gap_bound(dec, e["window_lo"], e["window_hi"], fields,
@@ -286,21 +144,15 @@ def _widest_slot(lam, lo, hi):
     return float(0.5 * (pts[k] + pts[k + 1])), float(gaps[k])
 
 
-def _run_lap_probe(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    spec = _potential_from(cfg)
-    e = cfg["experiment"]
-    if e["clamp_to_half_eps"]:
-        spec = clamp_amplitude(spec, fields.eps / 2.0)
-    v = eval_potential(spec, grid).v
+def _run_lap_probe(grid, fields, spec, f, e):
+    v = eval_potential(clamp_amplitude(spec, fields.eps / 2.0), grid).v
     h = assemble(grid, fields, v)
     dec = eigendecompose(h)
-    lam = e["lambda"]
-    if lam == 0.0:
-        decq = eigendecompose(assemble(grid, FieldParams(fields.b), v))
-        lo, hi = sigma_q_gap_window(decq, grid, margin=0.3)
-        lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
+    # probe at the middle of the widest eigenvalue-free slot of H inside
+    # the first gap of the localized spectrum of Q
+    decq = eigendecompose(assemble(grid, FieldParams(fields.b), v))
+    lo, hi = sigma_q_gap_window(decq, grid, margin=0.3)
+    lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
     deltas = tuple(2.0 ** (-k) for k in
                    range(int(e["delta_max_exp"]), int(e["delta_min_exp"]) + 1))
     rep = lap_probe(h, lam, WeightSpec(s=e["s"], delta=0.5), deltas)
@@ -311,24 +163,17 @@ def _run_lap_probe(cfg):
     return rows, results, {"plateau": (rep.plateau_ratio, e["plateau_max"], ok)}
 
 
-def _run_lemma7(cfg):
-    grid = _grid_from(cfg)
-    spec = _potential_from(cfg)
-    f = cfg["function"]
-    e = cfg["experiment"]
-    decq = eigendecompose(assemble(grid, FieldParams(cfg["fields"]["b"]),
+def _run_lemma7(grid, fields, spec, f, e):
+    decq = eigendecompose(assemble(grid, FieldParams(fields.b),
                                    eval_potential(spec, grid).v))
     loc = localized_spectrum(decq, grid).values
-    center, halfwidth = f["center"], f["halfwidth"]
-    if e["auto_slot"]:
-        # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
-        # chi(Q) vanishes exactly at eps = 0
-        center, width = _widest_slot(decq.eigenvalues, center - 0.25,
-                                     center + 0.25)
-        halfwidth = min(halfwidth, 0.45 * width)
-    chi = BumpFunction(center, halfwidth,
-                       plateau=f["plateau"] if f["plateau"] > 0 else 0.5)
-    rep = gap_cutoff_sweep(grid, cfg["fields"]["b"], spec, chi,
+    # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
+    # chi(Q) vanishes exactly at eps = 0
+    center, width = _widest_slot(decq.eigenvalues, f.center - 0.25,
+                                 f.center + 0.25)
+    chi = BumpFunction(center, min(f.halfwidth, 0.45 * width),
+                       plateau=f.plateau if f.plateau > 0 else 0.5)
+    rep = gap_cutoff_sweep(grid, fields.b, spec, chi,
                        _floats(e["eps_list"]), q_localized=loc,
                        margin=e["sigma_margin"])
     ok = (rep.slope is not None
@@ -338,22 +183,16 @@ def _run_lemma7(cfg):
         {"slope_window": (rep.slope, (e["slope_lo"], e["slope_hi"]), ok)}
 
 
-def _run_prop2(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    spec = _potential_from(cfg)
-    e = cfg["experiment"]
+def _run_prop2(grid, fields, spec, f, e):
     v = eval_potential(spec, grid).v
     h = assemble(grid, fields, v)
-    re_z = e["re_z"]
-    if re_z == 0.0:
-        # pin the probe at the most V-coupled level in the bulk window,
-        # where the uniform bound is under the most pressure
-        dec = eigendecompose(h)
-        lam = dec.eigenvalues
-        win = (lam > 1.2) & (lam < 2.8)
-        weights = v @ np.abs(dec.eigenvectors[:, win]) ** 2
-        re_z = float(lam[win][int(np.argmax(weights))])
+    # pin the probe at the most V-coupled level in the bulk window,
+    # where the uniform bound is under the most pressure
+    dec = eigendecompose(h)
+    lam = dec.eigenvalues
+    win = (lam > 1.2) & (lam < 2.8)
+    weights = v @ np.abs(dec.eigenvectors[:, win]) ** 2
+    re_z = float(lam[win][int(np.argmax(weights))])
     probe = ProbeSpec(z=complex(re_z, 0.5),
                       z_prime=complex(re_z, e["im_zp"]),
                       delta_list=_floats(e["delta_list"]))
@@ -365,12 +204,9 @@ def _run_prop2(cfg):
         {"spread": (rep.spread, e["spread_max"], ok)}
 
 
-def _run_prop4(cfg):
-    grid = _grid_from(cfg)
-    spec = _potential_from(cfg)
-    e = cfg["experiment"]
+def _run_prop4(grid, fields, spec, f, e):
     pv = eval_potential(spec, grid)
-    q = assemble(grid, FieldParams(cfg["fields"]["b"]), pv.v)
+    q = assemble(grid, FieldParams(fields.b), pv.v)
     w = WeightSpec(s=e["s"], delta=e["delta"])
     val = resolvent_chain_tracenorm(q, pv.dxv, int(e["order"]), w,
                                     complex(e["re_z"], e["im_z"]))
@@ -379,10 +215,7 @@ def _run_prop4(cfg):
         {"finite": (val, float("inf"), np.isfinite(val))}
 
 
-def _run_appendix(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    e = cfg["experiment"]
+def _run_appendix(grid, fields, spec, f, e):
     h0 = assemble(grid, fields, np.zeros(grid.n_points))
     res = weighted_resolvent_norms(h0, WeightSpec(s=e["s"], delta=e["delta"]), grid)
     rows = [("hs1", "tr2"), (res["hs1"], res["tr2"])]
@@ -390,16 +223,9 @@ def _run_appendix(cfg):
     return rows, res, {"finite": ((res["hs1"], res["tr2"]), None, ok)}
 
 
-def _run_spectrum(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    spec = _potential_from(cfg)
-    e = cfg["experiment"]
-    if e["operator"] == "Q":
-        fields = FieldParams(fields.b)
-    elif e["operator"] != "H":
-        raise ConfigurationError(f"operator must be Q or H, got {e['operator']!r}")
-    op = assemble(grid, fields, eval_potential(spec, grid).v)
+def _run_spectrum(grid, fields, spec, f, e):
+    # the Landau clusters belong to Q, the eps = 0 member of the family
+    op = assemble(grid, FieldParams(fields.b), eval_potential(spec, grid).v)
     dec = eigendecompose(op)
     scores = localization_scores(dec, grid, e["margin"])
     rows = [("eigenvalue", "score", "localized")]
@@ -416,13 +242,9 @@ def _run_spectrum(cfg):
     return rows, {"n_localized": int(loc.size)}, gates
 
 
-def _run_truncation(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    spec = _potential_from(cfg)
-    f = _bump_from(cfg)
-    radii = _floats(cfg["experiment"]["radii"])
-    table = truncation_convergence(grid, fields, spec, f, TruncationSpec(radii))
+def _run_truncation(grid, fields, spec, f, e):
+    table = truncation_convergence(grid, fields, spec, f,
+                                   TruncationSpec(_floats(e["radii"])))
     rows = [("radius", "trace_diff", "weighted_diff")] + table
     c1 = [r[1] for r in table]
     c2 = [r[2] for r in table]
@@ -432,40 +254,156 @@ def _run_truncation(cfg):
     return rows, {"table": table}, {"monotone_decreasing": (c1 + c2, None, ok)}
 
 
-def _run_expansion(cfg):
-    grid = _grid_from(cfg)
-    fields = FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"])
-    spec = _potential_from(cfg)
-    e = cfg["experiment"]
+def _run_expansion(grid, fields, spec, f, e):
     v = eval_potential(spec, grid).v
     q = assemble(grid, FieldParams(fields.b), v)
     h = assemble(grid, fields, v)
-    z = complex(e["re_z"], e["im_z"])
-    orders = [int(v) for v in str(e["orders"]).split(",")]
+    orders = [int(n) for n in str(e["orders"]).split(",")]
+    res = resolvent_expansion_check(q, h, fields.eps,
+                                    complex(e["re_z"], e["im_z"]), orders)
     rows = [("order", "residual")]
-    worst = 0.0
-    for n in orders:
-        res = resolvent_expansion_check(q, h, fields.eps, z, n)
-        rows.append((n, res))
-        worst = max(worst, res)
+    rows += zip(orders, res)
+    worst = max(res)
     ok = worst <= e["residual_max"]
     return rows, {"worst_residual": worst}, \
         {"residual": (worst, e["residual_max"], ok)}
 
 
-_RUNNERS = {
-    "verify-theorem1": _run_verify_theorem1,
-    "scaling": _run_scaling,
-    "mourre": _run_mourre,
-    "lap-probe": _run_lap_probe,
-    "lemma7": _run_lemma7,
-    "prop2": _run_prop2,
-    "prop4": _run_prop4,
-    "appendix-norms": _run_appendix,
-    "spectrum": _run_spectrum,
-    "truncation": _run_truncation,
-    "expansion-check": _run_expansion,
+EXPERIMENTS = {
+    "verify-theorem1": Experiment(
+        {"grid": {"nx": 61, "ny": 61},
+         "experiment": {"wall_collar": 2.0, "rel_tol": 0.35}},
+        _run_verify_theorem1, "residual", exact=True),
+    "scaling": Experiment(
+        {"grid": {"lx": 12.0, "ly": 2.4, "nx": 81, "ny": 17},
+         "potential": {"family": "separable_power", "amplitude": 1.0,
+                       "decay_n": 3},
+         "function": {"center": 2.0, "halfwidth": 0.5},
+         "experiment": {"eps_list": "0.4,0.283,0.2,0.141,0.1",
+                        "estimator": "commutator", "slope_lo": 0.5,
+                        "slope_hi": 1.5, "r2_min": 0.9, "wall_collar": 0.0}},
+        _run_scaling),
+    "mourre": Experiment(
+        {"experiment": {"window_lo": 1.6, "window_hi": 2.4, "rel_slack": 0.02},
+         "potential": {"family": "gaussian", "amplitude": 0.3, "width": 1.5}},
+        _run_mourre),
+    "lap-probe": Experiment(
+        {"fields": {"eps": 0.1},
+         "potential": {"family": "gaussian", "amplitude": 0.3, "width": 1.5},
+         "experiment": {"s": 0.75, "delta_min_exp": 8, "delta_max_exp": 1,
+                        "plateau_max": 1.15}},
+        _run_lap_probe),
+    "lemma7": Experiment(
+        {"grid": {"lx": 12.0, "ly": 6.0, "nx": 61, "ny": 31},
+         "potential": {"family": "separable_power", "amplitude": 0.15,
+                       "decay_n": 3},
+         "function": {"center": 1.6, "halfwidth": 0.05, "plateau": 0.5},
+         "experiment": {"eps_list": "0.2,0.141,0.1,0.071,0.05",
+                        "slope_lo": 1.6, "slope_hi": 2.4,
+                        "sigma_margin": 0.2}},
+        _run_lemma7),
+    "prop2": Experiment(
+        {"grid": {"nx": 31, "ny": 31},
+         "potential": {"family": "separable_power", "amplitude": 1.0,
+                       "decay_n": 3},
+         "experiment": {"im_zp": 0.25, "delta_list": "0.5,0.25,0.125",
+                        "spread_max": 2.0}},
+        _run_prop2),
+    "prop4": Experiment(
+        {"grid": {"nx": 31, "ny": 31},
+         "fields": {"eps": 0.0},
+         "potential": {"family": "separable_power", "amplitude": 1.0,
+                       "decay_n": 3},
+         "experiment": {"order": 2, "s": 0.6, "delta": 0.5,
+                        "re_z": 2.0, "im_z": 1.0}},
+        _run_prop4, "trace_norm"),
+    "appendix-norms": Experiment(
+        {"grid": {"nx": 31, "ny": 31},
+         "fields": {"eps": 0.5},
+         "potential": {"family": "zero"},
+         "experiment": {"s": 0.6, "delta": 0.5}},
+        _run_appendix, "hs1"),
+    "spectrum": Experiment(
+        {"grid": {"nx": 61, "ny": 61},
+         "fields": {"eps": 0.0},
+         "potential": {"family": "zero"},
+         "experiment": {"margin": 0.05, "cluster_targets": "1.0,3.0",
+                        "cluster_tols": "0.05,0.15", "cluster_min": 2}},
+        _run_spectrum),
+    "truncation": Experiment(
+        {"grid": {"lx": 12.0, "ly": 12.0, "nx": 41, "ny": 41},
+         "experiment": {"radii": "3.0,4.5,6.0"}},
+        _run_truncation),
+    "expansion-check": Experiment(
+        {"grid": {"nx": 31, "ny": 31},
+         "potential": {"family": "gaussian", "amplitude": 0.5, "width": 2.0},
+         "fields": {"eps": 0.3},
+         "experiment": {"orders": "1,2,3", "re_z": 2.0, "im_z": 0.5,
+                        "residual_max": 1e-8}},
+        _run_expansion, "worst_residual", exact=True),
 }
+
+
+def default_config(experiment):
+    if experiment not in EXPERIMENTS:
+        raise ConfigurationError(f"unknown experiment {experiment!r}; "
+                                 f"choose from {tuple(EXPERIMENTS)}")
+    cfg = copy.deepcopy(_BASE)
+    for section, entries in EXPERIMENTS[experiment].defaults.items():
+        cfg.setdefault(section, {}).update(entries)
+    return cfg
+
+
+def _coerce(key, default, raw):
+    """Parse a config value as the type of its default."""
+    kind = type(default)
+    if kind is str:
+        return str(raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {what}, got {raw!r}")
+
+
+def load_config(experiment, path=None, overrides=()):
+    """Defaults, then INI file, then --set key=value overrides."""
+    cfg = default_config(experiment)
+    if path is not None:
+        parser = configparser.ConfigParser()
+        read = parser.read(path)
+        if not read:
+            raise ConfigurationError(f"cannot read config file {path}")
+        for section in parser.sections():
+            if section not in cfg:
+                raise ConfigurationError(f"unknown config section [{section}]")
+            for key, raw in parser.items(section):
+                if key not in cfg[section]:
+                    raise ConfigurationError(
+                        f"unknown key {key!r} in section [{section}]")
+                cfg[section][key] = _coerce(key, cfg[section][key], raw)
+    for item in overrides:
+        if "=" not in item or "." not in item.split("=", 1)[0]:
+            raise ConfigurationError(
+                f"--set expects section.key=value, got {item!r}")
+        dotted, raw = item.split("=", 1)
+        section, key = dotted.split(".", 1)
+        if section not in cfg or key not in cfg[section]:
+            raise ConfigurationError(f"unknown config entry {dotted!r}")
+        cfg[section][key] = _coerce(key, cfg[section][key], raw)
+    return cfg
+
+
+def _model(cfg):
+    """Validated (grid, fields, potential, test function, experiment section)."""
+    g, p, fn = cfg["grid"], cfg["potential"], cfg["function"]
+    return (make_grid(g["lx"], g["ly"], g["nx"], g["ny"]),
+            FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"]),
+            PotentialSpec(p["family"], amplitude=p["amplitude"],
+                          decay_n=p["decay_n"], decay_delta=p["decay_delta"],
+                          width=p["width"]),
+            BumpFunction(fn["center"], fn["halfwidth"], plateau=fn["plateau"]),
+            cfg["experiment"])
 
 
 def write_csv(path, rows):
@@ -474,12 +412,20 @@ def write_csv(path, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def run(experiment, cfg, outdir):
-    """Execute one experiment, write envelope + CSV, return (exit_code, envelope)."""
+def _emit(outdir, stem, rows, envelope):
+    """Write <stem>.csv and the <stem>.json envelope under outdir."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    write_csv(outdir / f"{stem}.csv", rows)
+    with (outdir / f"{stem}.json").open("w", encoding="utf-8") as fh:
+        json.dump(envelope, fh, indent=2, default=_jsonable)
+        fh.write("\n")
+
+
+def run(experiment, cfg, outdir):
+    """Execute one experiment, write envelope + CSV, return (exit_code, envelope)."""
     t0 = time.time()
-    rows, results, gates = _RUNNERS[experiment](cfg)
+    rows, results, gates = EXPERIMENTS[experiment].run(*_model(cfg))
     wall = time.time() - t0
     verdicts = {name: bool(ok) for name, (_, _, ok) in gates.items()}
     envelope = {
@@ -493,10 +439,7 @@ def run(experiment, cfg, outdir):
         "all_pass": all(verdicts.values()),
         "timings": {"wall_seconds": wall},
     }
-    write_csv(outdir / f"{experiment}.csv", rows)
-    with (outdir / f"{experiment}.json").open("w", encoding="utf-8") as fh:
-        json.dump(envelope, fh, indent=2, default=_jsonable)
-        fh.write("\n")
+    _emit(outdir, experiment, rows, envelope)
     return (0 if envelope["all_pass"] else 2), envelope
 
 
@@ -510,57 +453,50 @@ def _jsonable(v):
     return v
 
 
-_CONV_OBSERVABLES = {
-    "verify-theorem1": ("residual", lambda r: abs(r["residual"])),
-    "expansion-check": ("worst_residual", lambda r: r["worst_residual"]),
-    "appendix-norms": ("hs1", lambda r: r["hs1"]),
-    "prop4": ("trace_norm", lambda r: r["trace_norm"]),
-}
-
-
-def run_convergence(experiment, cfg, levels, outdir, order_min=1.5,
-                    exact_tol=1e-8, stability_tol=0.05):
+def run_convergence(experiment, cfg, levels, outdir):
     """Re-run an experiment over grid refinements and grade the convergence.
 
-    Residual-type observables are graded on the observed order (or reported
-    as "exact" when every level sits at round-off); norm-type observables are
-    graded on the relative change between the two finest grids.
+    An exact observable (a residual) is graded on the observed order, or
+    reported as "exact" when every level sits at round-off; any other
+    observable (a norm) is graded on the relative change between the two
+    finest grids.
     """
     if len(levels) < 3:
         raise ConfigurationError(f"need at least 3 levels, got {levels}")
-    if experiment not in _CONV_OBSERVABLES:
+    exp = EXPERIMENTS.get(experiment)
+    if exp is None or exp.observable is None:
+        graded = sorted(n for n, x in EXPERIMENTS.items() if x.observable)
         raise ConfigurationError(
             f"experiment {experiment!r} has no convergence observable; "
-            f"choose from {sorted(_CONV_OBSERVABLES)}")
-    name, extract = _CONV_OBSERVABLES[experiment]
+            f"choose from {graded}")
+    name = exp.observable
     ratio = cfg["grid"]["ny"] / cfg["grid"]["nx"]
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     values, hs = [], []
     t0 = time.time()
     for nx in levels:
         c = copy.deepcopy(cfg)
         c["grid"]["nx"] = int(nx)
         c["grid"]["ny"] = max(8, int(round(nx * ratio)))
-        _, res, _ = _RUNNERS[experiment](c)
-        values.append(extract(res))
-        hs.append(2.0 * c["grid"]["lx"] / (c["grid"]["nx"] - 1))
+        grid, *rest = _model(c)
+        _, res, _ = exp.run(grid, *rest)
+        values.append(abs(res[name]))
+        hs.append(grid.hx)
     rows = [("nx", "h", name)] + [(int(n), h, v)
                                   for n, h, v in zip(levels, hs, values)]
-    if experiment in ("verify-theorem1", "expansion-check"):
-        if all(v <= exact_tol for v in values):
+    if exp.exact:
+        if all(v <= EXACT_TOL for v in values):
             verdict, orders, ok = "exact", [], True
         else:
             orders = [float(np.log(values[i] / values[i + 1])
                             / np.log(hs[i] / hs[i + 1]))
                       for i in range(len(values) - 1)]
-            verdict = f"order>={order_min}"
-            ok = all(np.isfinite(orders)) and min(orders, default=0.0) >= order_min
+            verdict = f"order>={ORDER_MIN}"
+            ok = all(np.isfinite(orders)) and min(orders, default=0.0) >= ORDER_MIN
     else:
         change = abs(values[-1] - values[-2]) / max(abs(values[-2]), 1e-300)
         orders = [change]
-        verdict = f"stability<={stability_tol}"
-        ok = change <= stability_tol
+        verdict = f"stability<={STABILITY_TOL}"
+        ok = change <= STABILITY_TOL
     envelope = {
         "experiment": experiment, "mode": "convergence", "version": __version__,
         "config": cfg, "levels": [int(n) for n in levels],
@@ -568,10 +504,7 @@ def run_convergence(experiment, cfg, levels, outdir, order_min=1.5,
         "verdict": verdict, "all_pass": bool(ok),
         "timings": {"wall_seconds": time.time() - t0},
     }
-    write_csv(outdir / f"{experiment}-convergence.csv", rows)
-    with (outdir / f"{experiment}-convergence.json").open("w", encoding="utf-8") as fh:
-        json.dump(envelope, fh, indent=2, default=_jsonable)
-        fh.write("\n")
+    _emit(outdir, f"{experiment}-convergence", rows, envelope)
     return (0 if ok else 2), envelope
 
 
@@ -591,8 +524,6 @@ def main(argv=None):
                         help="(convergence) experiment to refine")
     parser.add_argument("--levels", default="21,31,41",
                         help="(convergence) comma-separated nx levels")
-    parser.add_argument("--order-min", type=float, default=1.5)
-    parser.add_argument("--stability-tol", type=float, default=0.05)
     args = parser.parse_args(argv)
     try:
         if args.experiment == "convergence":
@@ -602,9 +533,7 @@ def main(argv=None):
                     "convergence requires --of <experiment>")
             cfg = load_config(target, args.config, args.overrides)
             levels = [int(v) for v in args.levels.split(",")]
-            code, env = run_convergence(target, cfg, levels, args.out,
-                                        order_min=args.order_min,
-                                        stability_tol=args.stability_tol)
+            code, env = run_convergence(target, cfg, levels, args.out)
         else:
             cfg = load_config(args.experiment, args.config, args.overrides)
             code, env = run(args.experiment, cfg, args.out)

@@ -217,16 +217,15 @@ def certify_decay(spec: PotentialSpec, grid: GridSpec, convention="stark_order",
 
 @dataclass(frozen=True)
 class PotentialFields:
-    """Sampled V, dxV, dxxV on the flat grid plus the admission certificate."""
+    """Sampled V and dxV on the flat grid plus the admission certificate."""
 
     v: np.ndarray
     dxv: np.ndarray
-    dxxv: np.ndarray
     certificate: CertificateReport
 
 
 def eval_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialFields:
-    """Sample the three fields and enforce the short-range certificate."""
+    """Sample V and dxV and enforce the short-range certificate."""
     xf, yf = grid.meshes()
     cert = certify_decay(spec, grid, convention="short_range", orders=(0, 1))
     if not cert.passed:
@@ -236,8 +235,7 @@ def eval_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialFields:
             f"decay certificate violated for derivative order(s) {bad}; "
             f"worst grid point {cert.worst_points[bad[0]]}, "
             f"observed {cert.ratios[bad[0]]:.6g} > declared {cert.bounds[bad[0]]:.6g}")
-    return PotentialFields(evaluate(spec, xf, yf), d_x(spec, xf, yf),
-                           d_xx(spec, xf, yf), cert)
+    return PotentialFields(evaluate(spec, xf, yf), d_x(spec, xf, yf), cert)
 
 
 def sup_dx(spec: PotentialSpec):

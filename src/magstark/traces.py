@@ -125,13 +125,11 @@ def weighted_resolvent_norms(h0: DiscreteOperator, w: WeightSpec, grid: GridSpec
     return {"hs1": hs1, "tr2": tr2}
 
 
-def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, w: WeightSpec, z,
-               eigenvalues=None):
+def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, w: WeightSpec, z):
     """Trace norm of <Dx>^s dxV [(z-Q)^-1 X]^n <Dx>^s.
 
     Requires n >= 2 and 1/2 < s < min(1/2 + delta/4, 1); z must keep a gap to
-    the spectrum (complex shift or a real point checked against the supplied
-    eigenvalues).
+    the spectrum.
     """
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
@@ -140,7 +138,7 @@ def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, w: WeightSpec, z
         raise ConfigurationError(
             f"s must lie in (1/2, {s_hi}) for delta={w.delta}, got {w.s}")
     ws = weight_dx_s(q.grid, w, power=w.s)
-    rz = resolvent(q, z, eigenvalues=eigenvalues)
+    rz = resolvent(q, z)
     xf, _ = q.grid.meshes()
     block = rz * xf  # (z-Q)^-1 X
     m = np.linalg.matrix_power(block, n)

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from magstark.cli import default_config, load_config, main, run, run_convergence
+from magstark.cli import (EXPERIMENTS, default_config, load_config, main, run,
+                          run_convergence)
 from magstark.errors import ConfigurationError
 
 
 def test_default_configs_cover_all_experiments():
-    from magstark.cli import EXPERIMENTS
     for name in EXPERIMENTS:
         cfg = default_config(name)
         assert {"grid", "fields", "potential", "function", "experiment"} <= set(cfg)
@@ -150,3 +150,45 @@ def test_widest_slot_midpoint_and_width():
     mid, width = _widest_slot(lam, 0.9, 1.6)
     assert mid == pytest.approx(1.3) and width == pytest.approx(0.4)
     assert _widest_slot(lam, 1.2, 1.4) == (pytest.approx(1.3), pytest.approx(0.2))
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_set_default_round_trips_with_default_types(name):
+    # every override is parsed as the type of its default
+    cfg = default_config(name)
+    sets = [f"{s}.{k}={v}" for s, entries in cfg.items() for k, v in entries.items()]
+    got = load_config(name, None, sets)
+    assert got == cfg
+    assert all(type(got[s][k]) is type(v)
+               for s, entries in cfg.items() for k, v in entries.items())
+
+
+@pytest.mark.parametrize("name,dotted", [
+    ("spectrum", "experiment.operator"), ("lemma7", "experiment.auto_slot"),
+    ("mourre", "experiment.clamp_to_half_eps"),
+    ("lap-probe", "experiment.clamp_to_half_eps"),
+    ("lap-probe", "experiment.lambda"), ("prop2", "experiment.re_z")])
+def test_removed_entries_are_unknown(name, dotted):
+    with pytest.raises(ConfigurationError, match="unknown config entry"):
+        load_config(name, None, [f"{dotted}=1"])
+
+
+def test_every_model_section_is_validated(tmp_path, capsys):
+    # spectrum ignores eps, but an invalid eps is still a config error
+    code = main(["spectrum", "--set", "fields.eps=-1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "eps" in capsys.readouterr().err
+
+
+def test_convergence_stability_verdict(tmp_path):
+    cfg = load_config("appendix-norms")
+    code, env = run_convergence("appendix-norms", cfg, [15, 21, 27], tmp_path)
+    assert env["observable"] == "hs1"
+    assert env["verdict"] == "stability<=0.05"
+    assert code == 0 and env["orders"][0] <= 0.05
+
+
+def test_convergence_rejects_experiment_without_observable(tmp_path):
+    cfg = load_config("scaling")
+    with pytest.raises(ConfigurationError, match="no convergence observable"):
+        run_convergence("scaling", cfg, [21, 31, 41], tmp_path)
