@@ -7,9 +7,10 @@ identities, by stability between the two finest grids otherwise), if any.
 
 Configs are flat INI files with [grid], [fields], [potential], [function] and
 [experiment] sections; a config file only needs the keys it overrides, and
-each value is parsed as the type of its default.  Every run validates the
-four model sections into a grid, field strengths, a potential and a test
-function, and hands them with the [experiment] section to the runner.  Each
+each value is parsed as the type of its default.  A config holds only the
+entries its runner reads (an experiment maps a _BASE entry or section to None
+to drop it).  The model sections become a grid, fields (eps = 0 when absent),
+a potential and a test function (None when absent) for the runner.  Each
 run writes a JSON envelope (full config echo, results, per-gate verdicts,
 timings) plus a CSV payload with fixed columns.  Floats are printed with
 repr's shortest round-trip form so identical configs produce byte-identical
@@ -35,8 +36,8 @@ from .grid import make_grid
 from .hamiltonian import FieldParams, assemble
 from .mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from .potentials import PotentialSpec, clamp_amplitude, eval_potential
-from .spectral import (BumpFunction, WeightSpec, eigendecompose,
-                       localization_scores, localized_spectrum)
+from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, WeightSpec,
+                       eigendecompose, localization_scores, localized_spectrum)
 from .ssf import (TruncationSpec, epsilon_scaling, resolvent_expansion_check,
                   sigma_q_gap_window, trace_identity_check, truncation_convergence)
 from .traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
@@ -48,7 +49,6 @@ _BASE = {
     "fields": {"b": 1.0, "eps": 0.5},
     "potential": {"family": "gaussian", "amplitude": 0.5, "decay_n": 2,
                   "decay_delta": 0.5, "width": 2.0},
-    "function": {"center": 2.0, "halfwidth": 0.8, "plateau": 0.0},
 }
 
 # Convergence thresholds: an exact observable passes when every level sits at
@@ -63,7 +63,7 @@ STABILITY_TOL = 0.05
 class Experiment(NamedTuple):
     """One named experiment: its config, runner and convergence observable."""
 
-    defaults: dict          # section -> overrides of _BASE
+    defaults: dict          # section -> overrides of _BASE; None drops
     run: Callable           # (grid, fields, spec, f, experiment section)
     observable: str | None = None   # results key graded by `convergence`
     exact: bool = False     # grade by observed order, not by stability
@@ -164,8 +164,8 @@ def _run_lap_probe(grid, fields, spec, f, e):
 
 
 def _run_lemma7(grid, fields, spec, f, e):
-    decq = eigendecompose(assemble(grid, FieldParams(fields.b),
-                                   eval_potential(spec, grid).v))
+    # eps comes from eps_list, so fields is Q's FieldParams(b)
+    decq = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
     loc = localized_spectrum(decq, grid).values
     # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
     # chi(Q) vanishes exactly at eps = 0
@@ -206,13 +206,13 @@ def _run_prop2(grid, fields, spec, f, e):
 
 def _run_prop4(grid, fields, spec, f, e):
     pv = eval_potential(spec, grid)
-    q = assemble(grid, FieldParams(fields.b), pv.v)
+    q = assemble(grid, fields, pv.v)
     w = WeightSpec(s=e["s"], delta=e["delta"])
     val = resolvent_chain_tracenorm(q, pv.dxv, int(e["order"]), w,
                                     complex(e["re_z"], e["im_z"]))
     rows = [("order", "trace_norm"), (int(e["order"]), val)]
     return rows, {"trace_norm": val}, \
-        {"finite": (val, float("inf"), np.isfinite(val))}
+        {"finite": (val, None, np.isfinite(val))}
 
 
 def _run_appendix(grid, fields, spec, f, e):
@@ -225,13 +225,12 @@ def _run_appendix(grid, fields, spec, f, e):
 
 def _run_spectrum(grid, fields, spec, f, e):
     # the Landau clusters belong to Q, the eps = 0 member of the family
-    op = assemble(grid, FieldParams(fields.b), eval_potential(spec, grid).v)
-    dec = eigendecompose(op)
+    dec = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
     scores = localization_scores(dec, grid, e["margin"])
     rows = [("eigenvalue", "score", "localized")]
-    rows += [(float(lam), float(s), int(s > 0.99))
+    rows += [(float(lam), float(s), int(s > LOCALIZATION_THRESHOLD))
              for lam, s in zip(dec.eigenvalues, scores)]
-    loc = dec.eigenvalues[scores > 0.99]
+    loc = dec.eigenvalues[scores > LOCALIZATION_THRESHOLD]
     gates = {}
     targets = _floats(e["cluster_targets"])
     tols = _floats(e["cluster_tols"])
@@ -272,13 +271,15 @@ def _run_expansion(grid, fields, spec, f, e):
 EXPERIMENTS = {
     "verify-theorem1": Experiment(
         {"grid": {"nx": 61, "ny": 61},
+         "function": {"center": 2.0, "halfwidth": 0.8, "plateau": 0.0},
          "experiment": {"wall_collar": 2.0, "rel_tol": 0.35}},
         _run_verify_theorem1, "residual", exact=True),
     "scaling": Experiment(
         {"grid": {"lx": 12.0, "ly": 2.4, "nx": 81, "ny": 17},
+         "fields": {"eps": None},
          "potential": {"family": "separable_power", "amplitude": 1.0,
                        "decay_n": 3},
-         "function": {"center": 2.0, "halfwidth": 0.5},
+         "function": {"center": 2.0, "halfwidth": 0.5, "plateau": 0.0},
          "experiment": {"eps_list": "0.4,0.283,0.2,0.141,0.1",
                         "estimator": "commutator", "slope_lo": 0.5,
                         "slope_hi": 1.5, "r2_min": 0.9, "wall_collar": 0.0}},
@@ -295,6 +296,7 @@ EXPERIMENTS = {
         _run_lap_probe),
     "lemma7": Experiment(
         {"grid": {"lx": 12.0, "ly": 6.0, "nx": 61, "ny": 31},
+         "fields": {"eps": None},
          "potential": {"family": "separable_power", "amplitude": 0.15,
                        "decay_n": 3},
          "function": {"center": 1.6, "halfwidth": 0.05, "plateau": 0.5},
@@ -311,7 +313,7 @@ EXPERIMENTS = {
         _run_prop2),
     "prop4": Experiment(
         {"grid": {"nx": 31, "ny": 31},
-         "fields": {"eps": 0.0},
+         "fields": {"eps": None},
          "potential": {"family": "separable_power", "amplitude": 1.0,
                        "decay_n": 3},
          "experiment": {"order": 2, "s": 0.6, "delta": 0.5,
@@ -320,18 +322,19 @@ EXPERIMENTS = {
     "appendix-norms": Experiment(
         {"grid": {"nx": 31, "ny": 31},
          "fields": {"eps": 0.5},
-         "potential": {"family": "zero"},
+         "potential": None,
          "experiment": {"s": 0.6, "delta": 0.5}},
         _run_appendix, "hs1"),
     "spectrum": Experiment(
         {"grid": {"nx": 61, "ny": 61},
-         "fields": {"eps": 0.0},
+         "fields": {"eps": None},
          "potential": {"family": "zero"},
          "experiment": {"margin": 0.05, "cluster_targets": "1.0,3.0",
                         "cluster_tols": "0.05,0.15", "cluster_min": 2}},
         _run_spectrum),
     "truncation": Experiment(
         {"grid": {"lx": 12.0, "ly": 12.0, "nx": 41, "ny": 41},
+         "function": {"center": 2.0, "halfwidth": 0.8, "plateau": 0.0},
          "experiment": {"radii": "3.0,4.5,6.0"}},
         _run_truncation),
     "expansion-check": Experiment(
@@ -350,7 +353,11 @@ def default_config(experiment):
                                  f"choose from {tuple(EXPERIMENTS)}")
     cfg = copy.deepcopy(_BASE)
     for section, entries in EXPERIMENTS[experiment].defaults.items():
-        cfg.setdefault(section, {}).update(entries)
+        if entries is None:
+            del cfg[section]
+            continue
+        merged = {**cfg.get(section, {}), **entries}
+        cfg[section] = {k: v for k, v in merged.items() if v is not None}
     return cfg
 
 
@@ -396,13 +403,10 @@ def load_config(experiment, path=None, overrides=()):
 
 def _model(cfg):
     """Validated (grid, fields, potential, test function, experiment section)."""
-    g, p, fn = cfg["grid"], cfg["potential"], cfg["function"]
-    return (make_grid(g["lx"], g["ly"], g["nx"], g["ny"]),
-            FieldParams(cfg["fields"]["b"], cfg["fields"]["eps"]),
-            PotentialSpec(p["family"], amplitude=p["amplitude"],
-                          decay_n=p["decay_n"], decay_delta=p["decay_delta"],
-                          width=p["width"]),
-            BumpFunction(fn["center"], fn["halfwidth"], plateau=fn["plateau"]),
+    p, fn = cfg.get("potential"), cfg.get("function")
+    return (make_grid(**cfg["grid"]), FieldParams(**cfg["fields"]),
+            PotentialSpec(**p) if p else None,
+            BumpFunction(**fn) if fn else None,
             cfg["experiment"])
 
 

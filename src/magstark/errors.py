@@ -14,7 +14,7 @@ class DecayCertificateError(MagstarkError):
 
 
 class CapacityError(MagstarkError):
-    """Requested dense computation exceeds the configured size limit."""
+    """A dense matrix would exceed the byte limit; raised before allocating it."""
 
 
 class NearSingularityError(MagstarkError):

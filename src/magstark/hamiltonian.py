@@ -17,15 +17,17 @@ row of grid point (i, j) carries a 5-point stencil plus the cross term:
     (i, j +- 1)     -cy
 
 It is written straight into one complex N x N array, so assembly holds a
-single dense matrix.
+single dense matrix, whose size in bytes is checked before it is allocated.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError
 from .grid import DiscreteOperator, GridSpec, d1_op, embed_x
+
+DENSE_BYTES_MAX = 16 * 6400 ** 2  # a complex N x N matrix up to 80 x 80 points
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,9 @@ def assemble(grid: GridSpec, fields: FieldParams, v) -> DiscreteOperator:
     for H0, and ``FieldParams(b)`` (eps = 0) for Q.
     """
     nx, n = grid.nx, grid.n_points
+    if 16 * n * n > DENSE_BYTES_MAX:
+        raise CapacityError(f"a dense {n} x {n} complex matrix exceeds the "
+                            f"dense limit of {DENSE_BYTES_MAX} bytes")
     b = fields.b
     cx = 1.0 / (grid.hx * grid.hx)
     cy = 1.0 / (grid.hy * grid.hy)

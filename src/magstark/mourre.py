@@ -19,7 +19,7 @@ from .grid import DiscreteOperator, GridSpec
 from .hamiltonian import FieldParams, assemble
 from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
-                       eigendecompose, localized_spectrum, weight_dx_s)
+                       eigendecompose, weight_dx_s)
 from .ssf import fit_loglog
 from .traces import operator_norm, resolvent
 
@@ -65,12 +65,9 @@ def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
 
 
 def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, spec: PotentialSpec,
-                chi: BumpFunction, q_localized=None, margin=0.2):
+                chi: BumpFunction, q_localized, margin=0.2):
     """Operator norm of chi(H) <x>^-2 for a cutoff clear of localized sigma(Q)."""
     v = eval_potential(spec, grid).v
-    if q_localized is None:
-        decq = eigendecompose(assemble(grid, FieldParams(b=fields.b), v))
-        q_localized = localized_spectrum(decq, grid).values
     lo, hi = chi.support
     q_localized = np.asarray(q_localized, dtype=float)
     if q_localized.size:
@@ -89,13 +86,15 @@ def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, spec: PotentialSpec,
 
 
 def gap_cutoff_sweep(grid: GridSpec, b, spec: PotentialSpec, chi: BumpFunction,
-                 eps_list, q_localized=None, margin=0.2) -> ProbeReport:
-    """gap_cutoff_norm over an eps sweep with the fitted log-log slope."""
+                 eps_list, q_localized, margin=0.2) -> ProbeReport:
+    """gap_cutoff_norm over an eps sweep; no log-log slope or r2 at a zero norm."""
     eps_list = tuple(float(e) for e in eps_list)
     norms = tuple(
         gap_cutoff_norm(grid, FieldParams(b=b, eps=e), spec, chi,
                     q_localized=q_localized, margin=margin)
         for e in eps_list)
+    if min(norms) == 0.0:
+        return ProbeReport(eps_list, norms)
     slope, _, r2 = fit_loglog(eps_list, norms)
     return ProbeReport(eps_list, norms, slope=slope, r2=r2)
 

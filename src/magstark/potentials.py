@@ -7,7 +7,7 @@ it claims.  Two envelope conventions are used:
 * ``short_range``: |V| <= C (1+|x|)^(-2-delta) (1+|y|)^(-1-delta), the
   admission test for trace-formula experiments (applied to V and dxV);
 * ``stark_order``: |dx^a V| <= C (1+|x|)^(-n-delta-a) (1+|y|)^(-2-delta),
-  the admission test for the epsilon-scaling experiments, parametrized by n.
+  parametrized by n; no experiment applies it, only the tests call it.
 """
 
 from dataclasses import dataclass, replace

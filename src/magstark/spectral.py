@@ -24,10 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, ConfigurationError
+from .errors import ConfigurationError
 from .grid import DiscreteOperator, GridSpec, d2_op, embed_x
-
-DENSE_LIMIT = 6400
 
 
 @dataclass(frozen=True)
@@ -66,19 +64,14 @@ class SpectralDecomposition:
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
 
-def eigendecompose(op: DiscreteOperator, window=None, dense_limit=DENSE_LIMIT):
-    """Hermitian eigendecomposition; refuses matrices over the dense limit.
+def eigendecompose(op: DiscreteOperator, window=None):
+    """Hermitian eigendecomposition.
 
     ``window=(lo, hi)`` restricts it to the eigenpairs in (lo, hi].  A
     T-symmetric operator (see :meth:`DiscreteOperator.is_t_symmetric`) is
     solved through its real form; the eigenvectors are returned for M itself
     either way.
     """
-    n = op.dim
-    if n > dense_limit:
-        raise CapacityError(
-            f"matrix dimension {n} exceeds the dense limit {dense_limit}; "
-            "use a coarser grid or raise the limit")
     subset = {}
     if window is not None:
         lo, hi = window

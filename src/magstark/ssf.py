@@ -69,12 +69,12 @@ class TruncationSpec:
         return BumpFunction(0.0, 2.0 * radius, plateau=0.5)
 
 
-def wall_cutoff_weights(grid: GridSpec, collar, edge=None):
+def wall_cutoff_weights(grid: GridSpec, collar):
     """Separable plateau weights: 1 on the bulk, 0 within ~`collar` of a wall."""
     if not 0.0 < collar < min(grid.lx, grid.ly):
         raise ConfigurationError(
             f"collar must lie in (0, min(lx, ly)), got {collar}")
-    edge = 0.25 * min(grid.hx, grid.hy) if edge is None else edge
+    edge = 0.25 * min(grid.hx, grid.hy)
     cx = BumpFunction(0.0, grid.lx - edge, plateau=(grid.lx - collar) / (grid.lx - edge))
     cy = BumpFunction(0.0, grid.ly - edge, plateau=(grid.ly - collar) / (grid.ly - edge))
     xf, yf = grid.meshes()
@@ -187,8 +187,7 @@ def xi_prime_mollified(decH: SpectralDecomposition, decH0: SpectralDecomposition
     return smear(decH.eigenvalues) - smear(decH0.eigenvalues)
 
 
-def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin,
-                       loc_margin=0.05):
+def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin):
     """Lowest interval keeping >= margin distance to every localized Q level.
 
     The search runs inside the hull of the localized spectrum and returns the
@@ -197,7 +196,7 @@ def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin,
     """
     if not margin > 0:
         raise ConfigurationError(f"margin must be positive, got {margin}")
-    loc = localized_spectrum(decQ, grid, margin=loc_margin)
+    loc = localized_spectrum(decQ, grid)
     if len(loc) < 2:
         raise GapNotFoundError("fewer than two localized eigenvalues; "
                                "no interior gap exists")

@@ -33,22 +33,21 @@ def operator_norm(m):
     return float(sv[0]) if sv.size else 0.0
 
 
-def resolvent(op: DiscreteOperator, z, eigenvalues=None):
+def resolvent(op: DiscreteOperator, z):
     """(z - M)^(-1) by direct solve, with a residual check.
 
-    For real z the caller may pass the spectrum so the nearest eigenvalue can
-    be reported; otherwise near-singularity is detected from the residual.
+    A z on the spectrum (an exactly singular z - M) or too near it (a
+    residual over RESIDUAL_TOL) raises :class:`NearSingularityError`.
     """
     z = complex(z)
     m = op.mat
     n = m.shape[0]
-    if z.imag == 0.0 and eigenvalues is not None:
-        k = int(np.argmin(np.abs(eigenvalues - z.real)))
-        if abs(eigenvalues[k] - z.real) <= 1e-8:
-            raise NearSingularityError(
-                f"z = {z.real} is within 1e-8 of eigenvalue {eigenvalues[k]}")
     a = z * np.eye(n) - m
-    r = np.linalg.solve(a, np.eye(n, dtype=complex))
+    try:
+        r = np.linalg.solve(a, np.eye(n, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise NearSingularityError(
+            f"z = {z} is an eigenvalue of M: z - M is singular") from exc
     defect = float(np.max(np.abs(a @ r - np.eye(n))))
     if defect > RESIDUAL_TOL:
         raise NearSingularityError(

@@ -9,9 +9,12 @@ from magstark.errors import ConfigurationError
 
 
 def test_default_configs_cover_all_experiments():
+    # only the experiments that build a test function take [function]
+    readers = {"verify-theorem1", "scaling", "lemma7", "truncation"}
     for name in EXPERIMENTS:
         cfg = default_config(name)
-        assert {"grid", "fields", "potential", "function", "experiment"} <= set(cfg)
+        assert {"grid", "fields", "experiment"} <= set(cfg)
+        assert ("function" in cfg) == (name in readers)
 
 
 def test_unknown_experiment():
@@ -167,14 +170,17 @@ def test_set_default_round_trips_with_default_types(name):
     ("spectrum", "experiment.operator"), ("lemma7", "experiment.auto_slot"),
     ("mourre", "experiment.clamp_to_half_eps"),
     ("lap-probe", "experiment.clamp_to_half_eps"),
-    ("lap-probe", "experiment.lambda"), ("prop2", "experiment.re_z")])
+    ("lap-probe", "experiment.lambda"), ("prop2", "experiment.re_z"),
+    ("prop2", "function.center"), ("spectrum", "fields.eps"),
+    ("scaling", "fields.eps"), ("lemma7", "fields.eps"),
+    ("prop4", "fields.eps"), ("appendix-norms", "potential.family")])
 def test_removed_entries_are_unknown(name, dotted):
     with pytest.raises(ConfigurationError, match="unknown config entry"):
         load_config(name, None, [f"{dotted}=1"])
 
 
 def test_every_model_section_is_validated(tmp_path, capsys):
-    # spectrum ignores eps, but an invalid eps is still a config error
+    # spectrum runs Q (eps = 0), so any fields.eps is an unknown entry
     code = main(["spectrum", "--set", "fields.eps=-1", "--out", str(tmp_path)])
     assert code == 1
     assert "eps" in capsys.readouterr().err
@@ -192,3 +198,46 @@ def test_convergence_rejects_experiment_without_observable(tmp_path):
     cfg = load_config("scaling")
     with pytest.raises(ConfigurationError, match="no convergence observable"):
         run_convergence("scaling", cfg, [21, 31, 41], tmp_path)
+
+
+# smallest grids at which each experiment runs and its CSV moves with a
+# 10% change of a kept entry
+_SMALLEST = {"verify-theorem1": (17, 17), "scaling": (31, 9), "mourre": (9, 9),
+             "lap-probe": (13, 13), "lemma7": (21, 11), "prop2": (9, 9),
+             "appendix-norms": (9, 9), "truncation": (9, 9),
+             "expansion-check": (9, 9)}
+
+
+@pytest.mark.parametrize("name,dotted", [
+    ("verify-theorem1", "fields.eps"), ("verify-theorem1", "function.center"),
+    ("scaling", "function.center"), ("mourre", "fields.eps"),
+    ("lap-probe", "fields.eps"), ("lemma7", "function.center"),
+    ("prop2", "fields.eps"), ("appendix-norms", "fields.eps"),
+    ("truncation", "fields.eps"), ("truncation", "function.center"),
+    ("expansion-check", "fields.eps")])
+def test_kept_entries_change_the_csv(name, dotted, tmp_path):
+    nx, ny = _SMALLEST[name]
+    sets = [f"grid.nx={nx}", f"grid.ny={ny}"]
+    section, key = dotted.split(".")
+    moved = f"{dotted}={default_config(name)[section][key] * 1.1}"
+    csvs = []
+    for sub, extra in (("a", []), ("b", [moved])):
+        run(name, load_config(name, None, sets + extra), tmp_path / sub)
+        csvs.append((tmp_path / sub / f"{name}.csv").read_bytes())
+    assert csvs[0] != csvs[1]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("name,nx,ny", [("prop4", 9, 9), ("lemma7", 31, 17)])
+def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
+    # prop4's finite gate has no threshold; lemma7 at 31 x 17 has a zero
+    # norm at eps = 0.2, so its log-log slope is undefined
+    run(name, load_config(name, None, [f"grid.nx={nx}", f"grid.ny={ny}"]),
+        tmp_path)
+    env = json.loads((tmp_path / f"{name}.json").read_text(),
+                     parse_constant=_reject_constant)
+    if name == "lemma7":
+        assert env["results"] == {"slope": None, "r2": None}

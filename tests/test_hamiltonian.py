@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from magstark.grid import d1_op, d2_op, embed_x, make_grid, position_op
-from magstark.errors import ConfigurationError
+from magstark.errors import CapacityError, ConfigurationError
 from magstark.hamiltonian import (FieldParams, assemble, commutator_dx,
                                   partial_x)
 from magstark.potentials import PotentialSpec, eval_potential
@@ -20,6 +22,20 @@ def test_field_params_validation():
         FieldParams(b=0.0)
     with pytest.raises(ConfigurationError, match="eps"):
         FieldParams(b=1.0, eps=-0.1)
+
+
+def test_assemble_capacity_checked_before_allocation():
+    # 81 x 81 points: the 6561^2 complex matrix would take 689 MB
+    g = make_grid(6, 6, 81, 81)
+    v = np.zeros(g.n_points)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="dense limit"):
+            assemble(g, FieldParams(b=1.0), v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _kron_reference(grid, fields, v):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magstark.errors import CapacityError, ConfigurationError
+from magstark.errors import ConfigurationError
 from magstark.grid import DiscreteOperator, d2_op, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
@@ -35,11 +35,6 @@ def test_eigendecompose_defects_random():
     dec = eigendecompose(_wrap(_random_hermitian(200, seed=1)[:192, :192]))
     assert dec.reconstruction_defect() <= 1e-8 * np.max(np.abs(dec.source.mat))
     assert dec.orthonormality_defect() <= 1e-10
-
-
-def test_eigendecompose_capacity():
-    with pytest.raises(CapacityError, match="dense limit"):
-        eigendecompose(_wrap(np.eye(64, dtype=complex)), dense_limit=10)
 
 
 def test_bump_function_shape():

@@ -68,7 +68,7 @@ def test_resolvent_diagonal():
     g = make_grid(1, 1, 8, 8)
     d = np.arange(64, dtype=float)
     op = DiscreteOperator(np.diag(d + 0j), g)
-    r = resolvent(op, 100.0 + 0j, eigenvalues=d)
+    r = resolvent(op, 100.0 + 0j)
     assert np.allclose(np.diag(r), 1.0 / (100.0 - d), rtol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_resolvent_near_singularity():
     d = np.arange(64, dtype=float)
     op = DiscreteOperator(np.diag(d + 0j), g)
     with pytest.raises(NearSingularityError, match="eigenvalue"):
-        resolvent(op, 3.0 + 1e-10 * 0j, eigenvalues=d)
+        resolvent(op, 3.0 + 1e-10 * 0j)
 
 
 def test_tracebound_sweep_zero_potential():
