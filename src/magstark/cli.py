@@ -126,14 +126,20 @@ def _run_mourre(grid, fields, spec, f, e):
                              pv.dxv)
     slack = e["rel_slack"] * fields.eps
     if spec.family == "zero":
+        name, thr = "bound_equals_eps", fields.eps
         ok = abs(bound - fields.eps) <= slack
-        gates = {"bound_equals_eps": (bound, fields.eps, ok)}
     else:
-        ok = bound >= fields.eps / 2.0 - slack
-        gates = {"bound_above_half_eps": (bound, fields.eps / 2.0 - slack, ok)}
+        name, thr = "bound_above_half_eps", fields.eps / 2.0 - slack
+        ok = bound >= thr
+    # +inf is mourre_gap_bound's sentinel for a window with no eigenvalue,
+    # which bounds nothing
+    empty = np.isinf(bound)
+    results = {"bound": None if empty else bound, "eps": fields.eps}
+    if empty:
+        results["reason"] = "empty_window"
     rows = [("window_lo", "window_hi", "bound"),
             (e["window_lo"], e["window_hi"], bound)]
-    return rows, {"bound": bound, "eps": fields.eps}, gates
+    return rows, results, {name: (results["bound"], thr, ok and not empty)}
 
 
 def _widest_slot(lam, lo, hi):
@@ -145,7 +151,8 @@ def _widest_slot(lam, lo, hi):
 
 
 def _run_lap_probe(grid, fields, spec, f, e):
-    v = eval_potential(clamp_amplitude(spec, fields.eps / 2.0), grid).v
+    used = clamp_amplitude(spec, fields.eps / 2.0)
+    v = eval_potential(used, grid).v
     h = assemble(grid, fields, v)
     dec = eigendecompose(h)
     # probe at the middle of the widest eigenvalue-free slot of H inside
@@ -155,11 +162,14 @@ def _run_lap_probe(grid, fields, spec, f, e):
     lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
     deltas = tuple(2.0 ** (-k) for k in
                    range(int(e["delta_max_exp"]), int(e["delta_min_exp"]) + 1))
-    rep = lap_probe(h, lam, WeightSpec(s=e["s"], delta=0.5), deltas)
+    rep = lap_probe(dec, lam, WeightSpec(s=e["s"], delta=0.5), deltas)
     ok = rep.plateau_ratio <= e["plateau_max"]
     rows = [("delta", "norm")] + list(zip(rep.params, rep.norms))
     results = {"lambda": lam, "plateau_ratio": rep.plateau_ratio,
-               "sweep_growth": rep.sweep_growth}
+               "sweep_growth": rep.sweep_growth,
+               "amplitude": spec.amplitude, "amplitude_used": used.amplitude,
+               "residual_bound": rep.residual_bound, "n": h.dim,
+               "solver": "eigenbasis"}
     return rows, results, {"plateau": (rep.plateau_ratio, e["plateau_max"], ok)}
 
 
@@ -197,11 +207,15 @@ def _run_prop2(grid, fields, spec, f, e):
                       z_prime=complex(re_z, e["im_zp"]),
                       delta_list=_floats(e["delta_list"]))
     rep = tracebound_sweep(h, v, probe)
-    ok = rep.spread <= e["spread_max"]
     rows = [("delta", "product")] + list(zip(rep.deltas, rep.products))
-    return rows, {"re_z": re_z, "products": list(rep.products),
-                  "spread": rep.spread}, \
-        {"spread": (rep.spread, e["spread_max"], ok)}
+    # the spread is +inf when a product is 0 beside a nonzero one
+    bounded = np.isfinite(rep.spread)
+    spread = rep.spread if bounded else None
+    results = {"re_z": re_z, "products": list(rep.products), "spread": spread}
+    if not bounded:
+        results["reason"] = "zero_product"
+    ok = bounded and rep.spread <= e["spread_max"]
+    return rows, results, {"spread": (spread, e["spread_max"], ok)}
 
 
 def _run_prop4(grid, fields, spec, f, e):
@@ -422,7 +436,7 @@ def _emit(outdir, stem, rows, envelope):
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / f"{stem}.csv", rows)
     with (outdir / f"{stem}.json").open("w", encoding="utf-8") as fh:
-        json.dump(envelope, fh, indent=2, default=_jsonable)
+        json.dump(envelope, fh, indent=2, default=_jsonable, allow_nan=False)
         fh.write("\n")
 
 

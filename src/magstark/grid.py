@@ -72,6 +72,28 @@ class DiscreteOperator:
     def dim(self):
         return self.mat.shape[0]
 
+    def stencil_apply(self, x):
+        """M @ x for an N x k block x, from the diagonals of M at offsets 0,
+        +-1 and +-nx.
+
+        Every assembled operator is a 5-point stencil on the grid, so this
+        costs O(N) per column where a dense product costs O(N^2).  M is first
+        checked, in O(N^2), to hold no nonzero off those five diagonals; a
+        matrix that does raises :class:`ConfigurationError`.
+        """
+        m, nx, n = self.mat, self.grid.nx, self.dim
+        diags = {k: np.diagonal(m, k) for k in (0, 1, -1, nx, -nx)}
+        off = np.count_nonzero(m) - sum(map(np.count_nonzero, diags.values()))
+        if off:
+            raise ConfigurationError(
+                f"M has {off} nonzeros off the 5-point stencil "
+                f"(diagonals 0, +-1, +-{nx})")
+        y = diags[0][:, None] * x
+        for k in (1, nx):
+            y[:n - k] += diags[k][:, None] * x[k:]
+            y[k:] += diags[-k][:, None] * x[:n - k]
+        return y
+
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.mat - self.mat.conj().T)))
 
@@ -152,4 +174,13 @@ def position_op(grid: GridSpec, axis, power=1) -> DiscreteOperator:
 def embed_x(grid: GridSpec, m1d):
     """Embed a 1D x-axis operator into the 2D grid: kron(I_ny, m1d)."""
     return np.kron(np.eye(grid.ny, dtype=m1d.dtype), m1d)
+
+
+def apply_x(grid: GridSpec, m1d, a):
+    """kron(I_ny, m1d) @ a without forming the kron: m1d acts on each grid row.
+
+    ``a`` has the grid's N rows; a right product a @ kron(I_ny, m1d) is
+    apply_x(grid, m1d.T, a.T).T.
+    """
+    return (m1d @ a.reshape(grid.ny, grid.nx, -1)).reshape(a.shape)
 

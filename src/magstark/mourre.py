@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SpectralWindowError
-from .grid import DiscreteOperator, GridSpec
+from .errors import (ConfigurationError, NearSingularityError,
+                     SpectralWindowError)
+from .grid import GridSpec, apply_x
 from .hamiltonian import FieldParams, assemble
 from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
                        eigendecompose, weight_dx_s)
 from .ssf import fit_loglog
-from .traces import operator_norm, resolvent
+from .traces import RESIDUAL_TOL, operator_norm
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,7 @@ class ProbeReport:
     norms: tuple
     slope: float | None = None
     r2: float | None = None
+    residual_bound: float | None = None  # certified resolvent residual
 
     @property
     def plateau_ratio(self):
@@ -99,15 +101,48 @@ def gap_cutoff_sweep(grid: GridSpec, b, spec: PotentialSpec, chi: BumpFunction,
     return ProbeReport(eps_list, norms, slope=slope, r2=r2)
 
 
-def lap_probe(h: DiscreteOperator, lam, w: WeightSpec, delta_list) -> ProbeReport:
-    """Norms ||<Dx>^-s (H - lam - i delta)^-1 <Dx>^-s|| along a delta sweep."""
+def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
+              delta_list) -> ProbeReport:
+    """Norms ||<Dx>^-s (H - lam - i delta)^-1 <Dx>^-s|| along a delta sweep.
+
+    Every resolvent is read from the full eigendecomposition ``dec`` of H:
+    with G = <Dx>^-s U and d = 1/(z - lam_k), the weighted resolvent at
+    z = lam + i delta is G diag(d) G*, so the sweep costs one product per
+    delta and no solve.  A certificate stands in for the residual check of
+    :func:`~magstark.traces.resolvent`: with E = H U - U diag(lam_k) and
+    O = U*U - I, (z - H) U diag(d) U* - I = (UU* - I) - E diag(d) U*, whose
+    Frobenius norm (a bound on its largest entry) is at most
+    ||E||_F max|d| ||U||_2 + ||O||_F, since U is square (so UU* - I has the
+    Frobenius norm of O) and ||U||_2^2 <= 1 + ||O||_F.  A bound
+    over RESIDUAL_TOL raises :class:`NearSingularityError`; the report keeps
+    the largest bound of the sweep as ``residual_bound``.
+    """
     deltas = tuple(float(d) for d in delta_list)
     if any(d < 1e-6 for d in deltas) or any(
             deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)):
         raise ConfigurationError(
             f"delta_list must be decreasing and >= 1e-6, got {deltas}")
-    wmat = weight_dx_s(h.grid, w)
-    norms = tuple(operator_norm(wmat @ resolvent(h, lam + 1j * d) @ wmat)
-                  for d in deltas)
-    return ProbeReport(deltas, norms)
-
+    if dec.window is not None:
+        raise ConfigurationError(
+            f"lap_probe needs the full eigendecomposition of H, got the "
+            f"window {dec.window}")
+    h, u, ev = dec.source, dec.eigenvectors, dec.eigenvalues
+    e_fro = np.linalg.norm(h.stencil_apply(u) - u * ev)
+    gram = u.conj().T @ u
+    gram[np.diag_indices(dec.dim)] -= 1.0
+    o_fro = np.linalg.norm(gram)
+    u_norm = np.sqrt(1.0 + o_fro)
+    g = apply_x(h.grid, weight_dx_s(h.grid, w), u)  # <Dx>^-s U
+    g_adj = g.conj().T
+    norms, bounds = [], []
+    for delta in deltas:
+        z = lam + 1j * delta
+        d = 1.0 / (z - ev)
+        bound = float(e_fro * np.max(np.abs(d)) * u_norm + o_fro)
+        if bound > RESIDUAL_TOL:
+            raise NearSingularityError(
+                f"eigenbasis resolvent at z = {z} has residual bound "
+                f"{bound:.3g} > {RESIDUAL_TOL}")
+        bounds.append(bound)
+        norms.append(operator_norm((g * d) @ g_adj))
+    return ProbeReport(deltas, tuple(norms), residual_bound=max(bounds))

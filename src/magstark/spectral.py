@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError
-from .grid import DiscreteOperator, GridSpec, d2_op, embed_x
+from .grid import DiscreteOperator, GridSpec, d2_op
 
 
 @dataclass(frozen=True)
@@ -232,11 +232,15 @@ class WeightSpec:
 
 
 def weight_dx_s(grid: GridSpec, w: WeightSpec, power=None):
-    """(1 + Dx^2)^(power/2) built from the 1D Dirichlet Dx^2 eigenbasis.
+    """The nx x nx factor (1 + Dx^2)^(power/2), from the 1D Dirichlet Dx^2
+    eigenbasis.
 
-    Default power is -w.s (the smoothing weight of the resolvent probes,
-    requiring s in (1/2, 1)); an explicit power builds the matching growing
-    weight used by the trace-class experiments.
+    The 2D weight is kron(I_ny, factor); apply it with
+    :func:`~magstark.grid.apply_x`, or form it with
+    :func:`~magstark.grid.embed_x`.  Default power is -w.s (the smoothing
+    weight of the resolvent probes, requiring s in (1/2, 1)); an explicit
+    power builds the matching growing weight used by the trace-class
+    experiments.
     """
     if power is None:
         if not 0.5 < w.s < 1.0:
@@ -244,8 +248,7 @@ def weight_dx_s(grid: GridSpec, w: WeightSpec, power=None):
                 f"s must lie in (1/2, 1) for resolvent weights, got {w.s}")
         power = -w.s
     lam, u = np.linalg.eigh(d2_op(grid.nx, grid.hx))
-    w1d = (u * (1.0 + lam) ** (power / 2.0)) @ u.T
-    return embed_x(grid, w1d)
+    return (u * (1.0 + lam) ** (power / 2.0)) @ u.T
 
 
 def decay_weight(grid: GridSpec, j, delta):

@@ -174,13 +174,13 @@ def test_criterion_8_lap_plateau_and_negative_control():
     lam0 = 0.5 * (pts[k] + pts[k + 1])
     deltas = tuple(2.0 ** (-j) for j in range(1, 9))
     w = WeightSpec(s=0.75, delta=0.5)
-    rep = lap_probe(h, lam0, w, deltas)
+    rep = lap_probe(dec, lam0, w, deltas)
     # negative control: deep attractive well with a localized level
     well = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     h_neg = assemble(g, FieldParams(1.0, eps), eval_potential(well, g).v)
     dec_neg = eigendecompose(h_neg)
     lam_neg = float(localized_spectrum(dec_neg, g, margin=0.05).values[0])
-    rep_neg = lap_probe(h_neg, lam_neg, w, deltas)
+    rep_neg = lap_probe(dec_neg, lam_neg, w, deltas)
     ok = rep.plateau_ratio <= 1.15 and rep_neg.sweep_growth >= 5.0
     assert _verdict(8, ok, f"gap plateau ratio {rep.plateau_ratio:.4f} at "
                            f"lambda={lam0:.3f} (<=1.15); localized-eigenvalue "

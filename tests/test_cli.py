@@ -241,3 +241,51 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
                      parse_constant=_reject_constant)
     if name == "lemma7":
         assert env["results"] == {"slope": None, "r2": None}
+
+
+def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
+    # no solve at all: every resolvent of the sweep comes from eigendecompose
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    code, env = run("lap-probe",
+                    load_config("lap-probe", None, ["grid.nx=13", "grid.ny=13"]),
+                    tmp_path)
+    assert calls == []
+    res = env["results"]
+    assert res["solver"] == "eigenbasis" and res["n"] == 169
+    assert 0.0 < res["residual_bound"] <= 1e-8
+    # the default amplitude 0.3 is clamped to sup|dxV| <= eps/2
+    assert res["amplitude"] == 0.3 and 0.0 < res["amplitude_used"] < 0.3
+
+
+def test_mourre_empty_window_fails(tmp_path):
+    cfg = load_config("mourre", None, [
+        "grid.nx=15", "grid.ny=15", "experiment.window_lo=1.6",
+        "experiment.window_hi=1.61"])
+    with pytest.warns(UserWarning, match="no eigenvalues"):
+        code, env = run("mourre", cfg, tmp_path)
+    assert code == 2
+    data = json.loads((tmp_path / "mourre.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert data["results"]["reason"] == "empty_window"
+    assert data["results"]["bound"] is None
+    assert data["gates"]["bound_above_half_eps"] == {
+        "value": None, "threshold": pytest.approx(0.24), "pass": False}
+
+
+def test_prop2_unbounded_spread_fails(tmp_path, monkeypatch):
+    import magstark.cli as cli
+    from magstark.traces import TraceBoundReport
+    monkeypatch.setattr(cli, "tracebound_sweep", lambda h, v, probe:
+                        TraceBoundReport(probe.delta_list, (0.0, 1.0, 1.0)))
+    code, env = run("prop2",
+                    load_config("prop2", None, ["grid.nx=9", "grid.ny=9"]),
+                    tmp_path)
+    assert code == 2
+    data = json.loads((tmp_path / "prop2.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert data["results"]["spread"] is None
+    assert data["results"]["reason"] == "zero_product"
+    assert data["gates"]["spread"]["pass"] is False

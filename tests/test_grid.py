@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from magstark.errors import ConfigurationError
-from magstark.grid import d1_op, d2_op, embed_x, make_grid, position_op
+from magstark.grid import (apply_x, d1_op, d2_op, embed_x, make_grid,
+                           position_op)
 
 
 def test_make_grid_spacings():
@@ -101,6 +102,16 @@ def test_position_ops():
     assert np.max(np.abs(comm)) == 0.0
     with pytest.raises(ConfigurationError, match="axis"):
         position_op(g, "z")
+
+
+def test_apply_x_matches_the_kron_embedding():
+    g = make_grid(3, 3, 12, 10)
+    rng = np.random.default_rng(5)
+    m1d = rng.standard_normal((g.nx, g.nx))
+    a = rng.standard_normal((g.n_points, g.n_points)) + 1j
+    full = embed_x(g, m1d)
+    assert np.allclose(apply_x(g, m1d, a), full @ a, rtol=0, atol=1e-13)
+    assert np.allclose(apply_x(g, m1d.T, a.T).T, a @ full, rtol=0, atol=1e-13)
 
 
 def test_product_rule_commutator_is_averaging():

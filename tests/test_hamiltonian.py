@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magstark.grid import d1_op, d2_op, embed_x, make_grid, position_op
+from magstark.grid import (DiscreteOperator, d1_op, d2_op, embed_x, make_grid,
+                           position_op)
 from magstark.errors import CapacityError, ConfigurationError
 from magstark.hamiltonian import (FieldParams, assemble, commutator_dx,
                                   partial_x)
@@ -63,6 +64,29 @@ def test_assemble_matches_kron_reference_bitwise(shape, family, eps):
     m = assemble(g, fields, v).mat
     assert np.array_equal(m.view(float),
                           _kron_reference(g, fields, v).view(float))
+
+
+@pytest.mark.parametrize("shape", [(21, 35), (41, 21)])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_stencil_apply_matches_dense_product(shape, family, eps):
+    g = make_grid(6, 6, *shape)
+    v = eval_potential(PotentialSpec(family, amplitude=0.7, width=2.5), g).v
+    op = assemble(g, FieldParams(b=1.3, eps=eps), v)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((g.n_points, 5)) + 1j * rng.standard_normal(
+        (g.n_points, 5))
+    dense = op.mat @ x
+    assert np.max(np.abs(op.stencil_apply(x) - dense)) <= (
+        1e-14 * np.max(np.abs(op.mat)) * np.max(np.abs(x)))
+
+
+def test_stencil_apply_rejects_an_off_stencil_entry():
+    op = assemble(GRID, FieldParams(b=1.0, eps=0.5), GAUSS_V)
+    m = op.mat.copy()
+    m[3, 3 + 2] = 1e-12
+    with pytest.raises(ConfigurationError, match="1 nonzeros off"):
+        DiscreteOperator(m, GRID).stencil_apply(np.eye(GRID.n_points))
 
 
 def test_assembled_operators_exactly_hermitian():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from magstark.errors import ConfigurationError, SpectralWindowError
-from magstark.grid import make_grid
+from magstark.errors import (ConfigurationError, NearSingularityError,
+                             SpectralWindowError)
+from magstark.grid import embed_x, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import lap_probe, gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
@@ -88,7 +89,7 @@ def test_gap_cutoff_support_overlap_error():
 def test_lap_probe_validation():
     h = assemble(GRID, FIELDS, NO_V)
     with pytest.raises(ConfigurationError, match="delta_list"):
-        lap_probe(h, 2.0, WeightSpec(s=0.75), (0.1, 0.2))
+        lap_probe(eigendecompose(h), 2.0, WeightSpec(s=0.75), (0.1, 0.2))
 
 
 def test_lap_probe_blows_up_at_localized_eigenvalue():
@@ -102,7 +103,7 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     loc = localized_spectrum(dec, GRID, margin=0.05)
     lam0 = float(loc.values[0])
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
-    rep = lap_probe(h, lam0, WeightSpec(s=0.75), deltas)
+    rep = lap_probe(dec, lam0, WeightSpec(s=0.75), deltas)
     assert rep.sweep_growth >= 5.0
     assert rep.norms[-1] / rep.norms[-2] >= 1.8
 
@@ -118,7 +119,7 @@ def test_lap_probe_plateau_off_spectrum():
     k = int(np.argmax(gaps))
     lam0 = 0.5 * (pts[k] + pts[k + 1])
     deltas = tuple(2.0 ** (-j) for j in range(1, 9))
-    rep = lap_probe(h, lam0, WeightSpec(s=0.75), deltas)
+    rep = lap_probe(dec, lam0, WeightSpec(s=0.75), deltas)
     assert rep.plateau_ratio <= 1.15
 
 
@@ -131,11 +132,29 @@ def test_lap_probe_matches_direct_solve():
     g = make_grid(6, 6, 21, 21)
     h = assemble(g, FieldParams(b=1.0, eps=0.1), eval_potential(spec, g).v)
     w = WeightSpec(s=0.75)
-    wmat = weight_dx_s(g, w)
+    wmat = embed_x(g, weight_dx_s(g, w))
     deltas = (0.5, 0.125, 0.03125)
-    rep = lap_probe(h, 2.1, w, deltas)
+    rep = lap_probe(eigendecompose(h), 2.1, w, deltas)
     eye = np.eye(g.n_points)
     for d, norm in zip(deltas, rep.norms):
         r = np.linalg.solve((2.1 + 1j * d) * eye - h.mat, wmat.astype(complex))
         expected = np.linalg.norm(wmat @ r, 2)
         assert abs(norm - expected) <= 1e-12 * expected
+
+
+def test_lap_probe_certificate_fails_at_an_eigenvalue():
+    # at an exact eigenvalue with delta = 1e-6, max|d| = 1e6 lifts the
+    # residual bound of the eigenbasis resolvent over RESIDUAL_TOL
+    h = assemble(GRID, FIELDS, NO_V)
+    dec = eigendecompose(h)
+    lam0 = float(dec.eigenvalues[40])
+    with pytest.raises(NearSingularityError, match="residual bound"):
+        lap_probe(dec, lam0, WeightSpec(s=0.75), (0.5, 1e-6))
+    rep = lap_probe(dec, lam0, WeightSpec(s=0.75), (0.5, 0.25))
+    assert 0.0 < rep.residual_bound <= 1e-8
+
+
+def test_lap_probe_rejects_a_windowed_decomposition():
+    dec = eigendecompose(assemble(GRID, FIELDS, NO_V), window=(1.5, 2.5))
+    with pytest.raises(ConfigurationError, match="full eigendecomposition"):
+        lap_probe(dec, 2.0, WeightSpec(s=0.75), (0.5, 0.25))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magstark.errors import ConfigurationError
-from magstark.grid import DiscreteOperator, d2_op, make_grid
+from magstark.grid import DiscreteOperator, d2_op, embed_x, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, apply_function,
@@ -94,19 +94,19 @@ def test_apply_function_algebra_morphism():
 
 def test_weight_dx_s_bounds():
     w = WeightSpec(s=0.75)
-    m = weight_dx_s(GRID, w)
+    m = embed_x(GRID, weight_dx_s(GRID, w))
     sv = np.linalg.svd(m, compute_uv=False)
     lam_max = np.linalg.eigvalsh(d2_op(GRID.nx, GRID.hx))[-1]
     assert sv[0] <= 1.0 + 1e-12
     assert sv[-1] >= (1.0 + lam_max) ** (-0.75 / 2.0) - 1e-12
     # power=0 gives the identity
-    ident = weight_dx_s(GRID, w, power=0.0)
+    ident = embed_x(GRID, weight_dx_s(GRID, w, power=0.0))
     assert np.max(np.abs(ident - np.eye(GRID.n_points))) <= 1e-12
 
 
 def test_weight_dx_s_commutes_with_y_multiplication():
     w = WeightSpec(s=0.6)
-    m = weight_dx_s(GRID, w)
+    m = embed_x(GRID, weight_dx_s(GRID, w))
     _, yf = GRID.meshes()
     ymul = np.diag(np.cos(yf))
     comm = m @ ymul - ymul @ m

@@ -80,6 +80,15 @@ def test_resolvent_near_singularity():
         resolvent(op, 3.0 + 1e-10 * 0j)
 
 
+def test_resolvent_raises_at_an_eigenvalue_of_an_assembled_operator():
+    # z - H is numerically singular but not exactly so: the stencil residual
+    # check catches the solve
+    h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
+    lam = np.linalg.eigvalsh(h.mat)[30]
+    with pytest.raises(NearSingularityError):
+        resolvent(h, complex(lam))
+
+
 def test_tracebound_sweep_zero_potential():
     h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
     probe = ProbeSpec(z=2.0 + 0.5j, z_prime=2.0 + 0.25j)
