@@ -119,7 +119,8 @@ def _run_scaling(grid, fields, spec, f, e):
 
 
 def _run_mourre(grid, fields, spec, f, e):
-    pv = eval_potential(clamp_amplitude(spec, fields.eps / 2.0), grid)
+    used = clamp_amplitude(spec, fields.eps / 2.0)
+    pv = eval_potential(used, grid)
     dec = eigendecompose(assemble(grid, fields, pv.v),
                          window=(e["window_lo"], e["window_hi"]))
     bound = mourre_gap_bound(dec, e["window_lo"], e["window_hi"], fields,
@@ -134,7 +135,8 @@ def _run_mourre(grid, fields, spec, f, e):
     # +inf is mourre_gap_bound's sentinel for a window with no eigenvalue,
     # which bounds nothing
     empty = np.isinf(bound)
-    results = {"bound": None if empty else bound, "eps": fields.eps}
+    results = {"bound": None if empty else bound, "eps": fields.eps,
+               "amplitude": spec.amplitude, "amplitude_used": used.amplitude}
     if empty:
         results["reason"] = "empty_window"
     rows = [("window_lo", "window_hi", "bound"),
@@ -169,7 +171,8 @@ def _run_lap_probe(grid, fields, spec, f, e):
                "sweep_growth": rep.sweep_growth,
                "amplitude": spec.amplitude, "amplitude_used": used.amplitude,
                "residual_bound": rep.residual_bound, "n": h.dim,
-               "solver": "eigenbasis"}
+               "solver": "eigenbasis",
+               "eigensolve": {"h": dec.solver_info(), "q": decq.solver_info()}}
     return rows, results, {"plateau": (rep.plateau_ratio, e["plateau_max"], ok)}
 
 
@@ -189,7 +192,9 @@ def _run_lemma7(grid, fields, spec, f, e):
     ok = (rep.slope is not None
           and e["slope_lo"] <= rep.slope <= e["slope_hi"])
     rows = [("eps", "norm")] + list(zip(rep.params, rep.norms))
-    return rows, {"slope": rep.slope, "r2": rep.r2}, \
+    results = {"slope": rep.slope, "r2": rep.r2,
+               "eigensolve": {"q": decq.solver_info()}}
+    return rows, results, \
         {"slope_window": (rep.slope, (e["slope_lo"], e["slope_hi"]), ok)}
 
 
@@ -252,7 +257,8 @@ def _run_spectrum(grid, fields, spec, f, e):
         members = loc[np.abs(loc - t) <= tol]
         ok = members.size >= int(e["cluster_min"])
         gates[f"cluster_{t}"] = (int(members.size), int(e["cluster_min"]), ok)
-    return rows, {"n_localized": int(loc.size)}, gates
+    return rows, {"n_localized": int(loc.size),
+                  "eigensolve": {"q": dec.solver_info()}}, gates
 
 
 def _run_truncation(grid, fields, spec, f, e):

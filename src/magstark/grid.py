@@ -35,17 +35,18 @@ class GridSpec:
 
     @property
     def x(self):
-        return np.linspace(-self.lx, self.lx, self.nx)
+        """x samples, exactly odd like :attr:`y`."""
+        return _odd_samples(self.lx, self.nx)
 
     @property
     def y(self):
         """y samples, exactly odd: y[j] == -y[ny-1-j] bitwise.
 
         linspace leaves mirrored samples unequal in the last bit, which breaks
-        the exact reflection symmetry the real-form eigensolve checks for.
+        the exact reflection symmetries the real-form and parity-split
+        eigensolves check for.
         """
-        y = np.linspace(-self.ly, self.ly, self.ny)
-        return 0.5 * (y - y[::-1])
+        return _odd_samples(self.ly, self.ny)
 
     def meshes(self):
         """Flat coordinate arrays (X, Y) of length nx*ny, x fastest."""
@@ -59,6 +60,12 @@ class GridSpec:
         okx = (ix >= band) & (ix < self.nx - band)
         oky = (iy >= band) & (iy < self.ny - band)
         return (oky[:, None] & okx[None, :]).ravel()
+
+
+def _odd_samples(l, n):
+    """n uniform samples of [-l, l], symmetrized so that s == -s[::-1] bitwise."""
+    s = np.linspace(-l, l, n)
+    return 0.5 * (s - s[::-1])
 
 
 @dataclass(frozen=True)

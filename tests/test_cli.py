@@ -240,7 +240,10 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
     env = json.loads((tmp_path / f"{name}.json").read_text(),
                      parse_constant=_reject_constant)
     if name == "lemma7":
-        assert env["results"] == {"slope": None, "r2": None}
+        assert env["results"] == {
+            "slope": None, "r2": None,
+            "eigensolve": {"q": {"path": "real_parity", "blocks": [264, 263],
+                                 "n": 527}}}
 
 
 def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
@@ -258,6 +261,37 @@ def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
     assert 0.0 < res["residual_bound"] <= 1e-8
     # the default amplitude 0.3 is clamped to sup|dxV| <= eps/2
     assert res["amplitude"] == 0.3 and 0.0 < res["amplitude_used"] < 0.3
+    # H (eps > 0) takes the unsplit real form, Q (eps = 0) the parity split
+    assert res["eigensolve"] == {
+        "h": {"path": "real", "blocks": [169], "n": 169},
+        "q": {"path": "real_parity", "blocks": [85, 84], "n": 169}}
+
+
+def test_mourre_records_its_clamped_amplitude(tmp_path):
+    # sup|dxV| of a gaussian of amplitude 2 and width 1.5 is 1.14 > eps/2
+    cfg = load_config("mourre", None, ["grid.nx=15", "grid.ny=15",
+                                       "potential.amplitude=2.0"])
+    _, env = run("mourre", cfg, tmp_path)
+    res = env["results"]
+    assert res["amplitude"] == 2.0
+    assert res["amplitude_used"] == pytest.approx(
+        2.0 * 0.25 / (2.0 * np.sqrt(2.0) * np.exp(-0.5) / 1.5))
+    default = load_config("mourre", None, ["grid.nx=15", "grid.ny=15"])
+    _, env = run("mourre", default, tmp_path)
+    assert env["results"]["amplitude"] == env["results"]["amplitude_used"] == 0.3
+
+
+def test_spectrum_splits_q_into_two_parity_blocks(tmp_path, monkeypatch):
+    import scipy.linalg
+    orders = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda a, *args, **kw:
+                        orders.append(a.shape[0]) or eigh(a, *args, **kw))
+    cfg = load_config("spectrum", None, ["grid.nx=41", "grid.ny=41"])
+    _, env = run("spectrum", cfg, tmp_path)
+    assert orders == [841, 840]
+    assert env["results"]["eigensolve"] == {
+        "q": {"path": "real_parity", "blocks": [841, 840], "n": 1681}}
 
 
 def test_mourre_empty_window_fails(tmp_path):

@@ -42,6 +42,13 @@ def test_y_grid_exactly_odd(ny):
     assert g.y[0] == -6.0 and g.y[-1] == 6.0
 
 
+@pytest.mark.parametrize("nx", [8, 17, 35, 40, 41, 61])
+def test_x_grid_exactly_odd(nx):
+    g = make_grid(6, 6, nx, 9)
+    assert np.array_equal(g.x, -g.x[::-1])
+    assert g.x[0] == -6.0 and g.x[-1] == 6.0
+
+
 def test_d1_exactly_hermitian():
     m = d1_op(8, 0.5)
     assert np.max(np.abs(m - m.conj().T)) == 0.0

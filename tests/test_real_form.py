@@ -1,7 +1,9 @@
-"""The real-form and windowed eigensolves against the dense complex reference.
+"""The real-form, parity-split and windowed eigensolves against references.
 
 The reference is a plain complex ``scipy.linalg.eigh`` of the assembled
 matrix, the path every operator took before the K P_y real form existed.
+The parity split of an eps = 0 operator is checked against the unsplit
+order-N eigh of its real form.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, SpectralDecomposition,
-                               apply_function, eigendecompose, trace_function,
+                               apply_function, eigendecompose,
+                               localized_spectrum, trace_function,
                                weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
@@ -45,8 +48,32 @@ def eigh_inputs(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def eigh_orders(monkeypatch):
+    """Record the order of the matrix each eigensolve received."""
+    seen = []
+    orig = scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape[0])
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return seen
+
+
 def _norm(dec):
     return float(np.max(np.abs(dec.eigenvalues)))
+
+
+def _unsplit(op, window=None):
+    """One order-N eigh of the real form Re M - (Im M) P_y, mapped back to M."""
+    nx, ny = op.grid.nx, op.grid.ny
+    py = np.arange(op.dim).reshape(ny, nx)[::-1].ravel()
+    subset = {} if window is None else {"subset_by_value": window}
+    lam, phi = scipy.linalg.eigh(op.mat.real - op.mat.imag[:, py], **subset)
+    return SpectralDecomposition(lam, (phi + 1j * phi[py]) / np.sqrt(2.0), op,
+                                 window, "real", (op.dim,))
 
 
 @pytest.mark.parametrize("n", [31, 41])
@@ -180,3 +207,95 @@ def test_real_form_property(nx, ny, lx, ly, b, eps, family, amplitude, width):
     inside = dec.eigenvalues[(dec.eigenvalues > lo) & (dec.eigenvalues <= hi)]
     assert win.dim == inside.size
     assert np.max(np.abs(win.eigenvalues - inside)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [31, 41])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_parity_split_matches_unsplit_real_form(n, family, eigh_orders):
+    g = make_grid(6, 6, n, n)
+    spec = PotentialSpec(family, amplitude=0.5, width=2.0)
+    op = assemble(g, FieldParams(b=1.0), eval_potential(spec, g).v)
+    ref = _unsplit(op)
+    eigh_orders.clear()
+    dec = eigendecompose(op)
+    halves = [(n * n + 1) // 2, n * n // 2]
+    assert eigh_orders == halves
+    assert dec.path == "real_parity" and list(dec.blocks) == halves
+    scale = _norm(ref)
+    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12 * scale
+    lam = ref.eigenvalues
+    gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
+    simple = gap > 1e-3
+    assert np.count_nonzero(simple) > n
+    dens = np.abs(dec.eigenvectors[:, simple]) ** 2
+    ref_dens = np.abs(ref.eigenvectors[:, simple]) ** 2
+    assert np.max(np.abs(dens - ref_dens)) <= 1e-10
+    assert dec.orthonormality_defect() <= 1e-10
+    assert dec.reconstruction_defect() <= 1e-12 * n * n * scale
+    win = eigendecompose(op, window=F.support)
+    assert win.path == "real_parity"
+    assert abs(trace_function(win, F) - trace_function(ref, F)) <= 1e-11
+    for w in (wall_cutoff_weights(g, 2.0), eval_potential(spec, g).dxv):
+        assert abs(weighted_trace_function(win, w, F)
+                   - weighted_trace_function(ref, w, F)) <= 1e-11
+    loc, ref_loc = localized_spectrum(dec, g), localized_spectrum(ref, g)
+    assert len(loc) == len(ref_loc) > 0
+    assert np.max(np.abs(loc.values - ref_loc.values)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(8, 13), ny=st.integers(8, 13),
+       lx=st.floats(1.0, 8.0), ly=st.floats(1.0, 8.0),
+       b=st.floats(0.2, 2.0), family=st.sampled_from(FAMILIES),
+       amplitude=st.floats(-2.0, 2.0, allow_subnormal=False),
+       width=st.floats(0.5, 4.0), windowed=st.booleans())
+def test_parity_split_property(nx, ny, lx, ly, b, family, amplitude, width,
+                               windowed):
+    g = make_grid(lx, ly, nx, ny)
+    spec = PotentialSpec(family, amplitude=amplitude, width=width)
+    op = assemble(g, FieldParams(b=b), eval_potential(spec, g).v)
+    ref = _unsplit(op)
+    scale = _norm(ref)
+    window = None
+    if windowed:
+        # window ends in the widest level spacing of each half
+        lam, half = ref.eigenvalues, op.dim // 2
+        i = int(np.argmax(np.diff(lam[:half])))
+        k = half + int(np.argmax(np.diff(lam[half:])))
+        window = (0.5 * (lam[i] + lam[i + 1]), 0.5 * (lam[k] + lam[k + 1]))
+        ref = _unsplit(op, window)
+    dec = eigendecompose(op, window=window)
+    assert dec.path == "real_parity"
+    assert dec.blocks == ((op.dim + 1) // 2, op.dim // 2)
+    assert dec.dim == ref.dim
+    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues),
+                  initial=0.0) <= 1e-12 * scale
+    assert dec.orthonormality_defect() <= 1e-12
+    assert dec.reconstruction_defect() <= 1e-12 * op.dim * scale
+
+
+def test_parity_split_empty_window():
+    g = make_grid(6, 6, 21, 21)
+    op = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
+    dec = eigendecompose(op, window=(-50.0, -40.0))
+    assert dec.path == "real_parity"
+    assert dec.dim == 0 and dec.eigenvectors.shape == (op.dim, 0)
+
+
+def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
+    g = make_grid(6, 6, 21, 21)
+    v = eval_potential(GAUSS, g).v
+    xf, yf = g.meshes()
+    q = assemble(g, FieldParams(b=1.0), v)
+    uneven = DiscreteOperator(q.mat + np.diag(0.3 * np.exp(0.2 * xf) * yf * yf),
+                              g)
+    for op in (assemble(g, FIELDS, v), uneven):
+        assert op.is_t_symmetric()
+        ref = _unsplit(op)
+        eigh_orders.clear()
+        dec = eigendecompose(op)
+        assert eigh_orders == [op.dim]
+        assert dec.path == "real" and dec.blocks == (op.dim,)
+        assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) \
+            <= 1e-12 * _norm(ref)
+        assert dec.reconstruction_defect() <= 1e-12 * op.dim * _norm(ref)
