@@ -206,7 +206,7 @@ def _run_prop2(grid, fields, spec, f, e):
     dec = eigendecompose(h)
     lam = dec.eigenvalues
     win = (lam > 1.2) & (lam < 2.8)
-    weights = v @ np.abs(dec.eigenvectors[:, win]) ** 2
+    weights = dec.weighted_density(v)[win]
     re_z = float(lam[win][int(np.argmax(weights))])
     probe = ProbeSpec(z=complex(re_z, 0.5),
                       z_prime=complex(re_z, e["im_zp"]),

@@ -24,6 +24,18 @@ what callers see:
 * Window.  ``window=(lo, hi)`` computes only the eigenpairs with eigenvalue
   in (lo, hi].  A function supported in [lo, hi] vanishes on every other
   eigenvalue, so its f(M), traces and weighted traces are unchanged.
+
+A full solve (no window) uses LAPACK's divide-and-conquer driver ``evd``; a
+windowed one the default ``evr``, since ``evd`` has no subset.
+
+The eigenvectors are kept in the real factor they were solved in: the
+parity-block vectors (ceil(N/2) rows, with the +-1 parity of each column),
+phi for the unsplit real form, and U itself only for the complex solve.
+Weighted densities w @ |U|^2, which localization scores, weighted traces
+and the probe weights of prop2 all reduce to, are read from that factor by
+:meth:`SpectralDecomposition.weighted_density`; the complex U is built from
+it only when ``eigenvectors`` is read, so a caller that needs densities
+alone never holds an N x N complex matrix.
 """
 
 from dataclasses import dataclass
@@ -37,27 +49,74 @@ from .grid import DiscreteOperator, GridSpec, d2_op
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
+    """Ascending eigenvalues of a Hermitian matrix M, and its eigenvectors in
+    the factor the solve produced.
 
-    With ``window`` set, only the eigenpairs with eigenvalue in (lo, hi] are
-    held.
+    A complex ``factor`` is U itself.  A real one is phi, the eigenvectors of
+    the real form (N rows), or, with ``parity`` set, the parity-block vectors
+    (ceil(N/2) rows; an odd column is zero on the centre row of odd N) with
+    the +-1 parity of each column.  With ``window`` set, only the eigenpairs
+    with eigenvalue in (lo, hi] are held.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    factor: np.ndarray
     source: DiscreteOperator
     window: tuple | None = None
     path: str = "complex"   # "real_parity", "real" or "complex"
     blocks: tuple = ()      # the order of each eigh call
+    parity: np.ndarray | None = None
 
     @property
     def dim(self):
         return self.eigenvalues.size
 
+    @property
+    def eigenvectors(self):
+        """U, built from the factor on each read: u = (phi + i P_y phi)/sqrt(2)."""
+        a = self.factor
+        if np.iscomplexobj(a):
+            return a
+        nx, ny = self.source.grid.nx, self.source.grid.ny
+        u = np.empty((self.source.dim, a.shape[1]), dtype=complex)
+        if self.parity is None:
+            np.multiply(a, np.sqrt(0.5), out=u.real)
+        else:
+            _write_parity_vectors(u.real, a, self.parity, nx)
+        # u.real = phi/sqrt(2), and P_y swaps whole grid-row blocks
+        for j in range(ny):
+            mj = ny - 1 - j
+            u.imag[j * nx:(j + 1) * nx] = u.real[mj * nx:(mj + 1) * nx]
+        return u
+
+    def weighted_density(self, w):
+        """w @ |U|^2 for a real weight vector w on the grid, from the factor.
+
+        |u|^2 = (phi^2 + (P_y phi)^2)/2, so a real factor is weighted by w
+        folded by P_y, and the parity-block vectors by that folded again by
+        the flat reversal J.  Both folds are exact for any w.  The squares
+        are taken one grid row at a time, so no temporary has N rows.
+        """
+        a = self.factor
+        w = np.asarray(w, dtype=float)
+        nx, ny = self.source.grid.nx, self.source.grid.ny
+        if not np.iscomplexobj(a):
+            w = 0.5 * (w + w.reshape(ny, nx)[::-1].ravel())
+            if self.parity is not None:
+                m = w.size // 2
+                w = np.concatenate([0.5 * (w[:m] + w[::-1][:m]),
+                                    w[m:w.size - m]])
+        out = np.zeros(a.shape[1])
+        for k in range(0, a.shape[0], nx):
+            out += w[k:k + nx] @ (np.abs(a[k:k + nx]) ** 2)
+        return out
+
     def solver_info(self):
-        """The solver path, the order of each eigh call and N, for a report."""
+        """The solver path, the order of each eigh call, N, the number of
+        eigenpairs held and the bytes of the stored factor, for a report."""
         return {"path": self.path, "blocks": list(self.blocks),
-                "n": self.source.dim}
+                "n": self.source.dim, "pairs": self.dim,
+                "factor_bytes": self.factor.nbytes}
 
     def reconstruction_defect(self):
         """max|U diag(lam) U* - M|, or max|M U - U diag(lam)| when windowed.
@@ -84,29 +143,40 @@ def eigendecompose(op: DiscreteOperator, window=None):
     ``window=(lo, hi)`` restricts it to the eigenpairs in (lo, hi].  A
     T-symmetric operator (see :meth:`DiscreteOperator.is_t_symmetric`) is
     solved through its real form, split by parity when that commutes with
-    the flat reversal; the eigenvectors are returned for M itself either way.
+    the flat reversal, and keeps its eigenvectors in that real factor.
     """
-    subset = {}
+    how = {"driver": "evd"}
     if window is not None:
         lo, hi = window
         if not lo < hi:
             raise ConfigurationError(f"window needs lo < hi, got {window}")
-        subset = {"subset_by_value": (lo, hi)}
+        how = {"subset_by_value": (lo, hi)}
     if np.iscomplexobj(op.mat) and op.is_t_symmetric():
-        lam, u, blocks = _real_form_eigh(op, subset)
-        path = "real_parity" if len(blocks) == 2 else "real"
+        lam, factor, parity, blocks = _real_form_eigh(op, how)
+        path = "real" if parity is None else "real_parity"
     else:
-        lam, u = scipy.linalg.eigh(op.mat, **subset)
+        lam, u = scipy.linalg.eigh(op.mat, **how)
+        # a complex factor is U itself, also for a real M
+        factor = _owned(u.astype(complex, copy=False))
+        parity, blocks = None, (op.dim,)
         path = "complex" if np.iscomplexobj(op.mat) else "real"
-        blocks = (op.dim,)
-    return SpectralDecomposition(lam, u, op, window, path, blocks)
+    return SpectralDecomposition(lam, factor, op, window, path, blocks, parity)
+
+
+def _owned(v):
+    """v, or a copy of it when it is a view: a windowed eigh returns its k
+    columns of an N x N work array, which would otherwise stay alive."""
+    return v if v.base is None else v.copy()
 
 
 def _real_form(op: DiscreteOperator):
-    """Re M - (Im M) P_y in one real N x N buffer, built per column block."""
+    """Re M - (Im M) P_y in one real N x N buffer, built per column block.
+
+    The buffer is Fortran ordered, so eigh can overwrite it without a copy.
+    """
     nx, ny = op.grid.nx, op.grid.ny
     re, im = op.mat.real, op.mat.imag
-    r = np.empty(op.mat.shape)
+    r = np.empty(op.mat.shape, order="F")
     for k in range(ny):
         mk = ny - 1 - k
         np.subtract(re[:, k * nx:(k + 1) * nx], im[:, mk * nx:(mk + 1) * nx],
@@ -114,44 +184,36 @@ def _real_form(op: DiscreteOperator):
     return r
 
 
-def _real_form_eigh(op: DiscreteOperator, subset):
-    """Eigenpairs of a T-symmetric M from its real form, and the eigh orders.
+def _real_form_eigh(op: DiscreteOperator, how):
+    """Eigenvalues of a T-symmetric M from its real form, the real factor,
+    the parity of its columns (None when unsplit) and the eigh orders.
 
-    The real form is freed before the eigenvectors u = (phi + i P_y phi)/
-    sqrt(2) are written straight into one complex array.  When it commutes
-    with the flat reversal, its two parity blocks are solved instead, and
-    phi is never formed.
+    When the real form commutes with the flat reversal, its two parity
+    blocks are solved instead, and their vectors are merged into one array
+    of ceil(N/2) rows in ascending eigenvalue order.
     """
-    nx, ny = op.grid.nx, op.grid.ny
     r = _real_form(op)
     n = r.shape[0]
-    if _commutes_with_reversal(r, nx):
-        even, odd = _parity_blocks(r)
-        del r
-        lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, **subset)
-        del even
-        lam_o, b = scipy.linalg.eigh(odd, overwrite_a=True, **subset)
-        del odd
-        lam = np.concatenate([lam_e, lam_o])
-        order = np.argsort(lam, kind="stable")
-        col = np.empty_like(order)
-        col[order] = np.arange(order.size)
-        u = np.empty((n, order.size), dtype=complex)
-        _write_parity_vectors(u.real, a, col[:lam_e.size], 1.0, nx)
-        _write_parity_vectors(u.real, b, col[lam_e.size:], -1.0, nx)
-        lam, blocks = lam[order], (n - n // 2, n // 2)
-    else:
-        lam, phi = scipy.linalg.eigh(r, overwrite_a=True, **subset)
-        del r
-        u = np.empty(phi.shape, dtype=complex)
-        np.multiply(phi, np.sqrt(0.5), out=u.real)
-        del phi
-        blocks = (n,)
-    # u.real = phi/sqrt(2), and P_y swaps whole grid-row blocks
-    for j in range(ny):
-        mj = ny - 1 - j
-        u.imag[j * nx:(j + 1) * nx] = u.real[mj * nx:(mj + 1) * nx]
-    return lam, u, blocks
+    if not _commutes_with_reversal(r, op.grid.nx):
+        lam, phi = scipy.linalg.eigh(r, overwrite_a=True, **how)
+        return lam, _owned(phi), None, (n,)
+    m = n // 2
+    even, odd = _parity_blocks(r)
+    del r
+    lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, **how)
+    del even
+    lam_o, b = scipy.linalg.eigh(odd, overwrite_a=True, **how)
+    del odd
+    lam = np.concatenate([lam_e, lam_o])
+    order = np.argsort(lam, kind="stable")
+    parity = np.concatenate([np.ones(lam_e.size), -np.ones(lam_o.size)])
+    col = np.empty_like(order)
+    col[order] = np.arange(order.size)
+    # an odd vector has no centre row, so it stays zero there
+    v = np.zeros((n - m, order.size))
+    v[:, col[:lam_e.size]] = a
+    v[:m, col[lam_e.size:]] = b
+    return lam[order], v, parity[order], (n - m, m)
 
 
 def _commutes_with_reversal(r, rows):
@@ -188,23 +250,23 @@ def _parity_blocks(r):
     return even, odd
 
 
-def _write_parity_vectors(out, v, cols, sign, rows):
-    """Scatter block eigenvectors v into the columns ``cols`` of out = phi/sqrt(2).
+def _write_parity_vectors(out, v, parity, rows):
+    """Scatter parity-block vectors v into out = phi/sqrt(2).
 
-    A block vector v maps to phi[k] = v[k]/sqrt(2) and phi[N-1-k] = sign
+    A column v maps to phi[k] = v[k]/sqrt(2) and phi[N-1-k] = parity
     v[k]/sqrt(2) for k < N//2, and to phi[m] = v[m] at the centre of odd N
-    (which the odd block, sign = -1, leaves zero).  ``rows`` rows are
-    written at a time, so no temporary has N rows.
+    (zero for an odd column).  ``rows`` rows are written at a time, so no
+    temporary has N rows.
     """
     n = out.shape[0]
     m = n // 2
     for k in range(0, m, rows):
         stop = min(k + rows, m)
         top = 0.5 * v[k:stop]
-        out[k:stop, cols] = top
-        out[n - stop:n - k, cols] = sign * top[::-1]
+        out[k:stop] = top
+        out[n - stop:n - k] = parity * top[::-1]
     if n > 2 * m:
-        out[m, cols] = np.sqrt(0.5) * v[m] if sign > 0 else 0.0
+        out[m] = np.sqrt(0.5) * v[m]
 
 
 @dataclass(frozen=True)
@@ -306,8 +368,7 @@ def trace_function(dec: SpectralDecomposition, f):
 def weighted_trace_function(dec: SpectralDecomposition, weights, f):
     """tr(diag(weights) f(M)) without forming f(M)."""
     fvals = np.asarray(f(dec.eigenvalues))
-    dens = np.abs(dec.eigenvectors) ** 2
-    return float(weights @ dens @ fvals)
+    return float(dec.weighted_density(weights) @ fvals)
 
 
 @dataclass(frozen=True)
@@ -377,8 +438,7 @@ def localization_scores(dec: SpectralDecomposition, grid: GridSpec, margin):
     xf, yf = grid.meshes()
     inside = ((np.abs(xf) <= (1.0 - 2.0 * margin) * grid.lx + 1e-12)
               & (np.abs(yf) <= (1.0 - 2.0 * margin) * grid.ly + 1e-12))
-    dens = np.abs(dec.eigenvectors) ** 2
-    return dens[inside, :].sum(axis=0)
+    return dec.weighted_density(inside)
 
 
 def localized_spectrum(dec: SpectralDecomposition, grid: GridSpec,

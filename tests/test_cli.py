@@ -243,7 +243,8 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
         assert env["results"] == {
             "slope": None, "r2": None,
             "eigensolve": {"q": {"path": "real_parity", "blocks": [264, 263],
-                                 "n": 527}}}
+                                 "n": 527, "pairs": 527,
+                                 "factor_bytes": 264 * 527 * 8}}}
 
 
 def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
@@ -263,8 +264,10 @@ def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
     assert res["amplitude"] == 0.3 and 0.0 < res["amplitude_used"] < 0.3
     # H (eps > 0) takes the unsplit real form, Q (eps = 0) the parity split
     assert res["eigensolve"] == {
-        "h": {"path": "real", "blocks": [169], "n": 169},
-        "q": {"path": "real_parity", "blocks": [85, 84], "n": 169}}
+        "h": {"path": "real", "blocks": [169], "n": 169, "pairs": 169,
+              "factor_bytes": 169 * 169 * 8},
+        "q": {"path": "real_parity", "blocks": [85, 84], "n": 169,
+              "pairs": 169, "factor_bytes": 85 * 169 * 8}}
 
 
 def test_mourre_records_its_clamped_amplitude(tmp_path):
@@ -290,8 +293,10 @@ def test_spectrum_splits_q_into_two_parity_blocks(tmp_path, monkeypatch):
     cfg = load_config("spectrum", None, ["grid.nx=41", "grid.ny=41"])
     _, env = run("spectrum", cfg, tmp_path)
     assert orders == [841, 840]
+    # the held factor is the ceil(N/2) x N real parity-block vectors
     assert env["results"]["eigensolve"] == {
-        "q": {"path": "real_parity", "blocks": [841, 840], "n": 1681}}
+        "q": {"path": "real_parity", "blocks": [841, 840], "n": 1681,
+              "pairs": 1681, "factor_bytes": 841 * 1681 * 8}}
 
 
 def test_mourre_empty_window_fails(tmp_path):

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from magstark import potentials
 from magstark.errors import ConfigurationError, DecayCertificateError
 from magstark.grid import make_grid
-from magstark.potentials import (PotentialSpec, certify_decay, clamp_amplitude,
-                                 d_x, d_xx, eval_potential, evaluate, sup_dx)
+from magstark.potentials import (FAMILIES, PotentialSpec, certify_decay,
+                                 clamp_amplitude, d_x, d_xx, eval_potential,
+                                 evaluate, sup_dx)
 
 GRID = make_grid(8, 8, 33, 33)
 
@@ -98,6 +101,23 @@ def test_separable_fails_against_faster_envelope():
                          decay_delta=0.5)
     rep = certify_decay(spec, GRID, convention="stark_order", n=5)
     assert not rep.passed
+
+
+def test_subnormal_amplitude_is_certified_like_amplitude_one():
+    # a subnormal amplitude used to fail the short-range certificate on
+    # rounding alone ("observed 4.44659e-323 > declared 2.47033e-323")
+    tiny = PotentialSpec("separable_power", amplitude=5e-324)
+    assert eval_potential(tiny, make_grid(1, 1, 8, 8)).certificate.passed
+    for family in FAMILIES:
+        unit = PotentialSpec(family, amplitude=1.0, decay_n=3, width=2.0)
+        for n in (None, 5):
+            for convention in ("short_range", "stark_order"):
+                ref = certify_decay(unit, GRID, convention=convention, n=n)
+                for amplitude in (5e-324, -1e-310, 1e-300, -3.0):
+                    rep = certify_decay(replace(unit, amplitude=amplitude),
+                                        GRID, convention=convention, n=n)
+                    assert rep.failed == ref.failed
+                    assert rep.passed == ref.passed
 
 
 def test_eval_potential_raises_on_violation(monkeypatch):

@@ -3,8 +3,12 @@
 The reference is a plain complex ``scipy.linalg.eigh`` of the assembled
 matrix, the path every operator took before the K P_y real form existed.
 The parity split of an eps = 0 operator is checked against the unsplit
-order-N eigh of its real form.
+order-N eigh of its real form, the divide-and-conquer driver of every full
+solve against the default one, and the densities read from the stored real
+factor against the complex eigenvectors built from it.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +23,8 @@ from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, SpectralDecomposition,
                                apply_function, eigendecompose,
-                               localized_spectrum, trace_function,
-                               weighted_trace_function)
+                               localization_scores, localized_spectrum,
+                               trace_function, weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
 
@@ -247,8 +251,8 @@ def test_parity_split_matches_unsplit_real_form(n, family, eigh_orders):
 @given(nx=st.integers(8, 13), ny=st.integers(8, 13),
        lx=st.floats(1.0, 8.0), ly=st.floats(1.0, 8.0),
        b=st.floats(0.2, 2.0), family=st.sampled_from(FAMILIES),
-       amplitude=st.floats(-2.0, 2.0, allow_subnormal=False),
-       width=st.floats(0.5, 4.0), windowed=st.booleans())
+       amplitude=st.floats(-2.0, 2.0), width=st.floats(0.5, 4.0),
+       windowed=st.booleans())
 def test_parity_split_property(nx, ny, lx, ly, b, family, amplitude, width,
                                windowed):
     g = make_grid(lx, ly, nx, ny)
@@ -299,3 +303,119 @@ def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
         assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) \
             <= 1e-12 * _norm(ref)
         assert dec.reconstruction_defect() <= 1e-12 * op.dim * _norm(ref)
+
+
+def _odd_in_y(op):
+    """op plus a diagonal term odd in y, which breaks T = K P_y."""
+    _, yf = op.grid.meshes()
+    return DiscreteOperator(op.mat + np.diag(0.3 * yf), op.grid)
+
+
+@pytest.fixture
+def eigh_kwargs(monkeypatch):
+    """Record the keyword arguments of each eigensolve."""
+    seen = []
+    orig = scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(kwargs)
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return seen
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
+                                                           monkeypatch):
+    g = make_grid(6, 6, 31, 31)
+    spec = PotentialSpec(family, amplitude=0.5, width=2.0)
+    v = eval_potential(spec, g).v
+    h = assemble(g, FIELDS, v)
+    ops = {"real_parity": assemble(g, FieldParams(b=1.0), v), "real": h,
+           "complex": _odd_in_y(h)}
+    spy = scipy.linalg.eigh
+    for path, op in ops.items():
+        eigh_kwargs.clear()
+        dec = eigendecompose(op)
+        assert dec.path == path
+        # the real forms are solved in a buffer eigh may overwrite
+        full = ({"driver": "evd"} if path == "complex"
+                else {"overwrite_a": True, "driver": "evd"})
+        assert eigh_kwargs == [full] * len(dec.blocks)
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "eigh", lambda a, *args, driver=None,
+                      **kw: spy(a, *args, **kw))
+            ref = eigendecompose(op)
+        scale = _norm(ref)
+        assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) \
+            <= 1e-12 * scale
+        lam = ref.eigenvalues
+        gap = np.minimum(np.diff(lam, prepend=-np.inf),
+                         np.diff(lam, append=np.inf))
+        simple = gap > 1e-3
+        assert np.count_nonzero(simple) > 31
+        dens = np.abs(dec.eigenvectors[:, simple]) ** 2
+        ref_dens = np.abs(ref.eigenvectors[:, simple]) ** 2
+        assert np.max(np.abs(dens - ref_dens)) <= 1e-10
+        # a windowed solve keeps the default driver, which has a subset
+        eigh_kwargs.clear()
+        eigendecompose(op, window=F.support)
+        assert eigh_kwargs and all(
+            k.get("subset_by_value") == F.support and "driver" not in k
+            for k in eigh_kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(8, 13), ny=st.integers(8, 13),
+       path=st.sampled_from(["real_parity", "real", "complex"]),
+       family=st.sampled_from(FAMILIES), windowed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
+                                                    windowed, seed):
+    g = make_grid(4, 4, nx, ny)
+    spec = PotentialSpec(family, amplitude=0.5, width=2.0)
+    eps = 0.0 if path == "real_parity" else 0.5
+    op = assemble(g, FieldParams(b=1.0, eps=eps), eval_potential(spec, g).v)
+    if path == "complex":
+        op = _odd_in_y(op)
+    dec = eigendecompose(op, window=(1.0, 4.0) if windowed else None)
+    assert dec.path == path
+    # weights with no symmetry in x or y
+    w = np.random.default_rng(seed).standard_normal(op.dim)
+    got, ref = dec.weighted_density(w), w @ np.abs(dec.eigenvectors) ** 2
+    assert got.shape == (dec.dim,)
+    assert np.max(np.abs(got - ref), initial=0.0) \
+        <= 1e-13 * op.dim * np.max(np.abs(w))
+
+
+def test_q_spectrum_holds_no_complex_n_by_n_array():
+    g = make_grid(6, 6, 41, 41)
+    q = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
+    tracemalloc.start()
+    try:
+        dec = eigendecompose(q)
+        scores = localization_scores(dec, g, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.path == "real_parity" and scores.shape == (q.dim,)
+    # 16 N^2 bytes is one complex N x N array
+    assert peak < 16 * q.dim ** 2
+
+
+def test_a_windowed_solve_holds_only_its_pairs():
+    # a windowed eigh returns k columns of an N x N work array; the
+    # decomposition must not keep that array alive
+    g = make_grid(6, 6, 31, 31)
+    h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
+    for op, path in ((h, "real"), (_odd_in_y(h), "complex")):
+        tracemalloc.start()
+        try:
+            dec = eigendecompose(op, window=F.support)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert dec.path == path and 0 < 8 * dec.dim < op.dim
+        # an N x N real array alone would be 8 N^2 bytes
+        assert held < 4 * op.dim ** 2
