@@ -9,13 +9,12 @@ positivity and limiting-absorption probes, and weighted trace-norm bounds.
 from .errors import (CapacityError, ConfigurationError, DecayCertificateError,
                      GapNotFoundError, GeometryError, MagstarkError,
                      NearSingularityError, SpectralWindowError)
-from .grid import DiscreteOperator, GridSpec, d1_op, d2_op, make_grid, position_op
-from .hamiltonian import FieldParams, assemble, commutator_dx, partial_x
+from .grid import DiscreteOperator, GridSpec, d2_op, make_grid
+from .hamiltonian import FieldParams, assemble
 from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
-                       apply_function, eigendecompose, localized_spectrum,
-                       weight_dx_s)
+                       eigendecompose, localized_spectrum, weight_dx_s)
 from .traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm, nuclear_norm,
                      operator_norm, tracebound_sweep, resolvent_chain_tracenorm, resolvent)
 

@@ -2,9 +2,10 @@
 
 The domain is [-lx, lx] x [-ly, ly] sampled on nx * ny points including the
 walls.  Grid point (i, j) maps to flat index j*nx + i, i.e. row-major with x
-fastest.  A 1D operator A acting on the x axis embeds as kron(I_ny, A).  All
-fields outside the sampled box are treated as zero (hard-wall / Dirichlet
-truncation).
+fastest.  A 1D operator A acting on the x axis acts on the grid as
+kron(I_ny, A), which :func:`apply_x` applies one grid row at a time without
+forming it.  All fields outside the sampled box are treated as zero
+(hard-wall / Dirichlet truncation).
 """
 
 from dataclasses import dataclass, field
@@ -53,14 +54,6 @@ class GridSpec:
         xg, yg = np.meshgrid(self.x, self.y)  # shape (ny, nx)
         return xg.ravel(), yg.ravel()
 
-    def interior_mask(self, band: int = 2):
-        """Flat boolean mask of points at least `band` mesh steps from a wall."""
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        okx = (ix >= band) & (ix < self.nx - band)
-        oky = (iy >= band) & (iy < self.ny - band)
-        return (oky[:, None] & okx[None, :]).ravel()
-
 
 def _odd_samples(l, n):
     """n uniform samples of [-l, l], symmetrized so that s == -s[::-1] bitwise."""
@@ -101,9 +94,6 @@ class DiscreteOperator:
             y[k:] += diags[-k][:, None] * x[:n - k]
         return y
 
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(self.mat - self.mat.conj().T)))
-
     def is_t_symmetric(self):
         """True when conj(M) == P_y M P_y holds bitwise.
 
@@ -140,20 +130,6 @@ def make_grid(lx, ly, nx, ny) -> GridSpec:
     return GridSpec(float(lx), float(ly), int(nx), int(ny))
 
 
-def d1_op(n, h):
-    """Centered-difference D = -i d/dx with Dirichlet truncation (Hermitian)."""
-    if n < 8:
-        raise ConfigurationError(f"n must be at least 8, got {n}")
-    if not h > 0:
-        raise ConfigurationError(f"h must be positive, got {h}")
-    m = np.zeros((n, n), dtype=complex)
-    c = 1.0 / (2.0 * h)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -1j * c
-    m[idx + 1, idx] = 1j * c
-    return m
-
-
 def d2_op(n, h):
     """Three-point -d^2/dx^2 with Dirichlet truncation (real symmetric)."""
     if n < 8:
@@ -167,20 +143,6 @@ def d2_op(n, h):
     m[idx, idx + 1] = -c
     m[idx + 1, idx] = -c
     return m
-
-
-def position_op(grid: GridSpec, axis, power=1) -> DiscreteOperator:
-    """Diagonal multiplication by x**power or y**power on the flat grid."""
-    xf, yf = grid.meshes()
-    coord = {"x": xf, "y": yf}.get(axis)
-    if coord is None:
-        raise ConfigurationError(f"axis must be 'x' or 'y', got {axis!r}")
-    return DiscreteOperator(np.diag(coord ** power), grid)
-
-
-def embed_x(grid: GridSpec, m1d):
-    """Embed a 1D x-axis operator into the 2D grid: kron(I_ny, m1d)."""
-    return np.kron(np.eye(grid.ny, dtype=m1d.dtype), m1d)
 
 
 def apply_x(grid: GridSpec, m1d, a):

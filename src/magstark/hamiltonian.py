@@ -1,4 +1,4 @@
-"""Assembly of the discrete magnetic Stark operators and their x-commutator.
+"""Assembly of the discrete magnetic Stark operators.
 
 One function builds every member of the family
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError
-from .grid import DiscreteOperator, GridSpec, d1_op, embed_x
+from .grid import DiscreteOperator, GridSpec
 
 DENSE_BYTES_MAX = 16 * 6400 ** 2  # a complex N x N matrix up to 80 x 80 points
 
@@ -71,20 +71,3 @@ def assemble(grid: GridSpec, fields: FieldParams, v) -> DiscreteOperator:
     m[k, k + nx] = -cy
     m[k + nx, k] = -cy
     return DiscreteOperator(m, grid)
-
-
-def partial_x(grid: GridSpec):
-    """The discrete d/dx matrix, i * (-i d/dx) = i * d1, acting on the x factor."""
-    return embed_x(grid, 1j * d1_op(grid.nx, grid.hx))
-
-
-def commutator_dx(op: DiscreteOperator):
-    """Explicit matrix commutator [d/dx, op].
-
-    Computed as a genuine product difference so that tests see the true
-    discretization error; interior rows approach eps + dxV at second order
-    while a band of width ~1 near the x-walls carries O(1/h^3) corner terms
-    from the Dirichlet truncation.
-    """
-    d = partial_x(op.grid)
-    return DiscreteOperator(d @ op.mat - op.mat @ d, op.grid)

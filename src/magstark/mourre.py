@@ -118,10 +118,11 @@ def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
     the largest bound of the sweep as ``residual_bound``.
     """
     deltas = tuple(float(d) for d in delta_list)
-    if any(d < 1e-6 for d in deltas) or any(
+    if len(deltas) < 2 or any(d < 1e-6 for d in deltas) or any(
             deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)):
         raise ConfigurationError(
-            f"delta_list must be decreasing and >= 1e-6, got {deltas}")
+            f"delta_list must hold at least two values, decreasing and "
+            f">= 1e-6, got {deltas}")
     if dec.window is not None:
         raise ConfigurationError(
             f"lap_probe needs the full eigendecomposition of H, got the "

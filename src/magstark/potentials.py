@@ -7,7 +7,9 @@ it claims.  Two envelope conventions are used:
 * ``short_range``: |V| <= C (1+|x|)^(-2-delta) (1+|y|)^(-1-delta), the
   admission test for trace-formula experiments (applied to V and dxV);
 * ``stark_order``: |dx^a V| <= C (1+|x|)^(-n-delta-a) (1+|y|)^(-2-delta),
-  parametrized by n; no experiment applies it, only the tests call it.
+  parametrized by n, the class for which the O(eps^(n-2)) estimate holds;
+  ``scaling`` and ``lemma7`` record its verdict in their results, but do
+  not gate on it.
 """
 
 from dataclasses import dataclass, replace

@@ -1,9 +1,13 @@
-"""Eigendecomposition, matrix functional calculus and weights.
+"""Eigendecomposition, spectral sums, weights and localization.
 
-All functional calculus goes through one exact Hermitian eigendecomposition:
-f(M) = U diag(f(lam)) U*.  Smooth compactly supported test functions are the
+All functional calculus goes through one exact Hermitian eigendecomposition
+M = U diag(lam) U*: tr f(M) is the eigenvalue sum of f(lam), and
+tr(diag(w) f(M)) pairs f(lam) with the weighted density w @ |U|^2, so no
+trace forms f(M).  Smooth compactly supported test functions are the
 C-infinity bump exp(1 - 1/(1-u^2)) on |u| < 1, optionally with a flat plateau
-where the function is identically 1.
+where the function is identically 1.  The localized spectrum, the discrete
+proxy for sigma(Q), is the eigenvalues whose eigenvectors carry almost all
+their mass inside an interior box.
 
 Three properties of the input make the eigensolve cheaper without changing
 what callers see:
@@ -353,13 +357,6 @@ def _smooth_step_d(s):
     return out
 
 
-def apply_function(dec: SpectralDecomposition, f):
-    """f(M) = U diag(f(lam)) U* for any callable f on the spectrum."""
-    fvals = np.asarray(f(dec.eigenvalues))
-    u = dec.eigenvectors
-    return (u * fvals) @ u.conj().T
-
-
 def trace_function(dec: SpectralDecomposition, f):
     """tr f(M) as a plain eigenvalue sum."""
     return float(np.sum(f(dec.eigenvalues)))
@@ -389,8 +386,7 @@ def weight_dx_s(grid: GridSpec, w: WeightSpec, power=None):
     eigenbasis.
 
     The 2D weight is kron(I_ny, factor); apply it with
-    :func:`~magstark.grid.apply_x`, or form it with
-    :func:`~magstark.grid.embed_x`.  Default power is -w.s (the smoothing
+    :func:`~magstark.grid.apply_x`.  Default power is -w.s (the smoothing
     weight of the resolvent probes, requiring s in (1/2, 1)); an explicit
     power builds the matching growing weight used by the trace-class
     experiments.
@@ -409,18 +405,6 @@ def decay_weight(grid: GridSpec, j, delta):
     xf, yf = grid.meshes()
     return ((1.0 + xf * xf) ** (-j * (1.0 + delta) / 2.0)
             * (1.0 + yf * yf) ** (-j * (0.5 + delta) / 2.0))
-
-
-@dataclass(frozen=True)
-class LocalizedSpectrum:
-    """Eigenvalues whose eigenvectors carry >= 0.99 mass in the interior box."""
-
-    values: np.ndarray
-    scores: np.ndarray
-    margin: float
-
-    def __len__(self):
-        return self.values.size
 
 
 LOCALIZATION_THRESHOLD = 0.99
@@ -442,8 +426,9 @@ def localization_scores(dec: SpectralDecomposition, grid: GridSpec, margin):
 
 
 def localized_spectrum(dec: SpectralDecomposition, grid: GridSpec,
-                       margin=0.05) -> LocalizedSpectrum:
-    """Eigenpairs passing the interior-mass test: the discrete proxy for sigma(Q)."""
-    scores = localization_scores(dec, grid, margin)
-    keep = scores > LOCALIZATION_THRESHOLD
-    return LocalizedSpectrum(dec.eigenvalues[keep], scores[keep], margin)
+                       margin=0.05):
+    """Ascending eigenvalues whose eigenvectors carry more than
+    LOCALIZATION_THRESHOLD of their mass in the interior box: the discrete
+    proxy for sigma(Q)."""
+    return dec.eigenvalues[localization_scores(dec, grid, margin)
+                           > LOCALIZATION_THRESHOLD]

@@ -2,7 +2,9 @@
 
 The central identity equates the trace difference tr(f(H) - f(H0)) with the
 commutator-side trace -(1/eps) tr(dxV f(H)).  Both sides are computed from
-eigenvalue sums (never from perturbation determinants).  On a truncated
+eigenvalue sums (never from perturbation determinants): the identity check
+compares them, and the eps-scaling sweep samples the commutator side, which
+needs one eigensolve per eps and has unipolar weights.  On a truncated
 domain the raw trace difference also samples wall states whose contributions
 do not pair between H and H0; the optional wall cutoff reweights the traces
 with a plateau function vanishing in a collar at the walls, which is the
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import (ConfigurationError, GapNotFoundError, GeometryError,
                      SpectralWindowError)
 from .grid import DiscreteOperator, GridSpec
-from .hamiltonian import FieldParams, assemble, partial_x
+from .hamiltonian import FieldParams, assemble
 from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, eigendecompose,
                        localized_spectrum, trace_function,
@@ -123,21 +125,6 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
                               h=max(grid.hx, grid.hy))
 
 
-def commutator_trace_zero(grid: GridSpec, fields: FieldParams,
-                          spec: PotentialSpec, f: BumpFunction):
-    """tr([d/dx, H f(H)]) as an explicit matrix commutator trace.
-
-    Vanishes to round-off in finite dimension for every input; this is the
-    exact backbone the trace identity rests on.
-    """
-    dec = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
-    u = dec.eigenvectors
-    m = (u * (dec.eigenvalues * f(dec.eigenvalues))) @ u.conj().T  # H f(H)
-    d = partial_x(grid)
-    k = d @ m - m @ d
-    return float(np.trace(k).real), float(np.trace(k).imag)
-
-
 def truncation_convergence(grid: GridSpec, fields: FieldParams,
                            spec: PotentialSpec, f: BumpFunction,
                            trunc: TruncationSpec):
@@ -169,24 +156,6 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
     return rows
 
 
-def xi_prime_mollified(decH: SpectralDecomposition, decH0: SpectralDecomposition,
-                       lambda_grid, eta):
-    """Counting difference smoothed by a unit-mass gaussian of width eta."""
-    if not eta > 0:
-        raise ConfigurationError(f"eta must be positive, got {eta}")
-    lam = np.asarray(lambda_grid, dtype=float)
-    norm = 1.0 / (eta * np.sqrt(2.0 * np.pi))
-
-    def smear(evals):
-        out = np.zeros(lam.shape)
-        for block in np.array_split(evals, max(1, evals.size // 512)):
-            out += np.exp(-((lam[:, None] - block[None, :]) ** 2)
-                          / (2.0 * eta * eta)).sum(axis=1)
-        return norm * out
-
-    return smear(decH.eigenvalues) - smear(decH0.eigenvalues)
-
-
 def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin):
     """Lowest interval keeping >= margin distance to every localized Q level.
 
@@ -196,11 +165,10 @@ def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin):
     """
     if not margin > 0:
         raise ConfigurationError(f"margin must be positive, got {margin}")
-    loc = localized_spectrum(decQ, grid)
-    if len(loc) < 2:
+    vals = localized_spectrum(decQ, grid)
+    if vals.size < 2:
         raise GapNotFoundError("fewer than two localized eigenvalues; "
                                "no interior gap exists")
-    vals = np.sort(loc.values)
     gaps = np.diff(vals)
     admissible = np.nonzero(gaps > 2.0 * margin)[0]
     if admissible.size == 0:
@@ -212,39 +180,28 @@ def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin):
 
 
 def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
-                    eps_list, estimator="trace_difference",
-                    wall_cutoff=None) -> ScalingReport:
+                    eps_list, wall_cutoff=None) -> ScalingReport:
     """Sample |<xi', f>| over an eps sweep and fit the log-log slope.
 
-    ``estimator`` selects the trace-difference side of the identity (the
-    definition) or the commutator side ``-(1/eps) tr(dxV f(H))``, which the
-    identity proves equal and which is far less sensitive to the discrete
-    level sampling (a single eigensolve per sample, unipolar weights).
+    Each sample is the commutator side ``-(1/eps) tr(dxV f(H))`` of the
+    identity, which the identity proves equal to the trace difference (the
+    definition; :func:`trace_identity_check` computes both) and which is far
+    less sensitive to the discrete level sampling.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if any(e <= 0 for e in eps_list) or any(
             eps_list[i] <= eps_list[i + 1] for i in range(len(eps_list) - 1)):
         raise ConfigurationError(
             f"eps_list must be positive decreasing, got {eps_list}")
-    if estimator not in ("trace_difference", "commutator"):
-        raise ConfigurationError(f"unknown estimator {estimator!r}")
     fieldsV = eval_potential(spec, grid)
     chi = (np.ones(grid.n_points) if wall_cutoff is None
            else wall_cutoff_weights(grid, wall_cutoff))
     samples = []
     for eps in eps_list:
-        fields = FieldParams(b=b, eps=eps)
-        dech = eigendecompose(assemble(grid, fields, fieldsV.v),
-                              window=f.support)
-        if estimator == "trace_difference":
-            dech0 = eigendecompose(assemble(grid, fields,
-                                            np.zeros(grid.n_points)),
-                                   window=f.support)
-            val = (weighted_trace_function(dech, chi, f)
-                   - weighted_trace_function(dech0, chi, f))
-        else:
-            val = -(1.0 / eps) * weighted_trace_function(
-                dech, chi * fieldsV.dxv, f)
+        dech = eigendecompose(assemble(grid, FieldParams(b=b, eps=eps),
+                                       fieldsV.v), window=f.support)
+        val = -(1.0 / eps) * weighted_trace_function(
+            dech, chi * fieldsV.dxv, f)
         samples.append((eps, abs(val)))
     target = float(spec.decay_n - 2)
     if any(v < 1e-13 for _, v in samples):

@@ -21,10 +21,10 @@ from magstark.mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
                                localized_spectrum)
-from magstark.ssf import (epsilon_scaling, commutator_trace_zero,
-                          resolvent_expansion_check, sigma_q_gap_window,
-                          trace_identity_check)
+from magstark.ssf import (epsilon_scaling, resolvent_expansion_check,
+                          sigma_q_gap_window, trace_identity_check)
 from magstark.traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
+from oracles import commutator_trace_zero
 
 ZERO = PotentialSpec("zero")
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
@@ -86,7 +86,7 @@ def test_criterion_3_zero_potential_degenerate():
 def test_criterion_4_landau_levels():
     g = make_grid(6, 6, 61, 61)
     dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
-    loc = np.sort(localized_spectrum(dec, g, margin=0.05).values)
+    loc = np.sort(localized_spectrum(dec, g, margin=0.05))
     c1 = loc[np.abs(loc - 1.0) <= 0.05]
     c3 = loc[np.abs(loc - 3.0) <= 0.15]
     ok = (c1.size >= 2 and c3.size >= 2
@@ -105,8 +105,8 @@ def test_criterion_5_epsilon_scaling():
     g = make_grid(16, 2.4, 101, 17)
     f = BumpFunction(2.0, 0.5)
     eps_list = (0.4, 0.283, 0.2, 0.141, 0.1)
-    rep3 = epsilon_scaling(g, 1.0, SEP3, f, eps_list, estimator="commutator")
-    rep4 = epsilon_scaling(g, 1.0, SEP4, f, eps_list, estimator="commutator")
+    rep3 = epsilon_scaling(g, 1.0, SEP3, f, eps_list)
+    rep4 = epsilon_scaling(g, 1.0, SEP4, f, eps_list)
     ok = (rep3.slope is not None and 0.5 <= rep3.slope <= 1.5 and rep3.r2 >= 0.9
           and rep4.slope is not None and 1.4 <= rep4.slope <= 2.6
           and rep4.r2 >= 0.9)
@@ -132,7 +132,7 @@ def test_criterion_6_gap_cutoff_slope():
     k = int(np.argmax(gaps))
     chi = BumpFunction(0.5 * (pts[k] + pts[k + 1]),
                        min(0.06, 0.45 * gaps[k]), plateau=0.5)
-    loc = localized_spectrum(decq, g, margin=0.05).values
+    loc = localized_spectrum(decq, g, margin=0.05)
     rep = gap_cutoff_sweep(g, 1.0, spec, chi, (0.2, 0.141, 0.1, 0.071, 0.05),
                        q_localized=loc)
     ok = rep.slope is not None and 1.6 <= rep.slope <= 2.4
@@ -179,7 +179,7 @@ def test_criterion_8_lap_plateau_and_negative_control():
     well = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     h_neg = assemble(g, FieldParams(1.0, eps), eval_potential(well, g).v)
     dec_neg = eigendecompose(h_neg)
-    lam_neg = float(localized_spectrum(dec_neg, g, margin=0.05).values[0])
+    lam_neg = float(localized_spectrum(dec_neg, g, margin=0.05)[0])
     rep_neg = lap_probe(dec_neg, lam_neg, w, deltas)
     ok = rep.plateau_ratio <= 1.15 and rep_neg.sweep_growth >= 5.0
     assert _verdict(8, ok, f"gap plateau ratio {rep.plateau_ratio:.4f} at "

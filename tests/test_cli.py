@@ -147,6 +147,43 @@ def test_spectrum_runner_small(tmp_path):
     assert env["results"]["n_localized"] >= 2
 
 
+@pytest.mark.parametrize("argv,entry", [
+    (["scaling", "--set", "experiment.eps_list=0.4,abc"], "eps_list"),
+    (["expansion-check", "--set", "experiment.orders=1,x"], "orders"),
+    (["convergence", "--of", "prop4", "--levels", "9,x,11"], "--levels")])
+def test_malformed_list_entry_exits_1(argv, entry, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and entry in err
+
+
+def test_spectrum_rejects_a_target_without_a_tolerance(tmp_path, capsys):
+    # a zip over 3 targets and 2 tols would silently drop cluster_5.0
+    code = main(["spectrum", "--set", "experiment.cluster_targets=1.0,3.0,5.0",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "cluster_tols" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("max_exp,min_exp", [(5, 5), (6, 5)])
+def test_lap_probe_needs_two_deltas(max_exp, min_exp, tmp_path, capsys):
+    code = main(["lap-probe", "--set", "grid.nx=13", "--set", "grid.ny=13",
+                 "--set", f"experiment.delta_max_exp={max_exp}",
+                 "--set", f"experiment.delta_min_exp={min_exp}",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "at least two" in capsys.readouterr().err
+
+
+def test_scaling_records_the_stark_order_certificate(tmp_path):
+    cfg = load_config("scaling", None, ["grid.nx=31", "grid.ny=9"])
+    _, env = run("scaling", cfg, tmp_path)
+    assert env["results"]["decay_certificate"] == {
+        "convention": "stark_order", "n": 3, "passed": True, "failed": []}
+    assert set(env["gates"]) == {"slope_window", "r2"}
+
+
 def test_widest_slot_midpoint_and_width():
     from magstark.cli import _widest_slot
     lam = np.array([0.5, 1.0, 1.1, 1.5, 2.0])
@@ -242,6 +279,8 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
     if name == "lemma7":
         assert env["results"] == {
             "slope": None, "r2": None,
+            "decay_certificate": {"convention": "stark_order", "n": 3,
+                                  "passed": True, "failed": []},
             "eigensolve": {"q": {"path": "real_parity", "blocks": [264, 263],
                                  "n": 527, "pairs": 527,
                                  "factor_bytes": 264 * 527 * 8}}}

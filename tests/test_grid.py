@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from magstark.errors import ConfigurationError
-from magstark.grid import (apply_x, d1_op, d2_op, embed_x, make_grid,
-                           position_op)
+from magstark.grid import apply_x, d2_op, make_grid
+from oracles import d1_op, embed_x, interior_mask
 
 
 def test_make_grid_spacings():
@@ -98,19 +98,6 @@ def test_d2_on_quadratic_is_minus_two():
     assert np.allclose(out[1:-1], -2.0, atol=1e-10)
 
 
-def test_position_ops():
-    g = make_grid(2, 2, 9, 9)
-    ident = position_op(g, "x", power=0)
-    assert np.array_equal(ident.mat, np.eye(g.n_points))
-    xop = position_op(g, "x", power=1)
-    assert xop.mat[0, 0] == -2.0
-    yop = position_op(g, "y", power=1)
-    comm = xop.mat @ yop.mat - yop.mat @ xop.mat
-    assert np.max(np.abs(comm)) == 0.0
-    with pytest.raises(ConfigurationError, match="axis"):
-        position_op(g, "z")
-
-
 def test_apply_x_matches_the_kron_embedding():
     g = make_grid(3, 3, 12, 10)
     rng = np.random.default_rng(5)
@@ -125,7 +112,7 @@ def test_product_rule_commutator_is_averaging():
     # [d1 (x) I, X] = -i * averaging stencil, an exact matrix identity
     g = make_grid(3, 3, 12, 10)
     d = embed_x(g, d1_op(g.nx, g.hx))
-    x = position_op(g, "x").mat
+    x = np.diag(g.meshes()[0])
     comm = d @ x - x @ d
     avg = np.zeros((g.nx, g.nx))
     idx = np.arange(g.nx - 1)
@@ -145,7 +132,7 @@ def test_product_rule_converges_to_identity():
         d = embed_x(g, d1_op(g.nx, g.hx))
         x = np.diag(xf)
         out = 1j * (d @ (x @ u) - x @ (d @ u))
-        mask = g.interior_mask(band=2)
+        mask = interior_mask(g, band=2)
         errs.append(np.max(np.abs(out[mask] - u[mask])))
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
     assert order > 1.9

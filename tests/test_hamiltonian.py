@@ -3,13 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magstark.grid import (DiscreteOperator, d1_op, d2_op, embed_x, make_grid,
-                           position_op)
+from magstark.grid import DiscreteOperator, d2_op, make_grid
 from magstark.errors import CapacityError, ConfigurationError
-from magstark.hamiltonian import (FieldParams, assemble, commutator_dx,
-                                  partial_x)
+from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import eigendecompose, localized_spectrum
+from oracles import commutator_dx, d1_op, embed_x, interior_mask, partial_x
 
 GRID = make_grid(6, 6, 25, 25)
 NO_V = np.zeros(GRID.n_points)
@@ -94,7 +93,7 @@ def test_assembled_operators_exactly_hermitian():
     for op in (assemble(GRID, fields, NO_V),
                assemble(GRID, FieldParams(b=1.0), GAUSS_V),
                assemble(GRID, fields, GAUSS_V)):
-        assert op.hermiticity_defect() == 0.0
+        assert np.array_equal(op.mat, op.mat.conj().T)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -112,7 +111,7 @@ def test_assembled_operators_exactly_t_symmetric(family, eps):
 def test_eps_linearity():
     h1 = assemble(GRID, FieldParams(b=1.0, eps=1.0), NO_V)
     h0 = assemble(GRID, FieldParams(b=1.0, eps=0.0), NO_V)
-    x = position_op(GRID, "x").mat
+    x = np.diag(GRID.meshes()[0])
     assert np.array_equal(h1.mat - x, h0.mat)
 
 
@@ -149,7 +148,7 @@ def test_landau_level_small_grid():
     dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
     loc = localized_spectrum(dec, g, margin=0.05)
     assert len(loc) >= 2
-    lowest = np.sort(loc.values)[:2]
+    lowest = np.sort(loc)[:2]
     assert np.all(np.abs(lowest - 1.0) < 0.05)
 
 
@@ -160,7 +159,7 @@ def test_attractive_gaussian_pulls_below_landau():
                                   eval_potential(well, g).v))
     loc = localized_spectrum(dec, g, margin=0.05)
     assert len(loc) >= 1
-    assert np.min(loc.values) < 0.95
+    assert np.min(loc) < 0.95
 
 
 def test_commutator_zero_potential_interior_is_averaging():
@@ -173,7 +172,7 @@ def test_commutator_zero_potential_interior_is_averaging():
     avg[idx, idx + 1] = 0.5
     avg[idx + 1, idx] = 0.5
     expected = 0.5 * np.kron(np.eye(GRID.ny), avg)
-    mask = GRID.interior_mask(band=1)
+    mask = interior_mask(GRID, band=1)
     diff = np.abs(comm - expected)[np.ix_(mask, mask)]
     assert np.max(diff) < 1e-12
 
@@ -205,7 +204,7 @@ def test_commutator_general_potential_second_order():
         xf, yf = g.meshes()
         u = np.exp(-(xf ** 2 + yf ** 2) / 2.0)
         target = (0.5 + pv.dxv) * u
-        mask = g.interior_mask(band=2)
+        mask = interior_mask(g, band=2)
         errs.append(np.max(np.abs((comm @ u - target)[mask])))
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
     assert order > 1.8

@@ -3,12 +3,13 @@ import pytest
 
 from magstark.errors import (ConfigurationError, NearSingularityError,
                              SpectralWindowError)
-from magstark.grid import embed_x, make_grid
+from magstark.grid import make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import lap_probe, gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
                                localized_spectrum, weight_dx_s)
+from oracles import embed_x
 
 ZERO = PotentialSpec("zero")
 GRID = make_grid(6, 6, 31, 31)
@@ -74,7 +75,7 @@ def test_gap_cutoff_norm_vanishes_on_spectrum_free_cutoff():
     dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
     chi = _gap_slot_chi(dec)
     val = gap_cutoff_norm(g, FieldParams(b=1.0, eps=0.0), ZERO, chi,
-                      q_localized=localized_spectrum(dec, g).values)
+                      q_localized=localized_spectrum(dec, g))
     assert val <= 1e-6
 
 
@@ -101,7 +102,7 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     h = assemble(GRID, fields, eval_potential(spec, GRID).v)
     dec = eigendecompose(h)
     loc = localized_spectrum(dec, GRID, margin=0.05)
-    lam0 = float(loc.values[0])
+    lam0 = float(loc[0])
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
     rep = lap_probe(dec, lam0, WeightSpec(s=0.75), deltas)
     assert rep.sweep_growth >= 5.0

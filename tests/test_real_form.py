@@ -22,11 +22,12 @@ from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, SpectralDecomposition,
-                               apply_function, eigendecompose,
-                               localization_scores, localized_spectrum,
-                               trace_function, weighted_trace_function)
+                               eigendecompose, localization_scores,
+                               localized_spectrum, trace_function,
+                               weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
+from oracles import apply_function
 
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
 FIELDS = FieldParams(b=1.0, eps=0.5)
@@ -244,7 +245,7 @@ def test_parity_split_matches_unsplit_real_form(n, family, eigh_orders):
                    - weighted_trace_function(ref, w, F)) <= 1e-11
     loc, ref_loc = localized_spectrum(dec, g), localized_spectrum(ref, g)
     assert len(loc) == len(ref_loc) > 0
-    assert np.max(np.abs(loc.values - ref_loc.values)) <= 1e-12 * scale
+    assert np.max(np.abs(loc - ref_loc)) <= 1e-12 * scale
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,9 +9,9 @@ from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import BumpFunction, eigendecompose, trace_function
 from magstark.ssf import (TruncationSpec, epsilon_scaling,
                           resolvent_expansion_check, sigma_q_gap_window,
-                          trace_identity_check, commutator_trace_zero,
-                          truncation_convergence, wall_cutoff_weights,
-                          xi_prime_mollified)
+                          trace_identity_check, truncation_convergence,
+                          wall_cutoff_weights)
+from oracles import commutator_trace_zero, xi_prime_mollified
 
 ZERO = PotentialSpec("zero")
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
@@ -189,10 +189,8 @@ def test_epsilon_scaling_slope_invariant_under_f_rescale():
     spec = PotentialSpec("separable_power", amplitude=1.0, decay_n=3,
                          decay_delta=0.5)
     f = BumpFunction(2.0, 0.5)
-    rep1 = epsilon_scaling(g, 1.0, spec, f, (0.4, 0.2, 0.1),
-                           estimator="commutator")
-    rep2 = epsilon_scaling(g, 1.0, spec, _ScaledBump(f, 3.0), (0.4, 0.2, 0.1),
-                           estimator="commutator")
+    rep1 = epsilon_scaling(g, 1.0, spec, f, (0.4, 0.2, 0.1))
+    rep2 = epsilon_scaling(g, 1.0, spec, _ScaledBump(f, 3.0), (0.4, 0.2, 0.1))
     assert np.isclose(rep1.slope, rep2.slope, rtol=1e-9)
     assert rep1.r2 == pytest.approx(rep2.r2, rel=1e-9)
 
@@ -201,8 +199,6 @@ def test_epsilon_scaling_validation():
     g = make_grid(6, 6, 21, 21)
     with pytest.raises(ConfigurationError, match="decreasing"):
         epsilon_scaling(g, 1.0, GAUSS, F, (0.1, 0.2))
-    with pytest.raises(ConfigurationError, match="estimator"):
-        epsilon_scaling(g, 1.0, GAUSS, F, (0.2, 0.1), estimator="magic")
 
 
 def test_resolvent_expansion_exact():
