@@ -262,6 +262,10 @@ def _run_spectrum(grid, fields, spec, f, e):
         raise ConfigurationError(
             f"cluster_targets has {len(targets)} entries but cluster_tols "
             f"has {len(tols)}; give one tolerance per target")
+    if len(set(targets)) != len(targets):
+        raise ConfigurationError(
+            f"cluster_targets repeats a target, got {targets}; each target "
+            f"names one gate")
     # the Landau clusters belong to Q, the eps = 0 member of the family
     dec = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
     scores = localization_scores(dec, grid, e["margin"])
@@ -504,6 +508,9 @@ def run_convergence(experiment, cfg, levels, outdir):
     """
     if len(levels) < 3:
         raise ConfigurationError(f"need at least 3 levels, got {levels}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigurationError(
+            f"levels must increase strictly, coarsest first, got {levels}")
     exp = EXPERIMENTS.get(experiment)
     if exp is None or exp.observable is None:
         graded = sorted(n for n, x in EXPERIMENTS.items() if x.observable)

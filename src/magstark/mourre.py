@@ -7,6 +7,11 @@ for any spectral projector P of H, so its compression is never positive; the
 Dirichlet corner terms carry the compensating negative weight.  The
 multiplication form is the quantity the positivity statement actually
 controls.
+
+The limiting-absorption probe reads every weighted resolvent of its delta
+sweep from one eigendecomposition of H, in the real eigenvector factor
+whenever H has a real form, and each norm from a Gram eigensolve
+(:func:`~magstark.traces.operator_norm`).
 """
 
 import warnings
@@ -107,13 +112,23 @@ def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
 
     Every resolvent is read from the full eigendecomposition ``dec`` of H:
     with G = <Dx>^-s U and d = 1/(z - lam_k), the weighted resolvent at
-    z = lam + i delta is G diag(d) G*, so the sweep costs one product per
-    delta and no solve.  A certificate stands in for the residual check of
-    :func:`~magstark.traces.resolvent`: with E = H U - U diag(lam_k) and
-    O = U*U - I, (z - H) U diag(d) U* - I = (UU* - I) - E diag(d) U*, whose
-    Frobenius norm (a bound on its largest entry) is at most
-    ||E||_F max|d| ||U||_2 + ||O||_F, since U is square (so UU* - I has the
-    Frobenius norm of O) and ||U||_2^2 <= 1 + ||O||_F.  A bound
+    z = lam + i delta is G diag(d) G*, so the sweep costs one product and
+    one operator norm per delta and no solve.
+
+    A real factor keeps the sweep real: U = (phi + i P_y phi)/sqrt(2) = Y phi
+    with Y = (I + i P_y)/sqrt(2) unitary, and <Dx>^-s = kron(I, w1d)
+    commutes with P_y, so G = Y (<Dx>^-s phi) and the weighted resolvent is
+    Y [G diag(d) G^T] Y* with G = <Dx>^-s phi real: the bracket has the
+    same norm and is formed by one real product.
+
+    A certificate stands in for the residual check of
+    :func:`~magstark.traces.resolvent`, in the factor F the sweep uses (U,
+    or phi with the real form R = Y* H Y in place of H): with
+    E = H F - F diag(lam_k) and O = F*F - I,
+    (z - H) F diag(d) F* - I = (FF* - I) - E diag(d) F*, whose Frobenius
+    norm (a bound on its largest entry) is at most
+    ||E||_F max|d| ||F||_2 + ||O||_F, since F is square (so FF* - I has the
+    Frobenius norm of O) and ||F||_2^2 <= 1 + ||O||_F.  A bound
     over RESIDUAL_TOL raises :class:`NearSingularityError`; the report keeps
     the largest bound of the sweep as ``residual_bound``.
     """
@@ -127,23 +142,49 @@ def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
         raise ConfigurationError(
             f"lap_probe needs the full eigendecomposition of H, got the "
             f"window {dec.window}")
-    h, u, ev = dec.source, dec.eigenvectors, dec.eigenvalues
-    e_fro = np.linalg.norm(h.stencil_apply(u) - u * ev)
-    gram = u.conj().T @ u
+    h, ev, grid = dec.source, dec.eigenvalues, dec.source.grid
+    f = dec.real_eigenvectors()
+    if f is None:
+        f = dec.eigenvectors
+        e = h.stencil_apply(f) - f * ev
+    else:
+        # R = Re H - (Im H) P_y = Re H + P_y Im H, since T-symmetry makes
+        # Im H anticommute with P_y; so R phi = Re(H phi) + P_y Im(H phi)
+        hf = h.stencil_apply(f)
+        e = hf.real - f * ev
+        e.reshape(grid.ny, grid.nx, -1)[::-1] += hf.imag.reshape(
+            grid.ny, grid.nx, -1)
+        del hf
+    e_fro = np.linalg.norm(e)
+    del e
+    gram = f.conj().T @ f
     gram[np.diag_indices(dec.dim)] -= 1.0
     o_fro = np.linalg.norm(gram)
-    u_norm = np.sqrt(1.0 + o_fro)
-    g = apply_x(h.grid, weight_dx_s(h.grid, w), u)  # <Dx>^-s U
-    g_adj = g.conj().T
+    del gram
+    f_norm = np.sqrt(1.0 + o_fro)
+    g = apply_x(grid, weight_dx_s(grid, w), f)  # <Dx>^-s F
     norms, bounds = [], []
     for delta in deltas:
         z = lam + 1j * delta
         d = 1.0 / (z - ev)
-        bound = float(e_fro * np.max(np.abs(d)) * u_norm + o_fro)
+        bound = float(e_fro * np.max(np.abs(d)) * f_norm + o_fro)
         if bound > RESIDUAL_TOL:
             raise NearSingularityError(
                 f"eigenbasis resolvent at z = {z} has residual bound "
                 f"{bound:.3g} > {RESIDUAL_TOL}")
         bounds.append(bound)
-        norms.append(operator_norm((g * d) @ g_adj))
+        norms.append(operator_norm(_sandwich(g, d)))
     return ProbeReport(deltas, tuple(norms), residual_bound=max(bounds))
+
+
+def _sandwich(g, d):
+    """G diag(d) G* for a complex d.
+
+    For a real G it is one real product: diag(d) G^T, read as real numbers,
+    interleaves the columns of diag(Re d) G^T and diag(Im d) G^T, so G times
+    it holds G diag(d) G^T in the same interleaved layout.
+    """
+    if np.iscomplexobj(g):
+        return (g * d) @ g.conj().T
+    b = np.multiply(d[:, None], g.T, order="C")
+    return (g @ b.view(float)).view(complex)

@@ -39,7 +39,8 @@ Weighted densities w @ |U|^2, which localization scores, weighted traces
 and the probe weights of prop2 all reduce to, are read from that factor by
 :meth:`SpectralDecomposition.weighted_density`; the complex U is built from
 it only when ``eigenvectors`` is read, so a caller that needs densities
-alone never holds an N x N complex matrix.
+alone never holds an N x N complex matrix.  A caller that can work in the
+real form reads phi itself from :meth:`SpectralDecomposition.real_eigenvectors`.
 """
 
 from dataclasses import dataclass
@@ -92,6 +93,22 @@ class SpectralDecomposition:
             mj = ny - 1 - j
             u.imag[j * nx:(j + 1) * nx] = u.real[mj * nx:(mj + 1) * nx]
         return u
+
+    def real_eigenvectors(self):
+        """phi, the eigenvectors of the real form, with U = (phi + i P_y
+        phi)/sqrt(2); None for a complex factor.
+
+        The parity-block vectors are scattered to their N rows.
+        """
+        a = self.factor
+        if np.iscomplexobj(a):
+            return None
+        if self.parity is None:
+            return a
+        phi = np.empty((self.source.dim, a.shape[1]))
+        _write_parity_vectors(phi, a, self.parity, self.source.grid.nx)
+        phi *= np.sqrt(2.0)  # _write_parity_vectors writes phi/sqrt(2)
+        return phi
 
     def weighted_density(self, w):
         """w @ |U|^2 for a real weight vector w on the grid, from the factor.

@@ -166,6 +166,29 @@ def test_spectrum_rejects_a_target_without_a_tolerance(tmp_path, capsys):
     assert not (tmp_path / "spectrum.json").exists()
 
 
+def test_spectrum_rejects_a_repeated_target(tmp_path, capsys):
+    # gates are keyed by target, so a repeat would silently drop one
+    code = main(["spectrum", "--set", "grid.nx=21", "--set", "grid.ny=21",
+                 "--set", "experiment.cluster_targets=1.0,1.0",
+                 "--set", "experiment.cluster_tols=0.05,0.5",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "repeats" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("levels", ["27,21,15", "15,15,21"])
+def test_convergence_levels_must_increase(levels, tmp_path, capsys):
+    # the two finest grids are the last two levels, and a repeated level
+    # would divide the order fit by log 1 = 0
+    for of in ("appendix-norms", "expansion-check"):
+        code = main(["convergence", "--of", of, "--levels", levels,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "increase strictly" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("max_exp,min_exp", [(5, 5), (6, 5)])
 def test_lap_probe_needs_two_deltas(max_exp, min_exp, tmp_path, capsys):
     code = main(["lap-probe", "--set", "grid.nx=13", "--set", "grid.ny=13",
@@ -307,6 +330,27 @@ def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
               "factor_bytes": 169 * 169 * 8},
         "q": {"path": "real_parity", "blocks": [85, 84], "n": 169,
               "pairs": 169, "factor_bytes": 85 * 169 * 8}}
+
+
+def test_lap_probe_reads_each_norm_from_one_gram_eigensolve(tmp_path,
+                                                         monkeypatch):
+    # operator_norm takes no SVD: one values-only eigvalsh per delta
+    import scipy.linalg
+
+    def no_svd(*a, **k):
+        raise AssertionError("lap-probe called scipy.linalg.svdvals")
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    code, _ = run("lap-probe",
+                  load_config("lap-probe", None, ["grid.nx=13", "grid.ny=13"]),
+                  tmp_path)
+    assert code == 0
+    rows = (tmp_path / "lap-probe.csv").read_text().strip().splitlines()
+    assert len(calls) == len(rows) - 1 == 8
 
 
 def test_mourre_records_its_clamped_amplitude(tmp_path):

@@ -212,6 +212,22 @@ def test_resolvent_expansion_exact():
     assert r2 <= 1e-8 and r3 <= 1e-8
 
 
+def test_resolvent_expansion_serves_every_order_from_one_pass(monkeypatch):
+    # orders come back in the order asked, from one ascending pass that
+    # takes no matrix power
+    g = make_grid(6, 6, 15, 15)
+    q = assemble(g, FieldParams(1.0), eval_potential(GAUSS, g).v)
+    h = assemble(g, FieldParams(1.0, 0.3), eval_potential(GAUSS, g).v)
+    r1, r2, r3 = resolvent_expansion_check(q, h, 0.3, 2.0 + 0.5j, (1, 2, 3))
+
+    def no_power(*a, **k):
+        raise AssertionError("matrix_power called")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+    assert resolvent_expansion_check(q, h, 0.3, 2.0 + 0.5j,
+                                     (3, 1, 3)) == [r3, r1, r3]
+
+
 def test_resolvent_expansion_eps_zero():
     g = make_grid(6, 6, 21, 21)
     q = assemble(g, FieldParams(1.0), eval_potential(GAUSS, g).v)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magstark.errors import ConfigurationError, NearSingularityError
 from magstark.grid import DiscreteOperator, make_grid
@@ -46,6 +49,36 @@ def test_norm_inequalities():
     tn, fn = nuclear_norm(m), frobenius_norm(m)
     assert tn >= fn >= tn / np.sqrt(40) - 1e-12
     assert abs(np.trace(m)) <= tn + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.integers(0, 12),
+       rank=st.integers(0, 12), complex_=st.booleans(),
+       layout=st.sampled_from(["C", "F", "reversed"]),
+       scale=st.sampled_from([1e-30, 1.0, 1e30]), seed=st.integers(0, 2 ** 16))
+def test_operator_norm_matches_the_top_singular_value(rows, cols, rank,
+                                                      complex_, layout,
+                                                      scale, seed):
+    # tall, wide and square; real and complex; full rank, rank-deficient,
+    # all-zero (rank 0) and empty; any memory layout
+    rng = np.random.default_rng(seed)
+    k = min(rank, rows, cols)
+
+    def draw(shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+    m = scale * (draw((rows, k)) @ draw((k, cols)))
+    if layout == "F":
+        m = np.asfortranarray(m)
+    elif layout == "reversed":
+        m = m[::-1, ::-1]
+    sv = scipy.linalg.svdvals(m)
+    expected = float(sv[0]) if sv.size else 0.0
+    got = operator_norm(m)
+    assert abs(got - expected) <= 1e-12 * expected
+    if k == 0:
+        assert got == 0.0
 
 
 GRID = make_grid(6, 6, 21, 21)
