@@ -23,6 +23,7 @@ import argparse
 import configparser
 import copy
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -144,16 +145,15 @@ def _run_mourre(grid, fields, spec, f, e):
     else:
         name, thr = "bound_above_half_eps", fields.eps / 2.0 - slack
         ok = bound >= thr
-    # +inf is mourre_gap_bound's sentinel for a window with no eigenvalue,
-    # which bounds nothing
-    empty = np.isinf(bound)
-    results = {"bound": None if empty else bound, "eps": fields.eps,
+    results = {"bound": bound, "eps": fields.eps,
                "amplitude": spec.amplitude, "amplitude_used": used.amplitude}
-    if empty:
+    # +inf is mourre_gap_bound's sentinel for a window with no eigenvalue,
+    # which bounds nothing: run() writes it as null and fails the gate
+    if np.isinf(bound):
         results["reason"] = "empty_window"
     rows = [("window_lo", "window_hi", "bound"),
             (e["window_lo"], e["window_hi"], bound)]
-    return rows, results, {name: (results["bound"], thr, ok and not empty)}
+    return rows, results, {name: (bound, thr, ok)}
 
 
 def _widest_slot(lam, lo, hi):
@@ -226,14 +226,13 @@ def _run_prop2(grid, fields, spec, f, e):
                       delta_list=_list("delta_list", e["delta_list"]))
     rep = tracebound_sweep(h, v, probe)
     rows = [("delta", "product")] + list(zip(rep.deltas, rep.products))
+    results = {"re_z": re_z, "products": list(rep.products),
+               "spread": rep.spread}
     # the spread is +inf when a product is 0 beside a nonzero one
-    bounded = np.isfinite(rep.spread)
-    spread = rep.spread if bounded else None
-    results = {"re_z": re_z, "products": list(rep.products), "spread": spread}
-    if not bounded:
+    if not np.isfinite(rep.spread):
         results["reason"] = "zero_product"
-    ok = bounded and rep.spread <= e["spread_max"]
-    return rows, results, {"spread": (spread, e["spread_max"], ok)}
+    ok = rep.spread <= e["spread_max"]
+    return rows, results, {"spread": (rep.spread, e["spread_max"], ok)}
 
 
 def _run_prop4(grid, fields, spec, f, e):
@@ -243,16 +242,16 @@ def _run_prop4(grid, fields, spec, f, e):
     val = resolvent_chain_tracenorm(q, pv.dxv, int(e["order"]), w,
                                     complex(e["re_z"], e["im_z"]))
     rows = [("order", "trace_norm"), (int(e["order"]), val)]
-    return rows, {"trace_norm": val}, \
-        {"finite": (val, None, np.isfinite(val))}
+    # run() fails a non-finite gate value
+    return rows, {"trace_norm": val}, {"finite": (val, None, True)}
 
 
 def _run_appendix(grid, fields, spec, f, e):
     h0 = assemble(grid, fields, np.zeros(grid.n_points))
     res = weighted_resolvent_norms(h0, WeightSpec(s=e["s"], delta=e["delta"]), grid)
     rows = [("hs1", "tr2"), (res["hs1"], res["tr2"])]
-    ok = np.isfinite(res["hs1"]) and np.isfinite(res["tr2"])
-    return rows, res, {"finite": ((res["hs1"], res["tr2"]), None, ok)}
+    # run() fails a non-finite gate value
+    return rows, res, {"finite": ((res["hs1"], res["tr2"]), None, True)}
 
 
 def _run_spectrum(grid, fields, spec, f, e):
@@ -458,43 +457,65 @@ def write_csv(path, rows):
 
 
 def _emit(outdir, stem, rows, envelope):
-    """Write <stem>.csv and the <stem>.json envelope under outdir."""
+    """Write <stem>.csv and the <stem>.json envelope under outdir, each under
+    a temporary name first, so a failed write leaves no half-written file."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / f"{stem}.csv", rows)
-    with (outdir / f"{stem}.json").open("w", encoding="utf-8") as fh:
-        json.dump(envelope, fh, indent=2, default=_jsonable, allow_nan=False)
-        fh.write("\n")
+    paths = [outdir / f"{stem}.csv", outdir / f"{stem}.json"]
+    tmps = [p.with_name(f".{p.name}.tmp") for p in paths]
+    try:
+        write_csv(tmps[0], rows)
+        text = json.dumps(envelope, indent=2, allow_nan=False)
+        tmps[1].write_text(text + "\n", encoding="utf-8")
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def run(experiment, cfg, outdir):
-    """Execute one experiment, write envelope + CSV, return (exit_code, envelope)."""
+    """Execute one experiment, write envelope + CSV, return (exit_code, envelope).
+
+    A non-finite value is written as null, with results.reason "non_finite"
+    unless the runner set one, and fails its gate if it is a gate value.
+    """
     t0 = time.time()
     rows, results, gates = EXPERIMENTS[experiment].run(*_model(cfg))
     wall = time.time() - t0
-    verdicts = {name: bool(ok) for name, (_, _, ok) in gates.items()}
+    bad, report = [], {}
+    results = _plain(results, bad)
+    for name, (val, thr, ok) in gates.items():
+        seen = len(bad)
+        val = _plain(val, bad)
+        ok = bool(ok) and len(bad) == seen
+        report[name] = {"value": val, "threshold": _plain(thr, bad), "pass": ok}
+    if bad:
+        results.setdefault("reason", "non_finite")
     envelope = {
         "experiment": experiment,
         "version": __version__,
         "config": cfg,
         "results": results,
-        "gates": {name: {"value": _jsonable(val), "threshold": _jsonable(thr),
-                         "pass": bool(ok)}
-                  for name, (val, thr, ok) in gates.items()},
-        "all_pass": all(verdicts.values()),
+        "gates": report,
+        "all_pass": all(g["pass"] for g in report.values()),
         "timings": {"wall_seconds": wall},
     }
     _emit(outdir, experiment, rows, envelope)
     return (0 if envelope["all_pass"] else 2), envelope
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, tuple):
-        return list(v)
+def _plain(v, bad):
+    """v in plain JSON types, each non-finite float None and added to bad."""
+    if isinstance(v, (np.generic, np.ndarray)):
+        v = v.tolist()
+    if isinstance(v, dict):
+        return {k: _plain(x, bad) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x, bad) for x in v]
+    if isinstance(v, float) and not np.isfinite(v):
+        bad.append(v)
+        return None
     return v
 
 

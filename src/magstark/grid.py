@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -61,60 +61,96 @@ def _odd_samples(l, n):
     return 0.5 * (s - s[::-1])
 
 
+DENSE_BYTES_MAX = 16 * 6400 ** 2  # a complex N x N matrix up to 80 x 80 points
+
+
+def checked_zeros(shape, dtype=float, order="C"):
+    """np.zeros(shape, dtype, order), refused with :class:`CapacityError`
+    before allocation when its bytes exceed DENSE_BYTES_MAX."""
+    nbytes = np.dtype(dtype).itemsize * int(np.prod(shape))
+    if nbytes > DENSE_BYTES_MAX:
+        raise CapacityError(f"a dense {shape} array of {nbytes} bytes exceeds "
+                            f"the dense limit of {DENSE_BYTES_MAX} bytes")
+    return np.zeros(shape, dtype, order)
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Hermitian matrix on a grid."""
+    """Hermitian 5-point stencil M on a grid, held as its coefficients.
 
-    mat: np.ndarray
+    For grid point k = j*nx + i, M[k, k] = diag[k] (real), M[k, k+1] =
+    conj(M[k+1, k]) = xhop[j, i] for i < nx - 1, and M[k, k+-nx] = yhop
+    (real); every other entry is zero.  :meth:`dense` builds M on demand.
+    """
+
+    diag: np.ndarray
+    xhop: np.ndarray
+    yhop: float
     grid: GridSpec
 
     @property
     def dim(self):
-        return self.mat.shape[0]
+        return self.diag.size
+
+    def entries(self, k, l):
+        """M[k, l] for flat index arrays k, l of one shape."""
+        d, hop = l - k, np.zeros(self.dim, dtype=complex)
+        hop.reshape(self.grid.ny, -1)[:, :-1] = self.xhop  # 0 at row ends
+        out = np.zeros(k.shape, dtype=complex)
+        out[d == 0] = self.diag[k[d == 0]]
+        out[d == 1] = hop[k[d == 1]]
+        # M[l+1, l] = conj(hop[l]), with 0.0 - im so no zero turns negative
+        out.real[d == -1] = hop.real[l[d == -1]]
+        out.imag[d == -1] = 0.0 - hop.imag[l[d == -1]]
+        out[np.abs(d) == self.grid.nx] = self.yhop
+        return out
+
+    def real_entries(self, k, l):
+        """R[k, l] of the real form R = Re M - (Im M) P_y, entry by entry."""
+        return self.entries(k, l).real - self.entries(k, self.flip_y(l)).imag
+
+    def flip_y(self, k):
+        """P_y on flat indices: grid row j to row ny-1-j."""
+        return k + (self.grid.ny - 1 - 2 * (k // self.grid.nx)) * self.grid.nx
+
+    def near(self, k):
+        """(row, column) index pairs holding every nonzero of rows k of M and
+        of its real form: the 5-point stencil and P_y of the x neighbours.
+        Indices past an edge are clipped; a repeated entry gets one value."""
+        nx, n = self.grid.nx, self.dim
+        c = np.clip(k[:, None] + np.array([0, 1, -1, nx, -nx]), 0, n - 1)
+        c = np.hstack([c, self.flip_y(c[:, 1:3])])
+        return np.broadcast_to(k[:, None], c.shape), c
+
+    def dense(self, z=None):
+        """M as a complex N x N array, or z - M when z is given, written
+        straight from the stencil."""
+        n = self.dim
+        m = checked_zeros((n, n), complex)
+        k, c = self.near(np.arange(n))
+        vals = self.entries(k, c)
+        m[k, c] = vals if z is None else np.where(k == c, z, 0) - vals
+        return m
 
     def stencil_apply(self, x):
-        """M @ x for an N x k block x, from the diagonals of M at offsets 0,
-        +-1 and +-nx.
-
-        Every assembled operator is a 5-point stencil on the grid, so this
-        costs O(N) per column where a dense product costs O(N^2).  M is first
-        checked, in O(N^2), to hold no nonzero off those five diagonals; a
-        matrix that does raises :class:`ConfigurationError`.
-        """
-        m, nx, n = self.mat, self.grid.nx, self.dim
-        diags = {k: np.diagonal(m, k) for k in (0, 1, -1, nx, -nx)}
-        off = np.count_nonzero(m) - sum(map(np.count_nonzero, diags.values()))
-        if off:
-            raise ConfigurationError(
-                f"M has {off} nonzeros off the 5-point stencil "
-                f"(diagonals 0, +-1, +-{nx})")
-        y = diags[0][:, None] * x
-        for k in (1, nx):
-            y[:n - k] += diags[k][:, None] * x[k:]
-            y[k:] += diags[-k][:, None] * x[:n - k]
+        """M @ x for an N x k block x, in O(N) per column."""
+        ny, nx = self.grid.ny, self.grid.nx
+        y = (self.diag[:, None] * x).astype(complex, copy=False)
+        y3, x3, hop = y.reshape(ny, nx, -1), x.reshape(ny, nx, -1), self.xhop
+        y3[:, :-1] += hop[..., None] * x3[:, 1:]
+        y3[:, 1:] += hop.conj()[..., None] * x3[:, :-1]
+        y[:-nx] += self.yhop * x[nx:]
+        y[nx:] += self.yhop * x[:-nx]
         return y
 
     def is_t_symmetric(self):
-        """True when conj(M) == P_y M P_y holds bitwise.
-
-        P_y is the reflection y -> -y, which maps the row block of grid row j
-        to that of row ny-1-j; with K the complex conjugation, this says M
-        commutes with the antiunitary K P_y.  The check runs one pair of
-        mirrored row blocks at a time, so it allocates no N x N temporary.
-        """
-        nx, ny = self.grid.nx, self.grid.ny
-        n = self.dim
-        if n != nx * ny:
-            return False
-        m = self.mat
-        for j in range((ny + 1) // 2):
-            rows = m[j * nx:(j + 1) * nx]
-            mirror = m[(ny - 1 - j) * nx:(ny - j) * nx]
-            if not np.array_equal(
-                    rows.conj(),
-                    mirror.reshape(nx, ny, nx)[:, ::-1].reshape(nx, n)):
-                return False
-        return True
+        """True when conj(M) == P_y M P_y holds bitwise, i.e. M commutes with
+        the antiunitary K P_y (K the complex conjugation, P_y the reflection
+        y -> -y): diag is even in y, and xhop of grid row j is the conjugate
+        of that of row ny-1-j."""
+        d = self.diag.reshape(self.grid.ny, self.grid.nx)
+        return (np.array_equal(d, d[::-1])
+                and np.array_equal(self.xhop.conj(), self.xhop[::-1]))
 
 
 def make_grid(lx, ly, nx, ny) -> GridSpec:
@@ -136,13 +172,8 @@ def d2_op(n, h):
         raise ConfigurationError(f"n must be at least 8, got {n}")
     if not h > 0:
         raise ConfigurationError(f"h must be positive, got {h}")
-    m = np.zeros((n, n))
     c = 1.0 / (h * h)
-    np.fill_diagonal(m, 2.0 * c)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -c
-    m[idx + 1, idx] = -c
-    return m
+    return c * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
 
 
 def apply_x(grid: GridSpec, m1d, a):

@@ -16,18 +16,17 @@ row of grid point (i, j) carries a 5-point stencil plus the cross term:
     (i +- 1, j)     -cx + i (-2B y_j)(-+c1)
     (i, j +- 1)     -cy
 
-It is written straight into one complex N x N array, so assembly holds a
-single dense matrix, whose size in bytes is checked before it is allocated.
+The operator holds these coefficients and nothing else, so assembly costs
+O(N) time and memory; the solvers write the dense arrays they need (M, z - M,
+the real form, its parity blocks) straight from them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError
+from .errors import ConfigurationError
 from .grid import DiscreteOperator, GridSpec
-
-DENSE_BYTES_MAX = 16 * 6400 ** 2  # a complex N x N matrix up to 80 x 80 points
 
 
 @dataclass(frozen=True)
@@ -50,24 +49,13 @@ def assemble(grid: GridSpec, fields: FieldParams, v) -> DiscreteOperator:
     ``v`` is the sampled potential on the flat grid (length N); pass zeros
     for H0, and ``FieldParams(b)`` (eps = 0) for Q.
     """
-    nx, n = grid.nx, grid.n_points
-    if 16 * n * n > DENSE_BYTES_MAX:
-        raise CapacityError(f"a dense {n} x {n} complex matrix exceeds the "
-                            f"dense limit of {DENSE_BYTES_MAX} bytes")
     b = fields.b
     cx = 1.0 / (grid.hx * grid.hx)
     cy = 1.0 / (grid.hy * grid.hy)
     c1 = 1.0 / (2.0 * grid.hx)
     xf, yf = grid.meshes()
-    m = np.zeros((n, n), dtype=complex)
-    k = np.arange(n)
-    m[k, k] = (2.0 * cx + 2.0 * cy) + (b * yf) ** 2 + fields.eps * xf + v
-    # x neighbours: every point but the last of each grid row
-    k = k[(k % nx) != nx - 1]
-    cross = -2.0 * b * yf[k]
-    m[k, k + 1] = -cx + 1j * (cross * -c1)
-    m[k + 1, k] = -cx + 1j * (cross * c1)
-    k = np.arange(n - nx)
-    m[k, k + nx] = -cy
-    m[k + nx, k] = -cy
-    return DiscreteOperator(m, grid)
+    diag = (2.0 * cx + 2.0 * cy) + (b * yf) ** 2 + fields.eps * xf + v
+    # the x coupling of grid row j, between (i, j) and (i + 1, j)
+    cross = -2.0 * b * grid.y
+    xhop = np.repeat((-cx + 1j * (cross * -c1))[:, None], grid.nx - 1, axis=1)
+    return DiscreteOperator(diag, xhop, -cy, grid)

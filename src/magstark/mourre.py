@@ -124,7 +124,8 @@ def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
     A certificate stands in for the residual check of
     :func:`~magstark.traces.resolvent`, in the factor F the sweep uses (U,
     or phi with the real form R = Y* H Y in place of H): with
-    E = H F - F diag(lam_k) and O = F*F - I,
+    E = H F - F diag(lam_k) (:meth:`SpectralDecomposition.residual`) and
+    O = F*F - I,
     (z - H) F diag(d) F* - I = (FF* - I) - E diag(d) F*, whose Frobenius
     norm (a bound on its largest entry) is at most
     ||E||_F max|d| ||F||_2 + ||O||_F, since F is square (so FF* - I has the
@@ -142,19 +143,8 @@ def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
         raise ConfigurationError(
             f"lap_probe needs the full eigendecomposition of H, got the "
             f"window {dec.window}")
-    h, ev, grid = dec.source, dec.eigenvalues, dec.source.grid
-    f = dec.real_eigenvectors()
-    if f is None:
-        f = dec.eigenvectors
-        e = h.stencil_apply(f) - f * ev
-    else:
-        # R = Re H - (Im H) P_y = Re H + P_y Im H, since T-symmetry makes
-        # Im H anticommute with P_y; so R phi = Re(H phi) + P_y Im(H phi)
-        hf = h.stencil_apply(f)
-        e = hf.real - f * ev
-        e.reshape(grid.ny, grid.nx, -1)[::-1] += hf.imag.reshape(
-            grid.ny, grid.nx, -1)
-        del hf
+    ev, grid = dec.eigenvalues, dec.source.grid
+    f, e = dec.residual()
     e_fro = np.linalg.norm(e)
     del e
     gram = f.conj().T @ f

@@ -81,7 +81,7 @@ def d_x(spec: PotentialSpec, x, y):
         return -2.0 * x / s2 * evaluate(spec, x, y)
     w2 = spec.width ** 2
     s = (x * x + y * y) / w2
-    return a * _bump_d1(s) * (2.0 * x / w2)
+    return a * _bump(s, 1) * (2.0 * x / w2)
 
 
 def d_xx(spec: PotentialSpec, x, y):
@@ -100,33 +100,18 @@ def d_xx(spec: PotentialSpec, x, y):
         return (-2.0 / s2 + 4.0 * x * x / s2 ** 2) * evaluate(spec, x, y)
     w2 = spec.width ** 2
     s = (x * x + y * y) / w2
-    return a * (_bump_d2(s) * (2.0 * x / w2) ** 2 + _bump_d1(s) * (2.0 / w2))
+    return a * (_bump(s, 2) * (2.0 * x / w2) ** 2 + _bump(s, 1) * (2.0 / w2))
 
 
-def _bump(s):
-    """exp(1 - 1/(1-s)) for s < 1, zero beyond (C-infinity in s)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
-    inside = s < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-    return out
-
-
-def _bump_d1(s):
+def _bump(s, order=0):
+    """exp(1 - 1/(1-s)) for s < 1, zero beyond (C-infinity in s), or its
+    derivative of the given order (1 or 2) in s."""
     s = np.asarray(s, dtype=float)
     out = np.zeros(s.shape)
     inside = s < 1.0
     u = 1.0 - s[inside]
-    out[inside] = -np.exp(1.0 - 1.0 / u) / u ** 2
-    return out
-
-
-def _bump_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
-    inside = s < 1.0
-    u = 1.0 - s[inside]
-    out[inside] = np.exp(1.0 - 1.0 / u) * (1.0 / u ** 4 - 2.0 / u ** 3)
+    g = np.exp(1.0 - 1.0 / u)
+    out[inside] = (g, -g / u ** 2, g * (1.0 / u ** 4 - 2.0 / u ** 3))[order]
     return out
 
 

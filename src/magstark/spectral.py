@@ -15,16 +15,17 @@ what callers see:
 * Real form.  When M commutes exactly with the antiunitary T = K P_y (K the
   complex conjugation, P_y the reflection y -> -y), as every assembled
   operator with a potential even in y does, W = (I + i P_y)/sqrt(2) is
-  unitary and W* M W = Re M - (Im M) P_y is real symmetric.  Its eigenvectors
-  phi map back to eigenvectors u = (phi + i P_y phi)/sqrt(2) of M.  Any other
-  input takes the complex solve.
+  unitary and W* M W = Re M - (Im M) P_y is real symmetric.  Its
+  eigenvectors phi map back to eigenvectors u = (phi + i P_y phi)/sqrt(2)
+  of M.  Any other input takes the complex solve, of the dense M.
 * Parity split.  When the real form R also commutes bitwise with the flat
   reversal J = P_x P_y, as it does for every eps = 0 operator with a
   potential even in x and y, R is block diagonal in the +-1 eigenspaces of
   J.  On the first N//2 indices the even block is R11 + R12 J and the odd
   block R11 - R12 J (the even one bordered by the centre row and column,
   scaled by sqrt(2), when N is odd), so two eigensolves of order about N/2
-  replace one of order N at about a quarter of the flops.
+  replace one of order N at about a quarter of the flops.  Both checks read
+  the stencil in O(N), and R or its blocks are written straight from it.
 * Window.  ``window=(lo, hi)`` computes only the eigenpairs with eigenvalue
   in (lo, hi].  A function supported in [lo, hi] vanishes on every other
   eigenvalue, so its f(M), traces and weighted traces are unchanged.
@@ -49,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError
-from .grid import DiscreteOperator, GridSpec, d2_op
+from .grid import DiscreteOperator, GridSpec, checked_zeros, d2_op
 
 
 @dataclass(frozen=True)
@@ -79,35 +80,31 @@ class SpectralDecomposition:
     @property
     def eigenvectors(self):
         """U, built from the factor on each read: u = (phi + i P_y phi)/sqrt(2)."""
-        a = self.factor
-        if np.iscomplexobj(a):
-            return a
-        nx, ny = self.source.grid.nx, self.source.grid.ny
-        u = np.empty((self.source.dim, a.shape[1]), dtype=complex)
-        if self.parity is None:
-            np.multiply(a, np.sqrt(0.5), out=u.real)
-        else:
-            _write_parity_vectors(u.real, a, self.parity, nx)
-        # u.real = phi/sqrt(2), and P_y swaps whole grid-row blocks
-        for j in range(ny):
-            mj = ny - 1 - j
-            u.imag[j * nx:(j + 1) * nx] = u.real[mj * nx:(mj + 1) * nx]
+        phi = self.real_eigenvectors()
+        if phi is None:
+            return self.factor
+        u = np.empty(phi.shape, dtype=complex)
+        np.multiply(phi, np.sqrt(0.5), out=u.real)
+        u.imag[:] = u.real[self.source.flip_y(np.arange(phi.shape[0]))]
         return u
 
     def real_eigenvectors(self):
         """phi, the eigenvectors of the real form, with U = (phi + i P_y
         phi)/sqrt(2); None for a complex factor.
 
-        The parity-block vectors are scattered to their N rows.
+        A parity-block vector v is scattered to its N rows: phi[k] =
+        v[k]/sqrt(2) and phi[N-1-k] = parity v[k]/sqrt(2) for k < m = N//2,
+        and phi[m] = v[m] at the centre of odd N (zero for an odd column).
         """
         a = self.factor
-        if np.iscomplexobj(a):
-            return None
-        if self.parity is None:
-            return a
-        phi = np.empty((self.source.dim, a.shape[1]))
-        _write_parity_vectors(phi, a, self.parity, self.source.grid.nx)
-        phi *= np.sqrt(2.0)  # _write_parity_vectors writes phi/sqrt(2)
+        if np.iscomplexobj(a) or self.parity is None:
+            return None if np.iscomplexobj(a) else a
+        n, m = self.source.dim, self.source.dim // 2
+        phi = np.empty((n, a.shape[1]))
+        np.multiply(a[:m], np.sqrt(0.5), out=phi[:m])
+        phi[n - m:] = (self.parity * phi[:m])[::-1]
+        if n > 2 * m:
+            phi[m] = a[m]
         return phi
 
     def weighted_density(self, w):
@@ -139,23 +136,37 @@ class SpectralDecomposition:
                 "n": self.source.dim, "pairs": self.dim,
                 "factor_bytes": self.factor.nbytes}
 
-    def reconstruction_defect(self):
-        """max|U diag(lam) U* - M|, or max|M U - U diag(lam)| when windowed.
+    def residual(self):
+        """(F, E) with E = A F - F diag(lam), A applied by ``stencil_apply``.
 
-        A windowed decomposition reconstructs only a rank-k piece of M, so
-        there the defect is the eigen-residual of the pairs it holds.
+        A is M and F = U for a complex factor, else F = phi and A the real
+        form R = Re M - (Im M) P_y = Re M + P_y Im M (T-symmetry makes Im M
+        anticommute with P_y), so R phi = Re(M phi) + P_y Im(M phi).
         """
-        u, lam, m = self.eigenvectors, self.eigenvalues, self.source.mat
-        if self.window is None:
-            return float(np.max(np.abs((u * lam) @ u.conj().T - m)))
-        if not lam.size:
-            return 0.0
-        return float(np.max(np.abs(m @ u - u * lam)))
+        f, lam, grid = self.real_eigenvectors(), self.eigenvalues, self.source.grid
+        if f is None:
+            return self.factor, self.source.stencil_apply(self.factor) \
+                - self.factor * lam
+        mf = self.source.stencil_apply(f)
+        e = mf.real - f * lam
+        e.reshape(grid.ny, grid.nx, -1)[::-1] += mf.imag.reshape(
+            grid.ny, grid.nx, -1)
+        return f, e
+
+    def reconstruction_defect(self):
+        """max|A F - F diag(lam)|, the eigen-residual of the pairs held, in
+        the factor of :meth:`residual`."""
+        return float(np.max(np.abs(self.residual()[1]), initial=0.0))
 
     def orthonormality_defect(self):
-        u = self.eigenvectors
-        g = u.conj().T @ u
-        return float(np.max(np.abs(g - np.eye(self.dim))))
+        """max|F* F - I| of the stored factor: U* U = phi^T phi, and
+        parity-block vectors of opposite parity are orthogonal in phi."""
+        a = self.factor
+        g = a.conj().T @ a
+        if self.parity is not None:
+            g *= self.parity[:, None] == self.parity
+        g[np.diag_indices(self.dim)] -= 1.0
+        return float(np.max(np.abs(g), initial=0.0))
 
 
 def eigendecompose(op: DiscreteOperator, window=None):
@@ -172,15 +183,12 @@ def eigendecompose(op: DiscreteOperator, window=None):
         if not lo < hi:
             raise ConfigurationError(f"window needs lo < hi, got {window}")
         how = {"subset_by_value": (lo, hi)}
-    if np.iscomplexobj(op.mat) and op.is_t_symmetric():
+    if op.is_t_symmetric():
         lam, factor, parity, blocks = _real_form_eigh(op, how)
         path = "real" if parity is None else "real_parity"
     else:
-        lam, u = scipy.linalg.eigh(op.mat, **how)
-        # a complex factor is U itself, also for a real M
-        factor = _owned(u.astype(complex, copy=False))
-        parity, blocks = None, (op.dim,)
-        path = "complex" if np.iscomplexobj(op.mat) else "real"
+        lam, u = scipy.linalg.eigh(op.dense(), **how)
+        factor, parity, blocks, path = _owned(u), None, (op.dim,), "complex"
     return SpectralDecomposition(lam, factor, op, window, path, blocks, parity)
 
 
@@ -191,17 +199,12 @@ def _owned(v):
 
 
 def _real_form(op: DiscreteOperator):
-    """Re M - (Im M) P_y in one real N x N buffer, built per column block.
-
-    The buffer is Fortran ordered, so eigh can overwrite it without a copy.
-    """
-    nx, ny = op.grid.nx, op.grid.ny
-    re, im = op.mat.real, op.mat.imag
-    r = np.empty(op.mat.shape, order="F")
-    for k in range(ny):
-        mk = ny - 1 - k
-        np.subtract(re[:, k * nx:(k + 1) * nx], im[:, mk * nx:(mk + 1) * nx],
-                    out=r[:, k * nx:(k + 1) * nx])
+    """Re M - (Im M) P_y, 7 nonzeros per row (the 5 of Re M and the 2 of
+    -(Im M) P_y), in one Fortran-ordered buffer that eigh may overwrite."""
+    n = op.dim
+    r = checked_zeros((n, n), order="F")
+    k, c = op.near(np.arange(n))
+    r[k, c] = op.real_entries(k, c)
     return r
 
 
@@ -213,14 +216,12 @@ def _real_form_eigh(op: DiscreteOperator, how):
     blocks are solved instead, and their vectors are merged into one array
     of ceil(N/2) rows in ascending eigenvalue order.
     """
-    r = _real_form(op)
-    n = r.shape[0]
-    if not _commutes_with_reversal(r, op.grid.nx):
-        lam, phi = scipy.linalg.eigh(r, overwrite_a=True, **how)
+    n = op.dim
+    if not _commutes_with_reversal(op):
+        lam, phi = scipy.linalg.eigh(_real_form(op), overwrite_a=True, **how)
         return lam, _owned(phi), None, (n,)
     m = n // 2
-    even, odd = _parity_blocks(r)
-    del r
+    even, odd = _parity_blocks(op)
     lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, **how)
     del even
     lam_o, b = scipy.linalg.eigh(odd, overwrite_a=True, **how)
@@ -237,57 +238,41 @@ def _real_form_eigh(op: DiscreteOperator, how):
     return lam[order], v, parity[order], (n - m, m)
 
 
-def _commutes_with_reversal(r, rows):
-    """True when r[k] == r[N-1-k, ::-1] bitwise for every k, i.e. r J == J r.
-
-    The check runs ``rows`` rows at a time, so it allocates no N x N
-    temporary.
-    """
-    n = r.shape[0]
-    flipped = r[::-1, ::-1]
-    return all(np.array_equal(r[k:k + rows], flipped[k:k + rows])
-               for k in range(0, (n + 1) // 2, rows))
+def _commutes_with_reversal(op: DiscreteOperator):
+    """True when the real form R has R[k, l] == R[N-1-k, N-1-l] bitwise for
+    all k, l (R J == J R), checked in O(N) at the positions of ``op.near``,
+    which hold every nonzero of R."""
+    n = op.dim
+    k, c = op.near(np.arange(n))
+    return np.array_equal(op.real_entries(k, c),
+                          op.real_entries(n - 1 - k, n - 1 - c))
 
 
-def _parity_blocks(r):
-    """The even and odd blocks of a real form r that commutes with J.
+def _parity_blocks(op: DiscreteOperator):
+    """The even and odd blocks of a real form R that commutes with J,
+    written straight from the stencil.
 
-    In the basis (e_k +- e_{N-1-k})/sqrt(2), k < N//2, plus the centre e_m
-    in the even block when N is odd, r is diag(R11 + R12 J, R11 - R12 J)
-    with R11 = r[:m, :m] and (R12 J)[k, l] = r[k, N-1-l].  Both blocks are
+    In the basis (e_k +- e_{N-1-k})/sqrt(2), k < m = N//2, plus the centre
+    e_m in the even block when N is odd, R is diag(R11 + R12 J, R11 - R12 J)
+    with R11 = R[:m, :m] and (R12 J)[k, l] = R[k, N-1-l]: a nonzero R[k, c]
+    lands on block column c, or N-1-c when c >= N - m.  Both blocks are
     Fortran ordered, so eigh can overwrite them without a copy.
     """
-    n = r.shape[0]
-    m = n // 2
-    r11, r12j = r[:m, :m], r[:m, ::-1][:, :m]
-    even = np.empty((n - m, n - m), order="F")
-    np.add(r11, r12j, out=even[:m, :m])
-    odd = np.empty((m, m), order="F")
-    np.subtract(r11, r12j, out=odd)
+    n, m = op.dim, op.dim // 2
+    even = checked_zeros((n - m, n - m), order="F")
+    odd = checked_zeros((m, m), order="F")
+    k, c = op.near(np.arange(m))
+    c = np.where(c < m, c, n - 1 - c)
+    k, c = k[c < m], c[c < m]
+    r11, r12j = op.real_entries(k, c), op.real_entries(k, n - 1 - c)
+    even[k, c] = r11 + r12j
+    odd[k, c] = r11 - r12j
     if n > 2 * m:
-        even[:m, m] = np.sqrt(2.0) * r[:m, m]
-        even[m, :m] = np.sqrt(2.0) * r[m, :m]
-        even[m, m] = r[m, m]
+        k, c = np.arange(m), np.full(m, m)
+        even[:m, m] = np.sqrt(2.0) * op.real_entries(k, c)
+        even[m, :m] = np.sqrt(2.0) * op.real_entries(c, k)
+        even[m, m] = op.real_entries(c[:1], c[:1])[0]
     return even, odd
-
-
-def _write_parity_vectors(out, v, parity, rows):
-    """Scatter parity-block vectors v into out = phi/sqrt(2).
-
-    A column v maps to phi[k] = v[k]/sqrt(2) and phi[N-1-k] = parity
-    v[k]/sqrt(2) for k < N//2, and to phi[m] = v[m] at the centre of odd N
-    (zero for an odd column).  ``rows`` rows are written at a time, so no
-    temporary has N rows.
-    """
-    n = out.shape[0]
-    m = n // 2
-    for k in range(0, m, rows):
-        stop = min(k + rows, m)
-        top = 0.5 * v[k:stop]
-        out[k:stop] = top
-        out[n - stop:n - k] = parity * top[::-1]
-    if n > 2 * m:
-        out[m] = np.sqrt(0.5) * v[m]
 
 
 @dataclass(frozen=True)

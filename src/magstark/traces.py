@@ -50,15 +50,15 @@ def operator_norm(m):
 
 
 def resolvent(op: DiscreteOperator, z):
-    """(z - M)^(-1) by direct solve, with a residual check.
+    """(z - M)^(-1) by direct solve of z - M, written straight from the
+    stencil, with a residual check.
 
     A z on the spectrum (an exactly singular z - M) or too near it (a
     residual over RESIDUAL_TOL) raises :class:`NearSingularityError`.
     """
     z = complex(z)
-    m = op.mat
-    n = m.shape[0]
-    a = z * np.eye(n) - m
+    n = op.dim
+    a = op.dense(z)
     try:
         r = np.linalg.solve(a, np.eye(n, dtype=complex))
     except np.linalg.LinAlgError as exc:

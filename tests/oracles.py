@@ -3,9 +3,10 @@
 No experiment runs these.  They form the plain dense objects of the
 definitions: the first-difference matrix, the kron embedding of an x-axis
 operator, the d/dx matrix and explicit commutators with it, f(M) from the
-eigenvectors, and the mollified counting difference.  Tests compare the
-package's stencil writes, per-row products and eigenvalue sums with them,
-and check the exact finite-dimensional identities the trace formula rests on.
+eigenvectors, the mollified counting difference, and the symmetry checks,
+real form and parity blocks of a dense M.  Tests compare the package's
+stencil writes, per-row products and eigenvalue sums with them, and check
+the exact finite-dimensional identities the trace formula rests on.
 """
 
 import numpy as np
@@ -52,15 +53,15 @@ def partial_x(grid: GridSpec):
 
 
 def commutator_dx(op: DiscreteOperator):
-    """Explicit matrix commutator [d/dx, op].
+    """Explicit matrix commutator [d/dx, op], as an N x N array.
 
     Computed as a genuine product difference so that tests see the true
     discretization error; interior rows approach eps + dxV at second order
     while a band of width ~1 near the x-walls carries O(1/h^3) corner terms
     from the Dirichlet truncation.
     """
-    d = partial_x(op.grid)
-    return DiscreteOperator(d @ op.mat - op.mat @ d, op.grid)
+    d, m = partial_x(op.grid), op.dense()
+    return d @ m - m @ d
 
 
 def apply_function(dec: SpectralDecomposition, f):
@@ -101,3 +102,37 @@ def xi_prime_mollified(decH: SpectralDecomposition, decH0: SpectralDecomposition
         return norm * out
 
     return smear(decH.eigenvalues) - smear(decH0.eigenvalues)
+
+
+def is_t_symmetric(m, grid: GridSpec):
+    """conj(M) == P_y M P_y, compared entry by entry on the dense M."""
+    py = np.arange(grid.n_points).reshape(grid.ny, grid.nx)[::-1].ravel()
+    return np.array_equal(m.conj(), m[np.ix_(py, py)])
+
+
+def real_form(m, grid: GridSpec):
+    """Re M - (Im M) P_y from the dense M."""
+    py = np.arange(grid.n_points).reshape(grid.ny, grid.nx)[::-1].ravel()
+    return np.asfortranarray(m.real - m.imag[:, py])
+
+
+def commutes_with_reversal(r):
+    """r[k] == r[N-1-k, ::-1] for every k, i.e. r J == J r."""
+    return np.array_equal(r, r[::-1, ::-1])
+
+
+def parity_blocks(r):
+    """The even and odd blocks R11 +- R12 J of a real form r that commutes
+    with J, R11 = r[:m, :m] and (R12 J)[k, l] = r[k, N-1-l] for m = N//2;
+    for odd N the even block is bordered by the centre row and column of r,
+    scaled by sqrt(2)."""
+    n = r.shape[0]
+    m = n // 2
+    r11, r12j = r[:m, :m], r[:m, ::-1][:, :m]
+    even = np.empty((n - m, n - m), order="F")
+    even[:m, :m] = r11 + r12j
+    if n > 2 * m:
+        even[:m, m] = np.sqrt(2.0) * r[:m, m]
+        even[m, :m] = np.sqrt(2.0) * r[m, :m]
+        even[m, m] = r[m, m]
+    return even, np.asfortranarray(r11 - r12j)

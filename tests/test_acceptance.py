@@ -45,7 +45,7 @@ def test_criterion_1_commutator_trace_zero():
                        (make_grid(8, 4, 25, 17), SEP3)]:
         re, im = commutator_trace_zero(grid, FieldParams(1.0, 0.5), spec, F_REF)
         h = assemble(grid, FieldParams(1.0, 0.5), eval_potential(spec, grid).v)
-        scale = 1e-10 * grid.n_points * np.max(np.abs(h.mat))
+        scale = 1e-10 * grid.n_points * np.max(np.abs(h.dense()))
         worst = max(worst, abs(re) / scale, abs(im) / scale)
     ok = worst <= 1.0
     assert _verdict(1, ok, f"commutator trace within {worst:.2e} of the "

@@ -411,3 +411,34 @@ def test_prop2_unbounded_spread_fails(tmp_path, monkeypatch):
     assert data["results"]["spread"] is None
     assert data["results"]["reason"] == "zero_product"
     assert data["gates"]["spread"]["pass"] is False
+
+
+@pytest.mark.parametrize("name,target,value", [
+    ("prop4", "resolvent_chain_tracenorm", float("inf")),
+    ("appendix-norms", "weighted_resolvent_norms",
+     {"hs1": float("inf"), "tr2": float("nan")}),
+])
+def test_a_non_finite_gate_value_fails(name, target, value, tmp_path,
+                                       monkeypatch, capsys):
+    import magstark.cli as cli
+    monkeypatch.setattr(cli, target, lambda *a, **k: value)
+    code = main([name, "--set", "grid.nx=9", "--set", "grid.ny=9",
+                 "--out", str(tmp_path)])
+    assert code == 2 and f"{name}: FAIL" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.csv",
+                                                          f"{name}.json"]
+    data = json.loads((tmp_path / f"{name}.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert data["gates"]["finite"]["pass"] is False
+    assert data["results"]["reason"] == "non_finite"
+    assert data["all_pass"] is False and data["experiment"] == name
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    import magstark.cli as cli
+    exp = cli.EXPERIMENTS["prop4"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "prop4", exp._replace(
+        run=lambda *a: ([("x",), (1.0,)], {"bad": object()}, {})))
+    with pytest.raises(TypeError):
+        run("prop4", load_config("prop4"), tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magstark.grid import DiscreteOperator, d2_op, make_grid
+from magstark.grid import d2_op, make_grid
 from magstark.errors import CapacityError, ConfigurationError
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import eigendecompose, localized_spectrum
+from magstark.traces import resolvent
 from oracles import commutator_dx, d1_op, embed_x, interior_mask, partial_x
 
 GRID = make_grid(6, 6, 25, 25)
@@ -25,13 +26,15 @@ def test_field_params_validation():
 
 
 def test_assemble_capacity_checked_before_allocation():
-    # 81 x 81 points: the 6561^2 complex matrix would take 689 MB
+    # 81 x 81 points: assembly holds O(N) stencil coefficients, and the
+    # resolvent refuses its 6561^2 complex z - M (689 MB) before allocating
     g = make_grid(6, 6, 81, 81)
     v = np.zeros(g.n_points)
     tracemalloc.start()
     try:
+        h = assemble(g, FieldParams(b=1.0), v)
         with pytest.raises(CapacityError, match="dense limit"):
-            assemble(g, FieldParams(b=1.0), v)
+            resolvent(h, 1j)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -60,7 +63,7 @@ def test_assemble_matches_kron_reference_bitwise(shape, family, eps):
     g = make_grid(6, 6, *shape)
     fields = FieldParams(b=1.3, eps=eps)
     v = eval_potential(PotentialSpec(family, amplitude=0.7, width=2.5), g).v
-    m = assemble(g, fields, v).mat
+    m = assemble(g, fields, v).dense()
     assert np.array_equal(m.view(float),
                           _kron_reference(g, fields, v).view(float))
 
@@ -75,17 +78,9 @@ def test_stencil_apply_matches_dense_product(shape, family, eps):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((g.n_points, 5)) + 1j * rng.standard_normal(
         (g.n_points, 5))
-    dense = op.mat @ x
-    assert np.max(np.abs(op.stencil_apply(x) - dense)) <= (
-        1e-14 * np.max(np.abs(op.mat)) * np.max(np.abs(x)))
-
-
-def test_stencil_apply_rejects_an_off_stencil_entry():
-    op = assemble(GRID, FieldParams(b=1.0, eps=0.5), GAUSS_V)
-    m = op.mat.copy()
-    m[3, 3 + 2] = 1e-12
-    with pytest.raises(ConfigurationError, match="1 nonzeros off"):
-        DiscreteOperator(m, GRID).stencil_apply(np.eye(GRID.n_points))
+    m = op.dense()
+    assert np.max(np.abs(op.stencil_apply(x) - m @ x)) <= (
+        1e-14 * np.max(np.abs(m)) * np.max(np.abs(x)))
 
 
 def test_assembled_operators_exactly_hermitian():
@@ -93,7 +88,8 @@ def test_assembled_operators_exactly_hermitian():
     for op in (assemble(GRID, fields, NO_V),
                assemble(GRID, FieldParams(b=1.0), GAUSS_V),
                assemble(GRID, fields, GAUSS_V)):
-        assert np.array_equal(op.mat, op.mat.conj().T)
+        m = op.dense()
+        assert np.array_equal(m, m.conj().T)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -112,20 +108,20 @@ def test_eps_linearity():
     h1 = assemble(GRID, FieldParams(b=1.0, eps=1.0), NO_V)
     h0 = assemble(GRID, FieldParams(b=1.0, eps=0.0), NO_V)
     x = np.diag(GRID.meshes()[0])
-    assert np.array_equal(h1.mat - x, h0.mat)
+    assert np.array_equal(h1.dense() - x, h0.dense())
 
 
 def test_zero_potential_collapses():
     fields = FieldParams(b=1.0, eps=0.5)
     v = eval_potential(PotentialSpec("zero"), GRID).v
-    assert np.array_equal(assemble(GRID, fields, v).mat,
-                          assemble(GRID, fields, NO_V).mat)
+    assert np.array_equal(assemble(GRID, fields, v).dense(),
+                          assemble(GRID, fields, NO_V).dense())
 
 
 def test_q_minus_q0_is_potential_diagonal():
     fields = FieldParams(b=1.0)
-    diff = (assemble(GRID, fields, GAUSS_V).mat
-            - assemble(GRID, fields, NO_V).mat)
+    diff = (assemble(GRID, fields, GAUSS_V).dense()
+            - assemble(GRID, fields, NO_V).dense())
     off = diff - np.diag(np.diag(diff))
     assert np.max(np.abs(off)) == 0.0
     assert np.allclose(np.diag(diff).real, GAUSS_V, rtol=0, atol=1e-13)
@@ -136,7 +132,7 @@ def test_h_minus_q_is_stark_term():
     h = assemble(GRID, fields, GAUSS_V)
     q = assemble(GRID, FieldParams(b=1.0), GAUSS_V)
     xf, _ = GRID.meshes()
-    diff = h.mat - q.mat
+    diff = h.dense() - q.dense()
     off = diff - np.diag(np.diag(diff))
     assert np.max(np.abs(off)) == 0.0
     assert np.allclose(np.diag(diff).real, 0.7 * xf, rtol=0, atol=1e-12)
@@ -166,7 +162,7 @@ def test_commutator_zero_potential_interior_is_averaging():
     # [d/dx, H0] interior rows equal eps times the averaging stencil exactly;
     # the kinetic part contributes only x-wall corner entries
     fields = FieldParams(b=1.0, eps=0.5)
-    comm = commutator_dx(assemble(GRID, fields, NO_V)).mat
+    comm = commutator_dx(assemble(GRID, fields, NO_V))
     avg = np.zeros((GRID.nx, GRID.nx))
     idx = np.arange(GRID.nx - 1)
     avg[idx, idx + 1] = 0.5
@@ -200,7 +196,7 @@ def test_commutator_general_potential_second_order():
     for nx in (31, 61):
         g = make_grid(6, 6, nx, nx)
         pv = eval_potential(GAUSS, g)
-        comm = commutator_dx(assemble(g, fields, pv.v)).mat
+        comm = commutator_dx(assemble(g, fields, pv.v))
         xf, yf = g.meshes()
         u = np.exp(-(xf ** 2 + yf ** 2) / 2.0)
         target = (0.5 + pv.dxv) * u

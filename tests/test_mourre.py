@@ -138,7 +138,7 @@ def test_lap_probe_matches_direct_solve():
     rep = lap_probe(eigendecompose(h), 2.1, w, deltas)
     eye = np.eye(g.n_points)
     for d, norm in zip(deltas, rep.norms):
-        r = np.linalg.solve((2.1 + 1j * d) * eye - h.mat, wmat.astype(complex))
+        r = np.linalg.solve((2.1 + 1j * d) * eye - h.dense(), wmat.astype(complex))
         expected = np.linalg.norm(wmat @ r, 2)
         assert abs(norm - expected) <= 1e-12 * expected
 
@@ -161,7 +161,7 @@ def test_lap_probe_matches_direct_solve_on_every_factor(eps, y0, path):
     assert 0.0 < rep.residual_bound <= 1e-10
     eye = np.eye(g.n_points)
     for d, norm in zip(deltas, rep.norms):
-        r = np.linalg.solve((2.1 + 1j * d) * eye - h.mat, wmat.astype(complex))
+        r = np.linalg.solve((2.1 + 1j * d) * eye - h.dense(), wmat.astype(complex))
         expected = np.linalg.norm(wmat @ r, 2)
         assert abs(norm - expected) <= 1e-12 * expected
 

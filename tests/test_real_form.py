@@ -9,6 +9,7 @@ factor against the complex eigenvectors built from it.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magstark.errors import ConfigurationError
-from magstark.grid import DiscreteOperator, make_grid
+from magstark.errors import CapacityError, ConfigurationError
+from magstark.grid import make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
@@ -27,7 +28,10 @@ from magstark.spectral import (BumpFunction, SpectralDecomposition,
                                weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
-from oracles import apply_function
+from magstark.spectral import (_commutes_with_reversal, _parity_blocks,
+                               _real_form)
+from oracles import (apply_function, commutes_with_reversal, is_t_symmetric,
+                     parity_blocks, real_form)
 
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
 FIELDS = FieldParams(b=1.0, eps=0.5)
@@ -35,7 +39,7 @@ F = BumpFunction(2.0, 0.8)
 
 
 def _reference(op):
-    lam, u = scipy.linalg.eigh(op.mat)
+    lam, u = scipy.linalg.eigh(op.dense())
     return SpectralDecomposition(lam, u, op)
 
 
@@ -76,7 +80,7 @@ def _unsplit(op, window=None):
     nx, ny = op.grid.nx, op.grid.ny
     py = np.arange(op.dim).reshape(ny, nx)[::-1].ravel()
     subset = {} if window is None else {"subset_by_value": window}
-    lam, phi = scipy.linalg.eigh(op.mat.real - op.mat.imag[:, py], **subset)
+    lam, phi = scipy.linalg.eigh(real_form(op.dense(), op.grid), **subset)
     return SpectralDecomposition(lam, (phi + 1j * phi[py]) / np.sqrt(2.0), op,
                                  window, "real", (op.dim,))
 
@@ -175,14 +179,44 @@ def test_complex_fallback_for_y_odd_term(eigh_inputs):
     g = make_grid(6, 6, 21, 21)
     h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     _, yf = g.meshes()
-    op = DiscreteOperator(h.mat + np.diag(0.3 * yf), g)
+    op = replace(h, diag=h.diag + 0.3 * yf)
     assert h.is_t_symmetric() and not op.is_t_symmetric()
     eigh_inputs.clear()
     dec = eigendecompose(op)
     assert eigh_inputs == [True]
-    ref = np.linalg.eigvalsh(op.mat)
+    ref = np.linalg.eigvalsh(op.dense())
     assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert dec.reconstruction_defect() <= 1e-10 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(8, 13), ny=st.integers(8, 13),
+       eps=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+       family=st.sampled_from(FAMILIES), amplitude=st.floats(-2.0, 2.0),
+       term=st.sampled_from([None, "y_odd", "x_odd"]),
+       scale=st.floats(0.01, 1.0))
+def test_stencil_checks_and_builders_match_the_dense_oracles(
+        nx, ny, eps, family, amplitude, term, scale):
+    # the O(N) symmetry checks give the dense verdicts, and the real form
+    # and its parity blocks are the dense ones byte for byte
+    g = make_grid(6, 6, nx, ny)
+    spec = PotentialSpec(family, amplitude=amplitude, width=2.0)
+    op = assemble(g, FieldParams(b=1.3, eps=eps), eval_potential(spec, g).v)
+    xf, yf = g.meshes()
+    if term is not None:
+        odd = yf if term == "y_odd" else xf * np.exp(-yf * yf)
+        op = replace(op, diag=op.diag + scale * odd)
+    m = op.dense()
+    assert op.is_t_symmetric() == is_t_symmetric(m, g)
+    if not op.is_t_symmetric():
+        return
+    r = real_form(m, g)
+    assert _real_form(op).tobytes() == r.tobytes()
+    assert _commutes_with_reversal(op) == commutes_with_reversal(r)
+    if commutes_with_reversal(r):
+        for got, ref in zip(_parity_blocks(op), parity_blocks(r)):
+            assert got.flags.f_contiguous
+            assert got.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -196,7 +230,7 @@ def test_real_form_property(nx, ny, lx, ly, b, eps, family, amplitude, width):
     spec = PotentialSpec(family, amplitude=amplitude, width=width)
     op = assemble(g, FieldParams(b=b, eps=eps), eval_potential(spec, g).v)
     assert op.is_t_symmetric()
-    ref = np.linalg.eigvalsh(op.mat)
+    ref = np.linalg.eigvalsh(op.dense())
     scale = np.max(np.abs(ref))
     dec = eigendecompose(op)
     assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * scale
@@ -292,8 +326,7 @@ def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
     v = eval_potential(GAUSS, g).v
     xf, yf = g.meshes()
     q = assemble(g, FieldParams(b=1.0), v)
-    uneven = DiscreteOperator(q.mat + np.diag(0.3 * np.exp(0.2 * xf) * yf * yf),
-                              g)
+    uneven = replace(q, diag=q.diag + 0.3 * np.exp(0.2 * xf) * yf * yf)
     for op in (assemble(g, FIELDS, v), uneven):
         assert op.is_t_symmetric()
         ref = _unsplit(op)
@@ -309,7 +342,7 @@ def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
 def _odd_in_y(op):
     """op plus a diagonal term odd in y, which breaks T = K P_y."""
     _, yf = op.grid.meshes()
-    return DiscreteOperator(op.mat + np.diag(0.3 * yf), op.grid)
+    return replace(op, diag=op.diag + 0.3 * yf)
 
 
 @pytest.fixture
@@ -391,10 +424,12 @@ def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
 
 
 def test_q_spectrum_holds_no_complex_n_by_n_array():
+    # assembly included: Q is held as its stencil, not as a dense M
     g = make_grid(6, 6, 41, 41)
-    q = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
+    v = eval_potential(GAUSS, g).v
     tracemalloc.start()
     try:
+        q = assemble(g, FieldParams(b=1.0), v)
         dec = eigendecompose(q)
         scores = localization_scores(dec, g, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
@@ -420,3 +455,20 @@ def test_a_windowed_solve_holds_only_its_pairs():
         assert dec.path == path and 0 < 8 * dec.dim < op.dim
         # an N x N real array alone would be 8 N^2 bytes
         assert held < 4 * op.dim ** 2
+
+
+def test_each_dense_write_checks_its_own_bytes(monkeypatch):
+    # at 21 x 21 (N = 441): M is 3.1 MB, the real form 1.6 MB and each
+    # parity block under 0.4 MB
+    import magstark.grid
+    g = make_grid(6, 6, 21, 21)
+    v = eval_potential(GAUSS, g).v
+    h, q = assemble(g, FIELDS, v), assemble(g, FieldParams(b=1.0), v)
+    monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 10 ** 6)
+    for build in (h.dense, lambda: h.dense(1j), lambda: eigendecompose(h)):
+        with pytest.raises(CapacityError, match="dense limit"):
+            build()
+    assert eigendecompose(q).path == "real_parity"
+    monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 3 * 10 ** 5)
+    with pytest.raises(CapacityError, match="dense limit"):
+        eigendecompose(q)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,30 +13,49 @@ from magstark.spectral import (BumpFunction, WeightSpec, decay_weight,
 from oracles import apply_function, embed_x
 
 GRID = make_grid(4, 4, 17, 17)
+GRID8 = make_grid(1, 1, 8, 8)
 
 
-def _random_hermitian(n, seed):
+def _random_stencil(seed, path="complex", nx=8, ny=8):
+    """A stencil operator with random coefficients that takes ``path``.
+
+    The real paths need conj(M) == P_y M P_y (diag even in y, xhop of row
+    ny-1-j the conjugate of row j); real_parity also needs the real form to
+    commute with P_x P_y (diag and xhop even in x as well).
+    """
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return m + m.conj().T
-
-
-def _wrap(mat):
-    g = make_grid(1, 1, 8, mat.shape[0] // 8)
-    return DiscreteOperator(mat, g)
+    d = rng.standard_normal((ny, nx))
+    xhop = (rng.standard_normal((ny, nx - 1))
+            + 1j * rng.standard_normal((ny, nx - 1)))
+    if path != "complex":
+        d, xhop = d + d[::-1], xhop + xhop[::-1].conj()
+    if path == "real_parity":
+        d, xhop = d + d[:, ::-1], xhop + xhop[:, ::-1]
+    return DiscreteOperator(d.ravel(), xhop, float(rng.standard_normal()),
+                            make_grid(1, 1, nx, ny))
 
 
 def test_eigendecompose_diagonal():
     rng = np.random.default_rng(0)
-    d = np.diag(rng.standard_normal(64) + 0j)
-    dec = eigendecompose(_wrap(d))
-    assert np.array_equal(dec.eigenvalues, np.sort(np.diag(d).real))
+    d = rng.standard_normal(64)
+    op = DiscreteOperator(d, np.zeros((8, 7), complex), 0.0, GRID8)
+    dec = eigendecompose(op)
+    assert np.array_equal(dec.eigenvalues, np.sort(d))
 
 
 def test_eigendecompose_defects_random():
-    dec = eigendecompose(_wrap(_random_hermitian(200, seed=1)[:192, :192]))
-    assert dec.reconstruction_defect() <= 1e-8 * np.max(np.abs(dec.source.mat))
-    assert dec.orthonormality_defect() <= 1e-10
+    for path in ("complex", "real", "real_parity"):
+        for nx, ny in ((8, 8), (9, 11)):
+            op = _random_stencil(1, path, nx, ny)
+            dec = eigendecompose(op)
+            assert dec.path == path
+            scale = np.max(np.abs(dec.eigenvalues))
+            assert dec.reconstruction_defect() <= 1e-13 * op.dim * scale
+            assert dec.orthonormality_defect() <= 1e-12
+            # a wrong eigenvalue shows in the residual
+            lam = dec.eigenvalues.copy()
+            lam[3] += 1e-3
+            assert replace(dec, eigenvalues=lam).reconstruction_defect() > 1e-4
 
 
 def test_bump_function_shape():
@@ -71,12 +92,13 @@ def test_bump_validation():
 
 
 def test_apply_function_identities():
-    dec = eigendecompose(_wrap(_random_hermitian(64, seed=2)))
+    dec = eigendecompose(_random_stencil(2))
     f = BumpFunction(0.0, 1.5)
     m = apply_function(dec, f)
     assert np.isclose(trace_function(dec, f), np.trace(m).real, atol=1e-10)
-    comm = m @ dec.source.mat - dec.source.mat @ m
-    assert np.max(np.abs(comm)) <= 1e-8 * np.max(np.abs(dec.source.mat))
+    a = dec.source.dense()
+    comm = m @ a - a @ m
+    assert np.max(np.abs(comm)) <= 1e-8 * np.max(np.abs(a))
     # function vanishing on the whole spectrum gives the zero matrix
     lo = float(dec.eigenvalues[0])
     g = BumpFunction(lo - 10.0, 1.0)
@@ -84,7 +106,7 @@ def test_apply_function_identities():
 
 
 def test_apply_function_algebra_morphism():
-    dec = eigendecompose(_wrap(_random_hermitian(64, seed=4)))
+    dec = eigendecompose(_random_stencil(4))
     f = BumpFunction(0.0, 2.0)
     g = BumpFunction(0.5, 1.5)
     lhs = apply_function(dec, f) @ apply_function(dec, g)

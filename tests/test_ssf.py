@@ -82,7 +82,7 @@ def test_commutator_trace_zero():
     g = make_grid(6, 6, 21, 21)
     re, im = commutator_trace_zero(g, FieldParams(1.0, 0.5), GAUSS, F)
     h = assemble(g, FieldParams(1.0, 0.5), eval_potential(GAUSS, g).v)
-    scale = 1e-10 * g.n_points * np.max(np.abs(h.mat))
+    scale = 1e-10 * g.n_points * np.max(np.abs(h.dense()))
     assert abs(re) <= scale and abs(im) <= scale
 
 

@@ -100,7 +100,7 @@ def test_resolvent_norm_and_identity():
 def test_resolvent_diagonal():
     g = make_grid(1, 1, 8, 8)
     d = np.arange(64, dtype=float)
-    op = DiscreteOperator(np.diag(d + 0j), g)
+    op = DiscreteOperator(d, np.zeros((8, 7), complex), 0.0, g)
     r = resolvent(op, 100.0 + 0j)
     assert np.allclose(np.diag(r), 1.0 / (100.0 - d), rtol=1e-12)
 
@@ -108,7 +108,7 @@ def test_resolvent_diagonal():
 def test_resolvent_near_singularity():
     g = make_grid(1, 1, 8, 8)
     d = np.arange(64, dtype=float)
-    op = DiscreteOperator(np.diag(d + 0j), g)
+    op = DiscreteOperator(d, np.zeros((8, 7), complex), 0.0, g)
     with pytest.raises(NearSingularityError, match="eigenvalue"):
         resolvent(op, 3.0 + 1e-10 * 0j)
 
@@ -117,7 +117,7 @@ def test_resolvent_raises_at_an_eigenvalue_of_an_assembled_operator():
     # z - H is numerically singular but not exactly so: the stencil residual
     # check catches the solve
     h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
-    lam = np.linalg.eigvalsh(h.mat)[30]
+    lam = np.linalg.eigvalsh(h.dense())[30]
     with pytest.raises(NearSingularityError):
         resolvent(h, complex(lam))
 
@@ -170,8 +170,8 @@ def test_weighted_norm_hs1_frobenius_identity():
     res = weighted_resolvent_norms(h0, w, GRID)
     n = GRID.n_points
     k1 = decay_weight(GRID, 1, w.delta)
-    rplus = np.linalg.solve(h0.mat + 1j * np.eye(n), np.eye(n, dtype=complex))
-    rminus = np.linalg.solve(h0.mat - 1j * np.eye(n), np.eye(n, dtype=complex))
+    rplus = np.linalg.solve(h0.dense() + 1j * np.eye(n), np.eye(n, dtype=complex))
+    rminus = np.linalg.solve(h0.dense() - 1j * np.eye(n), np.eye(n, dtype=complex))
     tr = np.trace(rminus @ np.diag(k1 ** 2) @ rplus)
     assert np.isclose(res["hs1"], np.sqrt(tr.real), rtol=1e-8)
 
