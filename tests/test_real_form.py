@@ -23,13 +23,12 @@ from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, SpectralDecomposition,
-                               eigendecompose, localization_scores,
+                               _commutes_with_reversal, _parity_blocks,
+                               _real_form, eigendecompose, localization_scores,
                                localized_spectrum, trace_function,
                                weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
-from magstark.spectral import (_commutes_with_reversal, _parity_blocks,
-                               _real_form)
 from oracles import (apply_function, commutes_with_reversal, is_t_symmetric,
                      parity_blocks, real_form)
 
