@@ -85,12 +85,6 @@ def _stark_certificate(spec, grid):
             "passed": cert.passed, "failed": list(cert.failed)}
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _run_verify_theorem1(grid, fields, spec, f, e):
     collar = e["wall_collar"]
     rep = trace_identity_check(grid, fields, spec, f,
@@ -145,8 +139,11 @@ def _run_mourre(grid, fields, spec, f, e):
     else:
         name, thr = "bound_above_half_eps", fields.eps / 2.0 - slack
         ok = bound >= thr
+    health = {"reconstruction_defect": dec.reconstruction_defect(),
+              "orthonormality_defect": dec.orthonormality_defect()}
     results = {"bound": bound, "eps": fields.eps,
-               "amplitude": spec.amplitude, "amplitude_used": used.amplitude}
+               "amplitude": spec.amplitude, "amplitude_used": used.amplitude,
+               "eigensolve": {"h": {**dec.solver_info(), **health}}}
     # +inf is mourre_gap_bound's sentinel for a window with no eigenvalue,
     # which bounds nothing: run() writes it as null and fails the gate
     if np.isinf(bound):
@@ -453,7 +450,8 @@ def _model(cfg):
 def write_csv(path, rows):
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _emit(outdir, stem, rows, envelope):
@@ -525,7 +523,7 @@ def run_convergence(experiment, cfg, levels, outdir):
     An exact observable (a residual) is graded on the observed order, or
     reported as "exact" when every level sits at round-off; any other
     observable (a norm) is graded on the relative change between the two
-    finest grids.
+    finest grids.  A non-finite value or order fails, with reason "non_finite".
     """
     if len(levels) < 3:
         raise ConfigurationError(f"need at least 3 levels, got {levels}")
@@ -556,9 +554,9 @@ def run_convergence(experiment, cfg, levels, outdir):
         if all(v <= EXACT_TOL for v in values):
             verdict, orders, ok = "exact", [], True
         else:
-            orders = [float(np.log(values[i] / values[i + 1])
-                            / np.log(hs[i] / hs[i + 1]))
-                      for i in range(len(values) - 1)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                orders = (np.log(np.divide(values[:-1], values[1:]))
+                          / np.log(np.divide(hs[:-1], hs[1:]))).tolist()
             verdict = f"order>={ORDER_MIN}"
             ok = all(np.isfinite(orders)) and min(orders, default=0.0) >= ORDER_MIN
     else:
@@ -566,15 +564,19 @@ def run_convergence(experiment, cfg, levels, outdir):
         orders = [change]
         verdict = f"stability<={STABILITY_TOL}"
         ok = change <= STABILITY_TOL
+    bad = []
     envelope = {
         "experiment": experiment, "mode": "convergence", "version": __version__,
         "config": cfg, "levels": [int(n) for n in levels],
-        "observable": name, "values": values, "orders": orders,
-        "verdict": verdict, "all_pass": bool(ok),
+        "observable": name, "values": _plain(values, bad),
+        "orders": _plain(orders, bad), "verdict": verdict,
+        "all_pass": bool(ok) and not bad,
         "timings": {"wall_seconds": time.time() - t0},
     }
+    if bad:
+        envelope["reason"] = "non_finite"
     _emit(outdir, f"{experiment}-convergence", rows, envelope)
-    return (0 if ok else 2), envelope
+    return (0 if envelope["all_pass"] else 2), envelope
 
 
 def main(argv=None):

@@ -143,6 +143,28 @@ class DiscreteOperator:
         y[nx:] += self.yhop * x[:-nx]
         return y
 
+    def inertia_counts(self, shifts):
+        """The number of eigenvalues of M at or below each shift s.
+
+        Along the longer grid axis M is block tridiagonal (D_j the stencil
+        on grid line j, C_j its diagonal coupling to line j + 1), and the
+        block LDL* recursion S_j = D_j - s - C_{j-1}* S_{j-1}^-1 C_{j-1} has
+        inertia(M - s) = sum_j inertia(S_j) (Haynsworth, Linear Algebra
+        Appl. 1 (1968) 73): O(N m^2) for lines of m points."""
+        ny, nx, hop = self.grid.ny, self.grid.nx, self.yhop
+        d, inner, cross = (self.diag.reshape(ny, nx), self.xhop,
+                           np.full((ny - 1, nx), hop))
+        if ny < nx:
+            d, inner, cross = d.T, np.full((nx, ny - 1), hop), self.xhop.T
+        i = np.arange(d.shape[1])
+        s = np.zeros((d.shape[0], len(shifts)) + 2 * i.shape, complex)
+        s[..., i, i] = d[:, None] - np.asarray(shifts, dtype=float)[:, None]
+        s[..., i[:-1], i[1:]] = inner[:, None]
+        s[..., i[1:], i[:-1]] = inner.conj()[:, None]
+        for j, c in enumerate(cross, 1):
+            s[j] -= c.conj()[:, None] * np.linalg.inv(s[j - 1]) * c
+        return np.count_nonzero(np.linalg.eigvalsh(s) <= 0.0, axis=(0, 2))
+
     def is_t_symmetric(self):
         """True when conj(M) == P_y M P_y holds bitwise, i.e. M commutes with
         the antiunitary K P_y (K the complex conjugation, P_y the reflection

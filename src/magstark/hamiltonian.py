@@ -31,16 +31,16 @@ from .grid import DiscreteOperator, GridSpec
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Magnetic strength b > 0 and electric strength eps >= 0."""
+    """Finite magnetic strength b > 0 and electric strength eps >= 0."""
 
     b: float
     eps: float = 0.0
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ConfigurationError(f"b must be positive, got {self.b}")
-        if self.eps < 0:
-            raise ConfigurationError(f"eps must be nonnegative, got {self.eps}")
+        if not 0 < self.b < np.inf:
+            raise ConfigurationError(f"b must be positive and finite, got {self.b}")
+        if not 0 <= self.eps < np.inf:
+            raise ConfigurationError(f"eps must be nonnegative and finite, got {self.eps}")
 
 
 def assemble(grid: GridSpec, fields: FieldParams, v) -> DiscreteOperator:
@@ -58,4 +58,7 @@ def assemble(grid: GridSpec, fields: FieldParams, v) -> DiscreteOperator:
     # the x coupling of grid row j, between (i, j) and (i + 1, j)
     cross = -2.0 * b * grid.y
     xhop = np.repeat((-cx + 1j * (cross * -c1))[:, None], grid.nx - 1, axis=1)
+    if not (np.isfinite(diag).all() and np.isfinite(xhop).all()):
+        raise ConfigurationError(f"the operator has a non-finite coefficient "
+                                 f"at b = {b}, eps = {fields.eps}")
     return DiscreteOperator(diag, xhop, -cy, grid)

@@ -158,7 +158,7 @@ def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
         z = lam + 1j * delta
         d = 1.0 / (z - ev)
         bound = float(e_fro * np.max(np.abs(d)) * f_norm + o_fro)
-        if bound > RESIDUAL_TOL:
+        if not bound <= RESIDUAL_TOL:  # a NaN bound fails too
             raise NearSingularityError(
                 f"eigenbasis resolvent at z = {z} has residual bound "
                 f"{bound:.3g} > {RESIDUAL_TOL}")

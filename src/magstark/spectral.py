@@ -26,12 +26,13 @@ what callers see:
   scaled by sqrt(2), when N is odd), so two eigensolves of order about N/2
   replace one of order N at about a quarter of the flops.  Both checks read
   the stencil in O(N), and R or its blocks are written straight from it.
-* Window.  ``window=(lo, hi)`` computes only the eigenpairs with eigenvalue
-  in (lo, hi].  A function supported in [lo, hi] vanishes on every other
-  eigenvalue, so its f(M), traces and weighted traces are unchanged.
+* Window.  ``window=(lo, hi)`` computes only the k eigenpairs in (lo, hi].
+  A function supported in [lo, hi] vanishes on every other eigenvalue, so
+  its f(M) and (weighted) traces are unchanged.  Stencil inertia counts
+  certify the pairs (:func:`_windowed`), which cost 8 N^2 bytes for the
+  unsplit real form plus 8 N (k + 2) for eigenvectors, not 16 N^2.
 
-A full solve (no window) uses LAPACK's divide-and-conquer driver ``evd``; a
-windowed one the default ``evr``, since ``evd`` has no subset.
+A full solve uses LAPACK's ``evd``; a windowed one the subset driver ``evr``.
 
 The eigenvectors are kept in the real factor they were solved in: the
 parity-block vectors (ceil(N/2) rows, with the +-1 parity of each column),
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SpectralWindowError
 from .grid import DiscreteOperator, GridSpec, checked_zeros, d2_op
 
 
@@ -62,7 +63,8 @@ class SpectralDecomposition:
     the real form (N rows), or, with ``parity`` set, the parity-block vectors
     (ceil(N/2) rows; an odd column is zero on the centre row of odd N) with
     the +-1 parity of each column.  With ``window`` set, only the eigenpairs
-    with eigenvalue in (lo, hi] are held.
+    with eigenvalue in (lo, hi] are held, and ``certificate`` holds the
+    window, its inertia counts and the bracketing eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -72,6 +74,7 @@ class SpectralDecomposition:
     path: str = "complex"   # "real_parity", "real" or "complex"
     blocks: tuple = ()      # the order of each eigh call
     parity: np.ndarray | None = None
+    certificate: dict | None = None
 
     @property
     def dim(self):
@@ -131,10 +134,11 @@ class SpectralDecomposition:
 
     def solver_info(self):
         """The solver path, the order of each eigh call, N, the number of
-        eigenpairs held and the bytes of the stored factor, for a report."""
+        eigenpairs held, the bytes of the stored factor and the window
+        certificate, if any, for a report."""
         return {"path": self.path, "blocks": list(self.blocks),
                 "n": self.source.dim, "pairs": self.dim,
-                "factor_bytes": self.factor.nbytes}
+                "factor_bytes": self.factor.nbytes, **(self.certificate or {})}
 
     def residual(self):
         """(F, E) with E = A F - F diag(lam), A applied by ``stencil_apply``.
@@ -170,61 +174,29 @@ class SpectralDecomposition:
 
 
 def eigendecompose(op: DiscreteOperator, window=None):
-    """Hermitian eigendecomposition.
+    """Hermitian eigendecomposition, or with ``window=(lo, hi)`` its
+    certified eigenpairs in (lo, hi] (:func:`_windowed`).
 
-    ``window=(lo, hi)`` restricts it to the eigenpairs in (lo, hi].  A
-    T-symmetric operator (see :meth:`DiscreteOperator.is_t_symmetric`) is
-    solved through its real form, split by parity when that commutes with
-    the flat reversal, and keeps its eigenvectors in that real factor.
+    A full solve of a T-symmetric operator (``op.is_t_symmetric()``) runs
+    on its real form and keeps its eigenvectors in that real factor.  When
+    the real form commutes with the flat reversal, its two parity blocks
+    are solved instead, and their vectors are merged into one array of
+    ceil(N/2) rows in ascending eigenvalue order.
     """
-    how = {"driver": "evd"}
     if window is not None:
-        lo, hi = window
-        if not lo < hi:
-            raise ConfigurationError(f"window needs lo < hi, got {window}")
-        how = {"subset_by_value": (lo, hi)}
-    if op.is_t_symmetric():
-        lam, factor, parity, blocks = _real_form_eigh(op, how)
-        path = "real" if parity is None else "real_parity"
-    else:
-        lam, u = scipy.linalg.eigh(op.dense(), **how)
-        factor, parity, blocks, path = _owned(u), None, (op.dim,), "complex"
-    return SpectralDecomposition(lam, factor, op, window, path, blocks, parity)
-
-
-def _owned(v):
-    """v, or a copy of it when it is a view: a windowed eigh returns its k
-    columns of an N x N work array, which would otherwise stay alive."""
-    return v if v.base is None else v.copy()
-
-
-def _real_form(op: DiscreteOperator):
-    """Re M - (Im M) P_y, 7 nonzeros per row (the 5 of Re M and the 2 of
-    -(Im M) P_y), in one Fortran-ordered buffer that eigh may overwrite."""
-    n = op.dim
-    r = checked_zeros((n, n), order="F")
-    k, c = op.near(np.arange(n))
-    r[k, c] = op.real_entries(k, c)
-    return r
-
-
-def _real_form_eigh(op: DiscreteOperator, how):
-    """Eigenvalues of a T-symmetric M from its real form, the real factor,
-    the parity of its columns (None when unsplit) and the eigh orders.
-
-    When the real form commutes with the flat reversal, its two parity
-    blocks are solved instead, and their vectors are merged into one array
-    of ceil(N/2) rows in ascending eigenvalue order.
-    """
-    n = op.dim
+        return _windowed(op, *window)
+    n, m = op.dim, op.dim // 2
+    if not op.is_t_symmetric():
+        lam, u = scipy.linalg.eigh(op.dense(), driver="evd")
+        return SpectralDecomposition(lam, u, op, None, "complex", (n,))
     if not _commutes_with_reversal(op):
-        lam, phi = scipy.linalg.eigh(_real_form(op), overwrite_a=True, **how)
-        return lam, _owned(phi), None, (n,)
-    m = n // 2
+        lam, phi = scipy.linalg.eigh(_real_form(op), overwrite_a=True,
+                                     driver="evd")
+        return SpectralDecomposition(lam, phi, op, None, "real", (n,))
     even, odd = _parity_blocks(op)
-    lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, **how)
+    lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, driver="evd")
     del even
-    lam_o, b = scipy.linalg.eigh(odd, overwrite_a=True, **how)
+    lam_o, b = scipy.linalg.eigh(odd, overwrite_a=True, driver="evd")
     del odd
     lam = np.concatenate([lam_e, lam_o])
     order = np.argsort(lam, kind="stable")
@@ -235,7 +207,48 @@ def _real_form_eigh(op: DiscreteOperator, how):
     v = np.zeros((n - m, order.size))
     v[:, col[:lam_e.size]] = a
     v[:m, col[lam_e.size:]] = b
-    return lam[order], v, parity[order], (n - m, m)
+    return SpectralDecomposition(lam[order], v, op, None, "real_parity",
+                                 (n - m, m), parity[order])
+
+
+def _windowed(op: DiscreteOperator, lo, hi):
+    """The eigenpairs in (lo, hi], certified by the stencil's inertia counts
+    c_lo, c_hi at lo and hi: one eigh of the unsplit real form, or of M,
+    returns the pairs c_lo - 1 to c_hi, and the bracketing ones must lie at
+    or below lo and above hi, else :class:`SpectralWindowError`."""
+    if not lo < hi:
+        raise ConfigurationError(f"window needs lo < hi, got {(lo, hi)}")
+    n, real = op.dim, op.is_t_symmetric()
+    try:
+        c_lo, c_hi = (int(c) for c in op.inertia_counts((lo, hi)))
+    except np.linalg.LinAlgError:  # an end is an eigenvalue of a leading block
+        raise SpectralWindowError(f"no inertia count at a window end of "
+                                  f"{(lo, hi)}; move it off the spectrum") from None
+    first = max(c_lo - 1, 0)
+    lam, v = scipy.linalg.eigh(_real_form(op) if real else op.dense(),
+                               subset_by_index=(first, min(c_hi, n - 1)),
+                               overwrite_a=True)
+    below, above = lam[:c_lo - first], lam[c_hi - first:]
+    if (np.count_nonzero((lam > lo) & (lam <= hi)) != c_hi - c_lo
+            or np.any(below > lo) or np.any(above <= hi)):
+        raise SpectralWindowError(f"inertia counts {c_lo}, {c_hi} at {lo}, "
+                                  f"{hi} disagree with the eigenvalues {lam}")
+    k = slice(c_lo - first, c_hi - first)
+    cert = {"window": [lo, hi], "counts": [c_lo, c_hi],
+            "bracket": [float(b[0]) if b.size else None for b in (below, above)]}
+    return SpectralDecomposition(lam[k], v[:, k].copy(), op, (lo, hi),
+                                 "real" if real else "complex", (n,),
+                                 certificate=cert)
+
+
+def _real_form(op: DiscreteOperator):
+    """Re M - (Im M) P_y, 7 nonzeros per row (the 5 of Re M and the 2 of
+    -(Im M) P_y), in one Fortran-ordered buffer that eigh may overwrite."""
+    n = op.dim
+    r = checked_zeros((n, n), order="F")
+    k, c = op.near(np.arange(n))
+    r[k, c] = op.real_entries(k, c)
+    return r
 
 
 def _commutes_with_reversal(op: DiscreteOperator):

@@ -67,7 +67,7 @@ def resolvent(op: DiscreteOperator, z):
     res = z * r - op.stencil_apply(r)
     res[np.diag_indices(n)] -= 1.0
     defect = float(np.max(np.abs(res)))
-    if defect > RESIDUAL_TOL:
+    if not defect <= RESIDUAL_TOL:  # a NaN defect fails too
         raise NearSingularityError(
             f"resolvent solve at z = {z} left residual {defect:.3g} > {RESIDUAL_TOL}")
     return r

@@ -3,13 +3,15 @@
 No experiment runs these.  They form the plain dense objects of the
 definitions: the first-difference matrix, the kron embedding of an x-axis
 operator, the d/dx matrix and explicit commutators with it, f(M) from the
-eigenvectors, the mollified counting difference, and the symmetry checks,
-real form and parity blocks of a dense M.  Tests compare the package's
-stencil writes, per-row products and eigenvalue sums with them, and check
-the exact finite-dimensional identities the trace formula rests on.
+eigenvectors, the mollified counting difference, the symmetry checks,
+real form and parity blocks of a dense M, and the windowed eigensolve by
+value range.  Tests compare the package's stencil writes, per-row products,
+eigenvalue sums and windows with them, and check the exact
+finite-dimensional identities the trace formula rests on.
 """
 
 import numpy as np
+import scipy.linalg
 
 from magstark.errors import ConfigurationError
 from magstark.grid import DiscreteOperator, GridSpec
@@ -136,3 +138,18 @@ def parity_blocks(r):
         even[m, :m] = np.sqrt(2.0) * r[m, :m]
         even[m, m] = r[m, m]
     return even, np.asfortranarray(r11 - r12j)
+
+
+def windowed_by_value(op: DiscreteOperator, window):
+    """The eigenpairs of op in (lo, hi] from ``scipy.linalg.eigh`` with
+    ``subset_by_value``, of the real form of a T-symmetric op or else of the
+    dense M: the windowed solve without a count, which allocates an N x N
+    eigenvector array for the value range."""
+    m = op.dense()
+    if not is_t_symmetric(m, op.grid):
+        lam, u = scipy.linalg.eigh(m, subset_by_value=window)
+        return SpectralDecomposition(lam, u.copy(), op, window, "complex",
+                                     (op.dim,))
+    lam, phi = scipy.linalg.eigh(real_form(m, op.grid), subset_by_value=window)
+    return SpectralDecomposition(lam, phi.copy(), op, window, "real",
+                                 (op.dim,))

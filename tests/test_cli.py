@@ -442,3 +442,48 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         run("prop4", load_config("prop4"), tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name,entry", [
+    ("prop4", "fields.b=1e200"), ("spectrum", "fields.b=1e200"),
+    ("appendix-norms", "fields.eps=nan"), ("appendix-norms", "fields.eps=inf"),
+    ("prop4", "potential.amplitude=nan"),
+])
+def test_a_non_finite_operator_exits_1(name, entry, tmp_path, capsys):
+    with np.errstate(over="ignore"):
+        code = main([name, "--set", entry, "--set", "grid.nx=9", "--set",
+                     "grid.ny=9", "--out", str(tmp_path)])
+    assert code == 1 and "finite" in capsys.readouterr().err
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+
+def test_convergence_fails_a_zero_level_with_a_reason(tmp_path, monkeypatch,
+                                                      capsys):
+    # an exact observable at 0.0 on one level and above EXACT_TOL on the
+    # others has no finite order
+    import magstark.cli as cli
+    values = iter([1.0, 0.0, 0.5])
+    exp = cli.EXPERIMENTS["appendix-norms"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "appendix-norms", exp._replace(
+        run=lambda *a: ([], {"hs1": next(values)}, {}), exact=True))
+    code = main(["convergence", "--of", "appendix-norms", "--levels",
+                 "9,11,13", "--out", str(tmp_path)])
+    assert code == 2 and "FAIL" in capsys.readouterr().out
+    data = json.loads(
+        (tmp_path / "appendix-norms-convergence.json").read_text(),
+        parse_constant=_reject_constant)
+    assert data["orders"] == [None, None] and data["values"] == [1.0, 0.0, 0.5]
+    assert data["reason"] == "non_finite" and data["all_pass"] is False
+
+
+def test_mourre_records_its_certified_window(tmp_path):
+    cfg = load_config("mourre", None, ["grid.nx=15", "grid.ny=15"])
+    _, env = run("mourre", cfg, tmp_path)
+    h = env["results"]["eigensolve"]["h"]
+    assert h["path"] == "real" and h["window"] == [1.6, 2.4]
+    c_lo, c_hi = h["counts"]
+    assert c_hi - c_lo == h["pairs"] > 0
+    assert h["bracket"][0] <= 1.6 < 2.4 < h["bracket"][1]
+    assert h["factor_bytes"] == 8 * 225 * h["pairs"]
+    assert 0 <= h["reconstruction_defect"] <= 1e-12
+    assert 0 <= h["orthonormality_defect"] <= 1e-12

@@ -210,3 +210,20 @@ def test_commutator_general_potential_second_order():
 def test_partial_x_is_antihermitian():
     d = partial_x(GRID)
     assert np.max(np.abs(d + d.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize("b,eps", [(np.inf, 0.0), (np.nan, 0.0),
+                                   (1.0, np.nan), (1.0, np.inf)])
+def test_field_params_reject_non_finite_strengths(b, eps):
+    with pytest.raises(ConfigurationError, match="finite"):
+        FieldParams(b=b, eps=eps)
+
+
+def test_assemble_rejects_non_finite_coefficients():
+    # (b y)^2 overflows at b = 1e200; a NaN potential poisons the diagonal
+    v = GAUSS_V.copy()
+    v[7] = np.nan
+    for fields, pot in ((FieldParams(b=1e200), NO_V), (FieldParams(b=1.0), v)):
+        with np.errstate(over="ignore"), \
+                pytest.raises(ConfigurationError, match="non-finite"):
+            assemble(GRID, fields, pot)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,13 @@ def test_lap_probe_rejects_a_windowed_decomposition():
     dec = eigendecompose(assemble(GRID, FIELDS, NO_V), window=(1.5, 2.5))
     with pytest.raises(ConfigurationError, match="full eigendecomposition"):
         lap_probe(dec, 2.0, WeightSpec(s=0.75), (0.5, 0.25))
+
+
+def test_lap_probe_rejects_a_nan_residual_bound():
+    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
+    lam = dec.eigenvalues.copy()
+    lam[3] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NearSingularityError, match="residual bound"):
+        lap_probe(replace(dec, eigenvalues=lam), 2.0, WeightSpec(s=0.75),
+                  (0.5, 0.25))

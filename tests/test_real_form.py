@@ -5,7 +5,9 @@ matrix, the path every operator took before the K P_y real form existed.
 The parity split of an eps = 0 operator is checked against the unsplit
 order-N eigh of its real form, the divide-and-conquer driver of every full
 solve against the default one, and the densities read from the stored real
-factor against the complex eigenvectors built from it.
+factor against the complex eigenvectors built from it.  A window's inertia
+counts are checked against dense eigenvalue counts, and its pairs against
+the by-value solve of ``oracles.windowed_by_value``.
 """
 
 import tracemalloc
@@ -14,11 +16,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magstark.errors import CapacityError, ConfigurationError
-from magstark.grid import make_grid
+from magstark.errors import (CapacityError, ConfigurationError,
+                             SpectralWindowError)
+from magstark.grid import DiscreteOperator, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
@@ -30,7 +33,7 @@ from magstark.spectral import (BumpFunction, SpectralDecomposition,
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
 from oracles import (apply_function, commutes_with_reversal, is_t_symmetric,
-                     parity_blocks, real_form)
+                     parity_blocks, real_form, windowed_by_value)
 
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
 FIELDS = FieldParams(b=1.0, eps=0.5)
@@ -270,8 +273,9 @@ def test_parity_split_matches_unsplit_real_form(n, family, eigh_orders):
     assert np.max(np.abs(dens - ref_dens)) <= 1e-10
     assert dec.orthonormality_defect() <= 1e-10
     assert dec.reconstruction_defect() <= 1e-12 * n * n * scale
+    # a window is solved unsplit, with its inertia certificate
     win = eigendecompose(op, window=F.support)
-    assert win.path == "real_parity"
+    assert win.path == "real"
     assert abs(trace_function(win, F) - trace_function(ref, F)) <= 1e-11
     for w in (wall_cutoff_weights(g, 2.0), eval_potential(spec, g).dxv):
         assert abs(weighted_trace_function(win, w, F)
@@ -303,8 +307,9 @@ def test_parity_split_property(nx, ny, lx, ly, b, family, amplitude, width,
         window = (0.5 * (lam[i] + lam[i + 1]), 0.5 * (lam[k] + lam[k + 1]))
         ref = _unsplit(op, window)
     dec = eigendecompose(op, window=window)
-    assert dec.path == "real_parity"
-    assert dec.blocks == ((op.dim + 1) // 2, op.dim // 2)
+    assert dec.path == ("real" if windowed else "real_parity")
+    assert dec.blocks == ((op.dim,) if windowed
+                          else ((op.dim + 1) // 2, op.dim // 2))
     assert dec.dim == ref.dim
     assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues),
                   initial=0.0) <= 1e-12 * scale
@@ -316,7 +321,7 @@ def test_parity_split_empty_window():
     g = make_grid(6, 6, 21, 21)
     op = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
     dec = eigendecompose(op, window=(-50.0, -40.0))
-    assert dec.path == "real_parity"
+    assert dec.path == "real" and dec.certificate["counts"] == [0, 0]
     assert dec.dim == 0 and dec.eigenvectors.shape == (op.dim, 0)
 
 
@@ -391,12 +396,13 @@ def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
         dens = np.abs(dec.eigenvectors[:, simple]) ** 2
         ref_dens = np.abs(ref.eigenvectors[:, simple]) ** 2
         assert np.max(np.abs(dens - ref_dens)) <= 1e-10
-        # a windowed solve keeps the default driver, which has a subset
+        # a windowed solve keeps the default driver, which has a subset,
+        # and asks for the window and its two neighbours by index
         eigh_kwargs.clear()
-        eigendecompose(op, window=F.support)
-        assert eigh_kwargs and all(
-            k.get("subset_by_value") == F.support and "driver" not in k
-            for k in eigh_kwargs)
+        c_lo, c_hi = eigendecompose(op, window=F.support).certificate["counts"]
+        assert 0 < c_lo < c_hi < op.dim
+        assert eigh_kwargs == [{"subset_by_index": (c_lo - 1, c_hi),
+                                "overwrite_a": True}]
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,7 +419,7 @@ def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
     if path == "complex":
         op = _odd_in_y(op)
     dec = eigendecompose(op, window=(1.0, 4.0) if windowed else None)
-    assert dec.path == path
+    assert dec.path == ("real" if windowed and path == "real_parity" else path)
     # weights with no symmetry in x or y
     w = np.random.default_rng(seed).standard_normal(op.dim)
     got, ref = dec.weighted_density(w), w @ np.abs(dec.eigenvectors) ** 2
@@ -471,3 +477,96 @@ def test_each_dense_write_checks_its_own_bytes(monkeypatch):
     monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 3 * 10 ** 5)
     with pytest.raises(CapacityError, match="dense limit"):
         eigendecompose(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(8, 13), ny=st.integers(8, 13),
+       eps=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+       family=st.sampled_from(FAMILIES), amplitude=st.floats(-2.0, 2.0),
+       y_odd=st.floats(0.0, 1.0), b=st.floats(0.2, 2.0),
+       where=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=3))
+def test_inertia_counts_match_dense_counts(nx, ny, eps, family, amplitude,
+                                           y_odd, b, where):
+    # lines run along the longer axis: nx < ny, nx > ny and nx == ny all occur
+    g = make_grid(6, 6, nx, ny)
+    spec = PotentialSpec(family, amplitude=amplitude, width=2.0)
+    op = assemble(g, FieldParams(b=b, eps=eps), eval_potential(spec, g).v)
+    _, yf = g.meshes()
+    op = replace(op, diag=op.diag + y_odd * yf)
+    lam = np.linalg.eigvalsh(op.dense())
+    shifts = lam[0] + np.array(where) * (lam[-1] - lam[0])
+    # a shift within round-off of an eigenvalue has no reliable count
+    assume(np.min(np.abs(lam[:, None] - shifts)) > 1e-9 * np.max(np.abs(lam)))
+    got = op.inertia_counts(shifts)
+    assert got.tolist() == [int(np.count_nonzero(lam <= s)) for s in shifts]
+
+
+@pytest.mark.parametrize("nx,ny", [(21, 21), (24, 17), (15, 22)])
+@pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
+@pytest.mark.parametrize("window", [F.support, (1.6, 2.4), (-50.0, 0.5),
+                                    (20.0, 1e4)])
+def test_windowed_pairs_match_the_by_value_solve(nx, ny, kind, window):
+    g = make_grid(6, 6, nx, ny)
+    v = eval_potential(GAUSS, g).v
+    op = assemble(g, FieldParams(b=1.0, eps=0.0 if kind == "q" else 0.5), v)
+    if kind == "y_odd":
+        op = _odd_in_y(op)
+    ref = windowed_by_value(op, window)
+    dec = eigendecompose(op, window=window)
+    assert dec.path == ref.path and dec.dim == ref.dim
+    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues),
+                  initial=0.0) <= 1e-12
+    # the projector onto the window does not see a rotation of its basis
+    proj, ref_proj = (d.factor @ d.factor.conj().T for d in (dec, ref))
+    assert np.max(np.abs(proj - ref_proj)) <= 1e-12
+    c_lo, c_hi = dec.certificate["counts"]
+    below, above = dec.certificate["bracket"]
+    assert c_hi - c_lo == dec.dim and dec.certificate["window"] == list(window)
+    assert (below is None) == (c_lo == 0) and (above is None) == (c_hi == op.dim)
+    assert below is None or below <= window[0]
+    assert above is None or above > window[1]
+    info = dec.solver_info()
+    assert info["counts"] == [c_lo, c_hi] and info["pairs"] == dec.dim
+
+
+def test_a_windowed_solve_peaks_below_one_real_n_by_n_array_and_a_third():
+    # the real form is 8 N^2 bytes; a by-value eigh of it adds a second
+    # N x N eigenvector array, an index-subset eigh only N (k + 2) columns
+    g = make_grid(6, 6, 35, 35)
+    h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
+    peaks = []
+    for solve in (lambda: eigendecompose(h, window=F.support).eigenvalues,
+                  lambda: scipy.linalg.eigh(_real_form(h), overwrite_a=True,
+                                            subset_by_value=F.support)[0]):
+        tracemalloc.start()
+        try:
+            lam = solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert 0 < lam.size < 50
+    assert peaks[0] < 1.3 * 8 * h.dim ** 2 < 1.9 * 8 * h.dim ** 2 < peaks[1]
+
+
+@pytest.mark.parametrize("off", [(0, 2), (0, -2), (2, 0), (-2, 0), (1, 1),
+                                 (-1, -1), (0, 1)])
+def test_a_wrong_inertia_count_raises(off, monkeypatch):
+    g = make_grid(6, 6, 21, 21)
+    h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
+    counts = DiscreteOperator.inertia_counts
+    assert 2 <= eigendecompose(h, window=F.support).dim
+    monkeypatch.setattr(DiscreteOperator, "inertia_counts",
+                        lambda op, s: counts(op, s) + np.array(off))
+    with pytest.raises(SpectralWindowError, match="inertia counts"):
+        eigendecompose(h, window=F.support)
+
+
+def test_a_window_end_on_an_eigenvalue_of_a_leading_block_raises():
+    # the first Schur complement D_0 - 3 of this diagonal operator is
+    # exactly singular, so 3.0 has no inertia count
+    op = DiscreteOperator(np.arange(64, dtype=float),
+                          np.zeros((8, 7), complex), 0.0, make_grid(1, 1, 8, 8))
+    with pytest.raises(SpectralWindowError, match="no inertia count"):
+        eigendecompose(op, window=(3.0, 10.5))
+    assert eigendecompose(op, window=(3.5, 10.5)).eigenvalues.tolist() == \
+        [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]

@@ -14,12 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "magstark"
 
 # public methods kept without a reader in the package, and why
-UNREAD = {
-    "SpectralDecomposition.reconstruction_defect":
-        "health diagnostic of a decomposition, documented in the README",
-    "SpectralDecomposition.orthonormality_defect":
-        "health diagnostic of a decomposition, documented in the README",
-}
+UNREAD = {}
 
 
 def _public_defs(tree):

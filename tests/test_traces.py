@@ -200,3 +200,13 @@ def test_chain_tracenorm_continuity_in_z():
     b = resolvent_chain_tracenorm(q, dxv, 2, w, 2.0 + 1.01j)
     assert np.isfinite(a) and a > 0
     assert abs(a - b) / a <= 0.2
+
+
+def test_resolvent_rejects_a_nan_residual():
+    # NaN > RESIDUAL_TOL is False, so the check must read not defect <= tol
+    g = make_grid(1, 1, 8, 8)
+    d = np.arange(64, dtype=float)
+    d[5] = np.nan
+    op = DiscreteOperator(d, np.zeros((8, 7), complex), 0.0, g)
+    with pytest.raises(NearSingularityError):
+        resolvent(op, 100.5 + 1j)
