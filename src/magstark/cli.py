@@ -169,7 +169,7 @@ def _run_lap_probe(grid, fields, spec, f, e):
     # probe at the middle of the widest eigenvalue-free slot of H inside
     # the first gap of the localized spectrum of Q
     decq = eigendecompose(assemble(grid, FieldParams(fields.b), v))
-    lo, hi = sigma_q_gap_window(decq, grid, margin=0.3)
+    lo, hi = sigma_q_gap_window(decq, margin=0.3)
     lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
     deltas = tuple(2.0 ** (-k) for k in
                    range(int(e["delta_max_exp"]), int(e["delta_min_exp"]) + 1))
@@ -187,17 +187,18 @@ def _run_lap_probe(grid, fields, spec, f, e):
 
 def _run_lemma7(grid, fields, spec, f, e):
     # eps comes from eps_list, so fields is Q's FieldParams(b)
-    decq = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
-    loc = localized_spectrum(decq, grid)
+    v = eval_potential(spec, grid).v
+    decq = eigendecompose(assemble(grid, fields, v))
+    loc = localized_spectrum(decq)
     # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
     # chi(Q) vanishes exactly at eps = 0
     center, width = _widest_slot(decq.eigenvalues, f.center - 0.25,
                                  f.center + 0.25)
     chi = BumpFunction(center, min(f.halfwidth, 0.45 * width),
                        plateau=f.plateau if f.plateau > 0 else 0.5)
-    rep = gap_cutoff_sweep(grid, fields.b, spec, chi,
-                       _list("eps_list", e["eps_list"]), q_localized=loc,
-                       margin=e["sigma_margin"])
+    rep = gap_cutoff_sweep(grid, fields.b, v, chi,
+                           _list("eps_list", e["eps_list"]), q_localized=loc,
+                           margin=e["sigma_margin"])
     ok = (rep.slope is not None
           and e["slope_lo"] <= rep.slope <= e["slope_hi"])
     rows = [("eps", "norm")] + list(zip(rep.params, rep.norms))
@@ -245,7 +246,7 @@ def _run_prop4(grid, fields, spec, f, e):
 
 def _run_appendix(grid, fields, spec, f, e):
     h0 = assemble(grid, fields, np.zeros(grid.n_points))
-    res = weighted_resolvent_norms(h0, WeightSpec(s=e["s"], delta=e["delta"]), grid)
+    res = weighted_resolvent_norms(h0, WeightSpec(s=e["s"], delta=e["delta"]))
     rows = [("hs1", "tr2"), (res["hs1"], res["tr2"])]
     # run() fails a non-finite gate value
     return rows, res, {"finite": ((res["hs1"], res["tr2"]), None, True)}
@@ -264,7 +265,7 @@ def _run_spectrum(grid, fields, spec, f, e):
             f"names one gate")
     # the Landau clusters belong to Q, the eps = 0 member of the family
     dec = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
-    scores = localization_scores(dec, grid, e["margin"])
+    scores = localization_scores(dec, e["margin"])
     rows = [("eigenvalue", "score", "localized")]
     rows += [(float(lam), float(s), int(s > LOCALIZATION_THRESHOLD))
              for lam, s in zip(dec.eigenvalues, scores)]

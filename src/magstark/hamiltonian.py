@@ -43,6 +43,7 @@ class FieldParams:
             raise ConfigurationError(f"eps must be nonnegative and finite, got {self.eps}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports it
 def assemble(grid: GridSpec, fields: FieldParams, v) -> DiscreteOperator:
     """H(B, eps) = (Dx - B Y)^2 + Dy^2 + eps X + diag(v).
 

@@ -23,7 +23,6 @@ from .errors import (ConfigurationError, NearSingularityError,
                      SpectralWindowError)
 from .grid import GridSpec, apply_x
 from .hamiltonian import FieldParams, assemble
-from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
                        eigendecompose, weight_dx_s)
 from .ssf import fit_loglog
@@ -65,41 +64,38 @@ def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
     if not np.any(sel):
         warnings.warn(f"no eigenvalues in ({a}, {b}]; returning +inf sentinel")
         return float("inf")
-    u = dec.eigenvectors[:, sel]
-    weights = fields.eps + np.asarray(dxv, dtype=float)
-    compressed = (u.conj().T * weights) @ u
-    return float(np.linalg.eigvalsh(compressed)[0])
+    compressed = dec.compress(fields.eps + np.asarray(dxv, dtype=float))
+    return float(np.linalg.eigvalsh(compressed[np.ix_(sel, sel)])[0])
 
 
-def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, spec: PotentialSpec,
-                chi: BumpFunction, q_localized, margin=0.2):
-    """Operator norm of chi(H) <x>^-2 for a cutoff clear of localized sigma(Q)."""
-    v = eval_potential(spec, grid).v
-    lo, hi = chi.support
-    q_localized = np.asarray(q_localized, dtype=float)
-    if q_localized.size:
-        inside = (q_localized > lo - margin) & (q_localized < hi + margin)
-        if np.any(inside):
-            raise SpectralWindowError(
-                f"cutoff support [{lo:.4g}, {hi:.4g}] is within {margin} of "
-                f"localized Q eigenvalue(s) {q_localized[inside][:4]}")
-    dec = eigendecompose(assemble(grid, fields, v), window=(lo, hi))
+def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, v, chi: BumpFunction):
+    """Operator norm of chi(H) <x>^-2 for H with the sampled potential v,
+    from the eigenpairs of H in supp chi."""
+    dec = eigendecompose(assemble(grid, fields, v), window=chi.support)
     xf, _ = grid.meshes()
     wx = 1.0 / (1.0 + xf * xf)
     # chi(H) <x>^-2 = U_k [chi(lam_k) U_k* <x>^-2] and U_k has orthonormal
-    # columns, so the k x N factor in brackets has the same operator norm
-    u = dec.eigenvectors
-    return operator_norm(chi(dec.eigenvalues)[:, None] * (u.conj().T * wx))
+    # columns, so the k x N factor in brackets has the same operator norm.
+    # For a real factor U_k = Y phi_k with Y = (I + i P_y)/sqrt(2) unitary,
+    # and <x>^-2 commutes with P_y, so phi_k stands in for U_k.
+    f = dec.factor if dec.path == "complex" else dec.real_eigenvectors()
+    return operator_norm(chi(dec.eigenvalues)[:, None] * (f.conj().T * wx))
 
 
-def gap_cutoff_sweep(grid: GridSpec, b, spec: PotentialSpec, chi: BumpFunction,
-                 eps_list, q_localized, margin=0.2) -> ProbeReport:
-    """gap_cutoff_norm over an eps sweep; no log-log slope or r2 at a zero norm."""
+def gap_cutoff_sweep(grid: GridSpec, b, v, chi: BumpFunction, eps_list,
+                     q_localized, margin=0.2) -> ProbeReport:
+    """gap_cutoff_norm over an eps sweep, for a cutoff clear of localized
+    sigma(Q) by margin; no log-log slope or r2 at a zero norm."""
+    lo, hi = chi.support
+    q_localized = np.asarray(q_localized, dtype=float)
+    inside = (q_localized > lo - margin) & (q_localized < hi + margin)
+    if np.any(inside):
+        raise SpectralWindowError(
+            f"cutoff support [{lo:.4g}, {hi:.4g}] is within {margin} of "
+            f"localized Q eigenvalue(s) {q_localized[inside][:4]}")
     eps_list = tuple(float(e) for e in eps_list)
-    norms = tuple(
-        gap_cutoff_norm(grid, FieldParams(b=b, eps=e), spec, chi,
-                    q_localized=q_localized, margin=margin)
-        for e in eps_list)
+    norms = tuple(gap_cutoff_norm(grid, FieldParams(b=b, eps=e), v, chi)
+                  for e in eps_list)
     if min(norms) == 0.0:
         return ProbeReport(eps_list, norms)
     slope, _, r2 = fit_loglog(eps_list, norms)

@@ -37,12 +37,9 @@ A full solve uses LAPACK's ``evd``; a windowed one the subset driver ``evr``.
 The eigenvectors are kept in the real factor they were solved in: the
 parity-block vectors (ceil(N/2) rows, with the +-1 parity of each column),
 phi for the unsplit real form, and U itself only for the complex solve.
-Weighted densities w @ |U|^2, which localization scores, weighted traces
-and the probe weights of prop2 all reduce to, are read from that factor by
-:meth:`SpectralDecomposition.weighted_density`; the complex U is built from
-it only when ``eigenvectors`` is read, so a caller that needs densities
-alone never holds an N x N complex matrix.  A caller that can work in the
-real form reads phi itself from :meth:`SpectralDecomposition.real_eigenvectors`.
+Every reader works in that factor; none builds the complex U from it.
+Weighted densities w @ |U|^2 come from ``weighted_density``, compressions
+U* diag(w) U from ``compress``, and phi itself from ``real_eigenvectors``.
 """
 
 from dataclasses import dataclass
@@ -71,8 +68,6 @@ class SpectralDecomposition:
     factor: np.ndarray
     source: DiscreteOperator
     window: tuple | None = None
-    path: str = "complex"   # "real_parity", "real" or "complex"
-    blocks: tuple = ()      # the order of each eigh call
     parity: np.ndarray | None = None
     certificate: dict | None = None
 
@@ -81,15 +76,11 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
     @property
-    def eigenvectors(self):
-        """U, built from the factor on each read: u = (phi + i P_y phi)/sqrt(2)."""
-        phi = self.real_eigenvectors()
-        if phi is None:
-            return self.factor
-        u = np.empty(phi.shape, dtype=complex)
-        np.multiply(phi, np.sqrt(0.5), out=u.real)
-        u.imag[:] = u.real[self.source.flip_y(np.arange(phi.shape[0]))]
-        return u
+    def path(self):
+        """The solve behind the factor: "complex", "real" or "real_parity"."""
+        if np.iscomplexobj(self.factor):
+            return "complex"
+        return "real" if self.parity is None else "real_parity"
 
     def real_eigenvectors(self):
         """phi, the eigenvectors of the real form, with U = (phi + i P_y
@@ -132,12 +123,26 @@ class SpectralDecomposition:
             out += w[k:k + nx] @ (np.abs(a[k:k + nx]) ** 2)
         return out
 
+    def compress(self, w):
+        """U* diag(w) U over the pairs held, for a real weight vector w on
+        the grid, in the stored factor: with U = (phi + i P_y phi)/sqrt(2)
+        it is phi^T diag(w_s) phi + i phi^T diag(w_a) P_y phi, where w_s and
+        w_a are the y-even and y-odd parts of w, exact for any real w."""
+        phi, w = self.real_eigenvectors(), np.asarray(w, dtype=float)
+        if phi is None:
+            return (self.factor.conj().T * w) @ self.factor
+        py = self.source.flip_y(np.arange(w.size))
+        return 0.5 * (phi.T @ ((w + w[py])[:, None] * phi)
+                      + 1j * (phi.T @ ((w - w[py])[:, None] * phi[py])))
+
     def solver_info(self):
-        """The solver path, the order of each eigh call, N, the number of
-        eigenpairs held, the bytes of the stored factor and the window
-        certificate, if any, for a report."""
-        return {"path": self.path, "blocks": list(self.blocks),
-                "n": self.source.dim, "pairs": self.dim,
+        """The solver path, the order of each eigh call (N, or the two
+        parity blocks), N, the number of eigenpairs held, the bytes of the
+        stored factor and the window certificate, if any, for a report."""
+        n, m = self.source.dim, self.source.dim // 2
+        return {"path": self.path,
+                "blocks": [n] if self.parity is None else [n - m, m],
+                "n": n, "pairs": self.dim,
                 "factor_bytes": self.factor.nbytes, **(self.certificate or {})}
 
     def residual(self):
@@ -188,11 +193,11 @@ def eigendecompose(op: DiscreteOperator, window=None):
     n, m = op.dim, op.dim // 2
     if not op.is_t_symmetric():
         lam, u = scipy.linalg.eigh(op.dense(), driver="evd")
-        return SpectralDecomposition(lam, u, op, None, "complex", (n,))
+        return SpectralDecomposition(lam, u, op)
     if not _commutes_with_reversal(op):
         lam, phi = scipy.linalg.eigh(_real_form(op), overwrite_a=True,
                                      driver="evd")
-        return SpectralDecomposition(lam, phi, op, None, "real", (n,))
+        return SpectralDecomposition(lam, phi, op)
     even, odd = _parity_blocks(op)
     lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, driver="evd")
     del even
@@ -207,8 +212,7 @@ def eigendecompose(op: DiscreteOperator, window=None):
     v = np.zeros((n - m, order.size))
     v[:, col[:lam_e.size]] = a
     v[:m, col[lam_e.size:]] = b
-    return SpectralDecomposition(lam[order], v, op, None, "real_parity",
-                                 (n - m, m), parity[order])
+    return SpectralDecomposition(lam[order], v, op, parity=parity[order])
 
 
 def _windowed(op: DiscreteOperator, lo, hi):
@@ -237,7 +241,6 @@ def _windowed(op: DiscreteOperator, lo, hi):
     cert = {"window": [lo, hi], "counts": [c_lo, c_hi],
             "bracket": [float(b[0]) if b.size else None for b in (below, above)]}
     return SpectralDecomposition(lam[k], v[:, k].copy(), op, (lo, hi),
-                                 "real" if real else "complex", (n,),
                                  certificate=cert)
 
 
@@ -385,10 +388,9 @@ def weighted_trace_function(dec: SpectralDecomposition, weights, f):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Exponents for the <Dx>^-s, <x>^p and power-decay k_j weights."""
+    """Exponents for the <Dx>^-s and power-decay k_j weights."""
 
     s: float = 0.75
-    p: float = -2.0
     delta: float = 0.5
 
     def __post_init__(self):
@@ -425,7 +427,7 @@ def decay_weight(grid: GridSpec, j, delta):
 LOCALIZATION_THRESHOLD = 0.99
 
 
-def localization_scores(dec: SpectralDecomposition, grid: GridSpec, margin):
+def localization_scores(dec: SpectralDecomposition, margin):
     """Interior-box mass fraction of every eigenvector.
 
     The box is the centered rectangle of relative size (1 - 2 margin) per
@@ -434,16 +436,16 @@ def localization_scores(dec: SpectralDecomposition, grid: GridSpec, margin):
     """
     if not 0.0 < margin < 0.5:
         raise ConfigurationError(f"margin must lie in (0, 0.5), got {margin}")
+    grid = dec.source.grid
     xf, yf = grid.meshes()
     inside = ((np.abs(xf) <= (1.0 - 2.0 * margin) * grid.lx + 1e-12)
               & (np.abs(yf) <= (1.0 - 2.0 * margin) * grid.ly + 1e-12))
     return dec.weighted_density(inside)
 
 
-def localized_spectrum(dec: SpectralDecomposition, grid: GridSpec,
-                       margin=0.05):
+def localized_spectrum(dec: SpectralDecomposition, margin=0.05):
     """Ascending eigenvalues whose eigenvectors carry more than
     LOCALIZATION_THRESHOLD of their mass in the interior box: the discrete
     proxy for sigma(Q)."""
-    return dec.eigenvalues[localization_scores(dec, grid, margin)
+    return dec.eigenvalues[localization_scores(dec, margin)
                            > LOCALIZATION_THRESHOLD]

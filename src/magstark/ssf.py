@@ -34,7 +34,6 @@ class TraceFormulaReport:
     lhs: float
     rhs: float
     residual: float
-    grid: GridSpec
     h: float
 
     @property
@@ -121,8 +120,7 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
            - weighted_trace_function(dech0, chi, f))
     rhs = -(1.0 / fields.eps) * weighted_trace_function(
         dech, chi * fieldsV.dxv, f)
-    return TraceFormulaReport(lhs, rhs, lhs - rhs, grid,
-                              h=max(grid.hx, grid.hy))
+    return TraceFormulaReport(lhs, rhs, lhs - rhs, h=max(grid.hx, grid.hy))
 
 
 def truncation_convergence(grid: GridSpec, fields: FieldParams,
@@ -156,7 +154,7 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
     return rows
 
 
-def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin):
+def sigma_q_gap_window(decQ: SpectralDecomposition, margin):
     """Lowest interval keeping >= margin distance to every localized Q level.
 
     The search runs inside the hull of the localized spectrum and returns the
@@ -165,7 +163,7 @@ def sigma_q_gap_window(decQ: SpectralDecomposition, grid: GridSpec, margin):
     """
     if not margin > 0:
         raise ConfigurationError(f"margin must be positive, got {margin}")
-    vals = localized_spectrum(decQ, grid)
+    vals = localized_spectrum(decQ)
     if vals.size < 2:
         raise GapNotFoundError("fewer than two localized eigenvalues; "
                                "no interior gap exists")

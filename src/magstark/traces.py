@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NearSingularityError
-from .grid import DiscreteOperator, GridSpec, apply_x
+from .grid import DiscreteOperator, apply_x
 from .spectral import WeightSpec, decay_weight, weight_dx_s
 
 RESIDUAL_TOL = 1e-8
@@ -129,14 +129,14 @@ def tracebound_sweep(h: DiscreteOperator, v_diag, probe: ProbeSpec):
     return TraceBoundReport(tuple(probe.delta_list), tuple(products))
 
 
-def weighted_resolvent_norms(h0: DiscreteOperator, w: WeightSpec, grid: GridSpec):
+def weighted_resolvent_norms(h0: DiscreteOperator, w: WeightSpec):
     """Weighted resolvent norms: hs1 = ||k1 (H0+i)^-1||_HS, tr2 = ||k2 (H0+i)^-2||_tr.
 
     (-i - H0)^-1 = -(H0+i)^-1, and neither norm sees the sign.
     """
     r = resolvent(h0, -1j)
-    k1 = decay_weight(grid, 1, w.delta)
-    k2 = decay_weight(grid, 2, w.delta)
+    k1 = decay_weight(h0.grid, 1, w.delta)
+    k2 = decay_weight(h0.grid, 2, w.delta)
     hs1 = frobenius_norm(k1[:, None] * r)
     tr2 = nuclear_norm(k2[:, None] * (r @ r))
     return {"hs1": hs1, "tr2": tr2}

@@ -66,10 +66,22 @@ def commutator_dx(op: DiscreteOperator):
     return d @ m - m @ d
 
 
+def eigenvectors(dec: SpectralDecomposition):
+    """U of a decomposition: a complex factor itself, else built from the
+    real one as u = (phi + i P_y phi)/sqrt(2)."""
+    phi = dec.real_eigenvectors()
+    if phi is None:
+        return dec.factor
+    u = np.empty(phi.shape, dtype=complex)
+    np.multiply(phi, np.sqrt(0.5), out=u.real)
+    u.imag[:] = u.real[dec.source.flip_y(np.arange(phi.shape[0]))]
+    return u
+
+
 def apply_function(dec: SpectralDecomposition, f):
     """f(M) = U diag(f(lam)) U* for any callable f on the spectrum."""
     fvals = np.asarray(f(dec.eigenvalues))
-    u = dec.eigenvectors
+    u = eigenvectors(dec)
     return (u * fvals) @ u.conj().T
 
 
@@ -81,7 +93,7 @@ def commutator_trace_zero(grid: GridSpec, fields: FieldParams,
     exact backbone the trace identity rests on.
     """
     dec = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
-    u = dec.eigenvectors
+    u = eigenvectors(dec)
     m = (u * (dec.eigenvalues * f(dec.eigenvalues))) @ u.conj().T  # H f(H)
     d = partial_x(grid)
     k = d @ m - m @ d
@@ -148,8 +160,6 @@ def windowed_by_value(op: DiscreteOperator, window):
     m = op.dense()
     if not is_t_symmetric(m, op.grid):
         lam, u = scipy.linalg.eigh(m, subset_by_value=window)
-        return SpectralDecomposition(lam, u.copy(), op, window, "complex",
-                                     (op.dim,))
+        return SpectralDecomposition(lam, u.copy(), op, window)
     lam, phi = scipy.linalg.eigh(real_form(m, op.grid), subset_by_value=window)
-    return SpectralDecomposition(lam, phi.copy(), op, window, "real",
-                                 (op.dim,))
+    return SpectralDecomposition(lam, phi.copy(), op, window)

@@ -24,7 +24,7 @@ from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
 from magstark.ssf import (epsilon_scaling, resolvent_expansion_check,
                           sigma_q_gap_window, trace_identity_check)
 from magstark.traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
-from oracles import commutator_trace_zero
+from oracles import commutator_trace_zero, eigenvectors
 
 ZERO = PotentialSpec("zero")
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
@@ -86,7 +86,7 @@ def test_criterion_3_zero_potential_degenerate():
 def test_criterion_4_landau_levels():
     g = make_grid(6, 6, 61, 61)
     dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
-    loc = np.sort(localized_spectrum(dec, g, margin=0.05))
+    loc = np.sort(localized_spectrum(dec, margin=0.05))
     c1 = loc[np.abs(loc - 1.0) <= 0.05]
     c3 = loc[np.abs(loc - 3.0) <= 0.15]
     ok = (c1.size >= 2 and c3.size >= 2
@@ -132,9 +132,9 @@ def test_criterion_6_gap_cutoff_slope():
     k = int(np.argmax(gaps))
     chi = BumpFunction(0.5 * (pts[k] + pts[k + 1]),
                        min(0.06, 0.45 * gaps[k]), plateau=0.5)
-    loc = localized_spectrum(decq, g, margin=0.05)
-    rep = gap_cutoff_sweep(g, 1.0, spec, chi, (0.2, 0.141, 0.1, 0.071, 0.05),
-                       q_localized=loc)
+    loc = localized_spectrum(decq, margin=0.05)
+    rep = gap_cutoff_sweep(g, 1.0, eval_potential(spec, g).v, chi,
+                           (0.2, 0.141, 0.1, 0.071, 0.05), q_localized=loc)
     ok = rep.slope is not None and 1.6 <= rep.slope <= 2.4
     _verdict(6, ok, f"slope {rep.slope:.3f} (gate [1.6, 2.4]), "
                     f"norms {np.round(rep.norms, 4)}")
@@ -148,7 +148,7 @@ def test_criterion_7_tracebound_sweep():
     dec = eigendecompose(h)
     lam = dec.eigenvalues
     win = (lam > 1.2) & (lam < 2.8)
-    weights = v @ np.abs(dec.eigenvectors[:, win]) ** 2
+    weights = v @ np.abs(eigenvectors(dec)[:, win]) ** 2
     lam0 = float(lam[win][int(np.argmax(weights))])
     probe = ProbeSpec(z=complex(lam0, 0.5), z_prime=complex(lam0, 0.25))
     rep = tracebound_sweep(h, v, probe)
@@ -166,7 +166,7 @@ def test_criterion_8_lap_plateau_and_negative_control():
     dec = eigendecompose(h)
     decq = eigendecompose(assemble(g, FieldParams(1.0),
                                    eval_potential(spec, g).v))
-    lo, hi = sigma_q_gap_window(decq, g, margin=0.3)
+    lo, hi = sigma_q_gap_window(decq, margin=0.3)
     lam = dec.eigenvalues
     pts = np.concatenate([[lo], lam[(lam > lo) & (lam < hi)], [hi]])
     gaps = np.diff(pts)
@@ -179,7 +179,7 @@ def test_criterion_8_lap_plateau_and_negative_control():
     well = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     h_neg = assemble(g, FieldParams(1.0, eps), eval_potential(well, g).v)
     dec_neg = eigendecompose(h_neg)
-    lam_neg = float(localized_spectrum(dec_neg, g, margin=0.05)[0])
+    lam_neg = float(localized_spectrum(dec_neg, margin=0.05)[0])
     rep_neg = lap_probe(dec_neg, lam_neg, w, deltas)
     ok = rep.plateau_ratio <= 1.15 and rep_neg.sweep_growth >= 5.0
     assert _verdict(8, ok, f"gap plateau ratio {rep.plateau_ratio:.4f} at "
@@ -211,7 +211,7 @@ def test_criterion_10_weighted_norm_stability():
     for nx in (31, 41, 61):
         g = make_grid(6, 6, nx, nx)
         h0 = assemble(g, fields, np.zeros(g.n_points))
-        res = weighted_resolvent_norms(h0, w, g)
+        res = weighted_resolvent_norms(h0, w)
         hs1.append(res["hs1"])
         tr2.append(res["tr2"])
         pv = eval_potential(SEP3, g)

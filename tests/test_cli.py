@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -450,7 +451,9 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
     ("prop4", "potential.amplitude=nan"),
 ])
 def test_a_non_finite_operator_exits_1(name, entry, tmp_path, capsys):
-    with np.errstate(over="ignore"):
+    # no numpy warning may come ahead of the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main([name, "--set", entry, "--set", "grid.nx=9", "--set",
                      "grid.ny=9", "--out", str(tmp_path)])
     assert code == 1 and "finite" in capsys.readouterr().err

@@ -143,7 +143,7 @@ def test_landau_level_small_grid():
     # b=1 free Landau operator: lowest localized cluster sits near 1.0
     g = make_grid(6, 6, 41, 41)
     dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
-    loc = localized_spectrum(dec, g, margin=0.05)
+    loc = localized_spectrum(dec, margin=0.05)
     assert len(loc) >= 2
     lowest = np.sort(loc)[:2]
     assert np.all(np.abs(lowest - 1.0) < 0.05)
@@ -154,7 +154,7 @@ def test_attractive_gaussian_pulls_below_landau():
     well = PotentialSpec("gaussian", amplitude=-0.4, width=2.0)
     dec = eigendecompose(assemble(g, FieldParams(b=1.0),
                                   eval_potential(well, g).v))
-    loc = localized_spectrum(dec, g, margin=0.05)
+    loc = localized_spectrum(dec, margin=0.05)
     assert len(loc) >= 1
     assert np.min(loc) < 0.95
 

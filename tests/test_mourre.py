@@ -7,13 +7,13 @@ from magstark.errors import (ConfigurationError, NearSingularityError,
                              SpectralWindowError)
 from magstark.grid import make_grid
 from magstark.hamiltonian import FieldParams, assemble
-from magstark.mourre import lap_probe, gap_cutoff_norm, mourre_gap_bound
+from magstark.mourre import (gap_cutoff_norm, gap_cutoff_sweep, lap_probe,
+                             mourre_gap_bound)
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
                                localized_spectrum, weight_dx_s)
 from oracles import embed_x
 
-ZERO = PotentialSpec("zero")
 GRID = make_grid(6, 6, 31, 31)
 NO_V = np.zeros(GRID.n_points)
 FIELDS = FieldParams(b=1.0, eps=0.5)
@@ -74,19 +74,17 @@ def _gap_slot_chi(dec, lo=1.2, hi=2.8, plateau=0.5):
 def test_gap_cutoff_norm_vanishes_on_spectrum_free_cutoff():
     # with supp chi avoiding every eigenvalue, chi(Q0) is exactly zero
     g = make_grid(6, 6, 41, 41)
-    dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
-    chi = _gap_slot_chi(dec)
-    val = gap_cutoff_norm(g, FieldParams(b=1.0, eps=0.0), ZERO, chi,
-                      q_localized=localized_spectrum(dec, g))
-    assert val <= 1e-6
+    v0 = np.zeros(g.n_points)
+    chi = _gap_slot_chi(eigendecompose(assemble(g, FieldParams(b=1.0), v0)))
+    assert gap_cutoff_norm(g, FieldParams(b=1.0, eps=0.0), v0, chi) <= 1e-6
 
 
 def test_gap_cutoff_support_overlap_error():
     g = make_grid(6, 6, 31, 31)
     chi = BumpFunction(1.0, 0.1, plateau=0.5)  # sits on the Landau cluster
     with pytest.raises(SpectralWindowError, match="within"):
-        gap_cutoff_norm(g, FieldParams(b=1.0, eps=0.1), ZERO, chi,
-                    q_localized=np.array([1.0, 3.0]))
+        gap_cutoff_sweep(g, 1.0, np.zeros(g.n_points), chi, (0.1, 0.05),
+                         q_localized=np.array([1.0, 3.0]))
 
 
 def test_lap_probe_validation():
@@ -103,7 +101,7 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     fields = FieldParams(b=1.0, eps=0.1)
     h = assemble(GRID, fields, eval_potential(spec, GRID).v)
     dec = eigendecompose(h)
-    loc = localized_spectrum(dec, GRID, margin=0.05)
+    loc = localized_spectrum(dec, margin=0.05)
     lam0 = float(loc[0])
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
     rep = lap_probe(dec, lam0, WeightSpec(s=0.75), deltas)

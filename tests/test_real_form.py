@@ -32,8 +32,9 @@ from magstark.spectral import (BumpFunction, SpectralDecomposition,
                                weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
-from oracles import (apply_function, commutes_with_reversal, is_t_symmetric,
-                     parity_blocks, real_form, windowed_by_value)
+from oracles import (apply_function, commutes_with_reversal, eigenvectors,
+                     is_t_symmetric, parity_blocks, real_form,
+                     windowed_by_value)
 
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
 FIELDS = FieldParams(b=1.0, eps=0.5)
@@ -84,7 +85,7 @@ def _unsplit(op, window=None):
     subset = {} if window is None else {"subset_by_value": window}
     lam, phi = scipy.linalg.eigh(real_form(op.dense(), op.grid), **subset)
     return SpectralDecomposition(lam, (phi + 1j * phi[py]) / np.sqrt(2.0), op,
-                                 window, "real", (op.dim,))
+                                 window)
 
 
 @pytest.mark.parametrize("n", [31, 41])
@@ -100,8 +101,8 @@ def test_real_form_matches_complex_reference(n, eigh_inputs):
     gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
     simple = gap > 1e-3
     assert np.count_nonzero(simple) > n * n // 2
-    dens = np.abs(dec.eigenvectors[:, simple]) ** 2
-    ref_dens = np.abs(ref.eigenvectors[:, simple]) ** 2
+    dens = np.abs(eigenvectors(dec)[:, simple]) ** 2
+    ref_dens = np.abs(eigenvectors(ref)[:, simple]) ** 2
     assert np.max(np.abs(dens - ref_dens)) <= 1e-10
     assert dec.orthonormality_defect() <= 1e-10
     assert dec.reconstruction_defect() <= 1e-12 * n * n * _norm(ref)
@@ -125,27 +126,57 @@ def test_windowed_traces_match_full_complex(n):
     assert dec.orthonormality_defect() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [31, 41])
-def test_windowed_mourre_bound_matches_full_complex(n):
+def _gauss(g, y_odd):
+    """The sampled gaussian, plus a term odd in y that breaks T = K P_y."""
+    return eval_potential(GAUSS, g).v + y_odd * g.meshes()[1]
+
+
+Y_ODD_CASES = [pytest.param(31, 0.0, id="31"), pytest.param(41, 0.0, id="41"),
+               pytest.param(31, 0.3, id="31-y_odd")]
+
+
+@pytest.mark.parametrize("n,y_odd", Y_ODD_CASES)
+def test_windowed_mourre_bound_matches_full_complex(n, y_odd):
+    # the reference bound is read through the complex U of a full eigh
     g = make_grid(6, 6, n, n)
-    op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
+    op = assemble(g, FIELDS, _gauss(g, y_odd))
     dxv = eval_potential(GAUSS, g).dxv
     full = mourre_gap_bound(_reference(op), 1.6, 2.4, FIELDS, dxv)
-    win = mourre_gap_bound(eigendecompose(op, window=(1.6, 2.4)), 1.6, 2.4,
-                           FIELDS, dxv)
+    dec = eigendecompose(op, window=(1.6, 2.4))
+    assert dec.path == ("complex" if y_odd else "real")
+    win = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv)
     assert abs(win - full) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [31, 41])
-def test_gap_cutoff_norm_matches_full_svd(n):
+@pytest.mark.parametrize("n,y_odd", Y_ODD_CASES)
+def test_gap_cutoff_norm_matches_full_svd(n, y_odd):
     g = make_grid(6, 6, n, n)
     chi = BumpFunction(2.0, 0.3, plateau=0.5)
-    ref = _reference(assemble(g, FIELDS, eval_potential(GAUSS, g).v))
+    v = _gauss(g, y_odd)
+    ref = _reference(assemble(g, FIELDS, v))
     xf, _ = g.meshes()
     full = operator_norm(apply_function(ref, chi) / (1.0 + xf * xf)[None, :])
     assert full > 0.01
-    val = gap_cutoff_norm(g, FIELDS, GAUSS, chi, q_localized=np.array([]))
+    val = gap_cutoff_norm(g, FIELDS, v, chi)
     assert abs(val - full) <= 1e-10 * full
+
+
+@pytest.mark.parametrize("path", ["real_parity", "real", "complex"])
+@pytest.mark.parametrize("windowed", [False, True])
+def test_compress_matches_the_dense_compression(path, windowed):
+    # a window is solved unsplit, so an eps = 0 window takes the real path
+    g = make_grid(6, 6, 15, 13)
+    eps = 0.0 if path == "real_parity" else 0.5
+    op = assemble(g, FieldParams(b=1.0, eps=eps),
+                  _gauss(g, 0.3 if path == "complex" else 0.0))
+    dec = eigendecompose(op, window=F.support if windowed else None)
+    assert dec.path == ("real" if windowed and path == "real_parity" else path)
+    assert 0 < dec.dim
+    # a weight with no symmetry in y
+    w = np.random.default_rng(7).standard_normal(op.dim)
+    u = eigenvectors(dec)
+    ref = (u.conj().T * w) @ u
+    assert np.max(np.abs(dec.compress(w) - ref)) <= 1e-12
 
 
 def test_windowed_reconstruction_defect_is_the_eigen_residual():
@@ -155,9 +186,9 @@ def test_windowed_reconstruction_defect_is_the_eigen_residual():
     assert 0 < dec.dim < op.dim
     # a rank-k reconstruction sits ~|M| away from M; the residual does not
     assert dec.reconstruction_defect() <= 1e-12 * _norm(_reference(op))
-    shifted = SpectralDecomposition(dec.eigenvalues + 1e-3, dec.eigenvectors,
-                                    op, dec.window)
-    expected = 1e-3 * np.max(np.abs(dec.eigenvectors))
+    shifted = SpectralDecomposition(dec.eigenvalues + 1e-3,
+                                    eigenvectors(dec), op, dec.window)
+    expected = 1e-3 * np.max(np.abs(eigenvectors(dec)))
     assert abs(shifted.reconstruction_defect() - expected) <= 1e-10
 
 
@@ -165,7 +196,7 @@ def test_empty_window():
     g = make_grid(6, 6, 21, 21)
     op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     dec = eigendecompose(op, window=(-50.0, -40.0))
-    assert dec.dim == 0 and dec.eigenvectors.shape == (op.dim, 0)
+    assert dec.dim == 0 and eigenvectors(dec).shape == (op.dim, 0)
     assert trace_function(dec, F) == 0.0
     assert dec.reconstruction_defect() == 0.0
 
@@ -261,15 +292,16 @@ def test_parity_split_matches_unsplit_real_form(n, family, eigh_orders):
     dec = eigendecompose(op)
     halves = [(n * n + 1) // 2, n * n // 2]
     assert eigh_orders == halves
-    assert dec.path == "real_parity" and list(dec.blocks) == halves
+    assert dec.path == "real_parity"
+    assert dec.solver_info()["blocks"] == halves
     scale = _norm(ref)
     assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12 * scale
     lam = ref.eigenvalues
     gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
     simple = gap > 1e-3
     assert np.count_nonzero(simple) > n
-    dens = np.abs(dec.eigenvectors[:, simple]) ** 2
-    ref_dens = np.abs(ref.eigenvectors[:, simple]) ** 2
+    dens = np.abs(eigenvectors(dec)[:, simple]) ** 2
+    ref_dens = np.abs(eigenvectors(ref)[:, simple]) ** 2
     assert np.max(np.abs(dens - ref_dens)) <= 1e-10
     assert dec.orthonormality_defect() <= 1e-10
     assert dec.reconstruction_defect() <= 1e-12 * n * n * scale
@@ -280,7 +312,7 @@ def test_parity_split_matches_unsplit_real_form(n, family, eigh_orders):
     for w in (wall_cutoff_weights(g, 2.0), eval_potential(spec, g).dxv):
         assert abs(weighted_trace_function(win, w, F)
                    - weighted_trace_function(ref, w, F)) <= 1e-11
-    loc, ref_loc = localized_spectrum(dec, g), localized_spectrum(ref, g)
+    loc, ref_loc = localized_spectrum(dec), localized_spectrum(ref)
     assert len(loc) == len(ref_loc) > 0
     assert np.max(np.abs(loc - ref_loc)) <= 1e-12 * scale
 
@@ -308,8 +340,8 @@ def test_parity_split_property(nx, ny, lx, ly, b, family, amplitude, width,
         ref = _unsplit(op, window)
     dec = eigendecompose(op, window=window)
     assert dec.path == ("real" if windowed else "real_parity")
-    assert dec.blocks == ((op.dim,) if windowed
-                          else ((op.dim + 1) // 2, op.dim // 2))
+    assert dec.solver_info()["blocks"] == (
+        [op.dim] if windowed else [(op.dim + 1) // 2, op.dim // 2])
     assert dec.dim == ref.dim
     assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues),
                   initial=0.0) <= 1e-12 * scale
@@ -322,7 +354,7 @@ def test_parity_split_empty_window():
     op = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
     dec = eigendecompose(op, window=(-50.0, -40.0))
     assert dec.path == "real" and dec.certificate["counts"] == [0, 0]
-    assert dec.dim == 0 and dec.eigenvectors.shape == (op.dim, 0)
+    assert dec.dim == 0 and eigenvectors(dec).shape == (op.dim, 0)
 
 
 def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
@@ -337,7 +369,7 @@ def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
         eigh_orders.clear()
         dec = eigendecompose(op)
         assert eigh_orders == [op.dim]
-        assert dec.path == "real" and dec.blocks == (op.dim,)
+        assert dec.path == "real" and dec.solver_info()["blocks"] == [op.dim]
         assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) \
             <= 1e-12 * _norm(ref)
         assert dec.reconstruction_defect() <= 1e-12 * op.dim * _norm(ref)
@@ -380,7 +412,7 @@ def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
         # the real forms are solved in a buffer eigh may overwrite
         full = ({"driver": "evd"} if path == "complex"
                 else {"overwrite_a": True, "driver": "evd"})
-        assert eigh_kwargs == [full] * len(dec.blocks)
+        assert eigh_kwargs == [full] * len(dec.solver_info()["blocks"])
         with monkeypatch.context() as m:
             m.setattr(scipy.linalg, "eigh", lambda a, *args, driver=None,
                       **kw: spy(a, *args, **kw))
@@ -393,8 +425,8 @@ def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
                          np.diff(lam, append=np.inf))
         simple = gap > 1e-3
         assert np.count_nonzero(simple) > 31
-        dens = np.abs(dec.eigenvectors[:, simple]) ** 2
-        ref_dens = np.abs(ref.eigenvectors[:, simple]) ** 2
+        dens = np.abs(eigenvectors(dec)[:, simple]) ** 2
+        ref_dens = np.abs(eigenvectors(ref)[:, simple]) ** 2
         assert np.max(np.abs(dens - ref_dens)) <= 1e-10
         # a windowed solve keeps the default driver, which has a subset,
         # and asks for the window and its two neighbours by index
@@ -422,7 +454,7 @@ def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
     assert dec.path == ("real" if windowed and path == "real_parity" else path)
     # weights with no symmetry in x or y
     w = np.random.default_rng(seed).standard_normal(op.dim)
-    got, ref = dec.weighted_density(w), w @ np.abs(dec.eigenvectors) ** 2
+    got, ref = dec.weighted_density(w), w @ np.abs(eigenvectors(dec)) ** 2
     assert got.shape == (dec.dim,)
     assert np.max(np.abs(got - ref), initial=0.0) \
         <= 1e-13 * op.dim * np.max(np.abs(w))
@@ -436,7 +468,7 @@ def test_q_spectrum_holds_no_complex_n_by_n_array():
     try:
         q = assemble(g, FieldParams(b=1.0), v)
         dec = eigendecompose(q)
-        scores = localization_scores(dec, g, 0.05)
+        scores = localization_scores(dec, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

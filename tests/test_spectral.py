@@ -152,11 +152,11 @@ def test_localized_spectrum_margin_monotone():
     well = PotentialSpec("gaussian", amplitude=-0.6, width=2.0)
     dec = eigendecompose(assemble(g, FieldParams(b=1.0),
                                   eval_potential(well, g).v))
-    tight = localized_spectrum(dec, g, margin=0.3)
-    loose = localized_spectrum(dec, g, margin=0.05)
+    tight = localized_spectrum(dec, margin=0.3)
+    loose = localized_spectrum(dec, margin=0.05)
     assert len(tight) <= len(loose)
     # every tightly localized eigenvalue also appears in the loose list
     for v in tight:
         assert np.min(np.abs(loose - v)) < 1e-12
     with pytest.raises(ConfigurationError, match="margin"):
-        localization_scores(dec, g, 0.6)
+        localization_scores(dec, 0.6)

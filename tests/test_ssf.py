@@ -161,20 +161,20 @@ def test_xi_prime_integral_approximates_trace_difference():
 def test_gap_window_first_landau_gap():
     g = make_grid(6, 6, 41, 41)
     decq = eigendecompose(assemble(g, FieldParams(1.0), np.zeros(g.n_points)))
-    a, b = sigma_q_gap_window(decq, g, margin=0.4)
+    a, b = sigma_q_gap_window(decq, margin=0.4)
     assert a <= 1.6 and b >= 2.4
     with pytest.raises(GapNotFoundError, match="margin"):
-        sigma_q_gap_window(decq, g, margin=1.2)
+        sigma_q_gap_window(decq, margin=1.2)
 
 
 def test_gap_window_shrinks_with_attractive_potential():
     g = make_grid(6, 6, 41, 41)
     decq0 = eigendecompose(assemble(g, FieldParams(1.0), np.zeros(g.n_points)))
-    a0, b0 = sigma_q_gap_window(decq0, g, margin=0.3)
+    a0, b0 = sigma_q_gap_window(decq0, margin=0.3)
     well = PotentialSpec("gaussian", amplitude=-0.5, width=2.0)
     decq = eigendecompose(assemble(g, FieldParams(1.0),
                                    eval_potential(well, g).v))
-    a1, b1 = sigma_q_gap_window(decq, g, margin=0.3)
+    a1, b1 = sigma_q_gap_window(decq, margin=0.3)
     assert (b1 - a1) < (b0 - a0)
 
 

@@ -2,8 +2,8 @@
 
 Every public function or method under ``src/magstark`` must be read (as a
 name or an attribute, not an import or a docstring) somewhere in the
-package; reference implementations that only tests use live in
-``tests/oracles.py``.
+package, and every dataclass field as an attribute; reference
+implementations that only tests use live in ``tests/oracles.py``.
 """
 
 import ast
@@ -29,19 +29,44 @@ def _public_defs(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def test_every_public_function_has_a_reader_in_src():
+def _dataclass_fields(tree):
+    """(qualified name, name) of each field of a top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _reads():
+    """The parsed package, the names it loads and the attributes it loads."""
     trees = [ast.parse(p.read_text("utf-8")) for p in sorted(SRC.glob("*.py"))]
-    read = set()
+    names, attrs = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
-                read.add(node.attr)
+                attrs.add(node.attr)
+    return trees, names, attrs
+
+
+def test_every_public_function_has_a_reader_in_src():
+    trees, names, attrs = _reads()
     unread = {qual for tree in trees for qual, name in _public_defs(tree)
-              if name not in read}
+              if name not in names | attrs}
     assert unread == set(UNREAD)
+
+
+def test_every_dataclass_field_has_a_reader_in_src():
+    # a field is read as an attribute; a local of the same name is no reader
+    trees, _, attrs = _reads()
+    unread = {qual for tree in trees for qual, name in _dataclass_fields(tree)
+              if name not in attrs}
+    assert unread == set()
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

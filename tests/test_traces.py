@@ -156,8 +156,8 @@ def test_probe_spec_validation():
 
 def test_weighted_resolvent_norms_monotone_in_delta():
     h0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
-    r1 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=0.5), GRID)
-    r2 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=1.0), GRID)
+    r1 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=0.5))
+    r2 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=1.0))
     assert r2["hs1"] < r1["hs1"]
     assert r2["tr2"] < r1["tr2"]
 
@@ -167,7 +167,7 @@ def test_weighted_norm_hs1_frobenius_identity():
     from magstark.spectral import decay_weight
     h0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
     w = WeightSpec(s=0.6, delta=0.5)
-    res = weighted_resolvent_norms(h0, w, GRID)
+    res = weighted_resolvent_norms(h0, w)
     n = GRID.n_points
     k1 = decay_weight(GRID, 1, w.delta)
     rplus = np.linalg.solve(h0.dense() + 1j * np.eye(n), np.eye(n, dtype=complex))
