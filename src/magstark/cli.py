@@ -99,7 +99,8 @@ def _run_verify_theorem1(grid, fields, spec, f, e):
     rows = [("lhs", "rhs", "residual", "relative_residual"),
             (rep.lhs, rep.rhs, rep.residual, rep.relative_residual)]
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
-               "relative_residual": rep.relative_residual, "h": rep.h}
+               "relative_residual": rep.relative_residual, "h": rep.h,
+               "eigensolve": rep.eigensolve}
     return rows, results, gates
 
 
@@ -139,11 +140,9 @@ def _run_mourre(grid, fields, spec, f, e):
     else:
         name, thr = "bound_above_half_eps", fields.eps / 2.0 - slack
         ok = bound >= thr
-    health = {"reconstruction_defect": dec.reconstruction_defect(),
-              "orthonormality_defect": dec.orthonormality_defect()}
     results = {"bound": bound, "eps": fields.eps,
                "amplitude": spec.amplitude, "amplitude_used": used.amplitude,
-               "eigensolve": {"h": {**dec.solver_info(), **health}}}
+               "eigensolve": {"h": dec.health_info()}}
     # +inf is mourre_gap_bound's sentinel for a window with no eigenvalue,
     # which bounds nothing: run() writes it as null and fails the gate
     if np.isinf(bound):
@@ -219,6 +218,7 @@ def _run_prop2(grid, fields, spec, f, e):
     win = (lam > 1.2) & (lam < 2.8)
     weights = dec.weighted_density(v)[win]
     re_z = float(lam[win][int(np.argmax(weights))])
+    del dec  # only re_z is read from here on
     probe = ProbeSpec(z=complex(re_z, 0.5),
                       z_prime=complex(re_z, e["im_zp"]),
                       delta_list=_list("delta_list", e["delta_list"]))

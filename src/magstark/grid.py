@@ -124,9 +124,9 @@ class DiscreteOperator:
 
     def dense(self, z=None):
         """M as a complex N x N array, or z - M when z is given, written
-        straight from the stencil."""
+        straight from the stencil in Fortran order (eigh may overwrite it)."""
         n = self.dim
-        m = checked_zeros((n, n), complex)
+        m = checked_zeros((n, n), complex, order="F")
         k, c = self.near(np.arange(n))
         vals = self.entries(k, c)
         m[k, c] = vals if z is None else np.where(k == c, z, 0) - vals

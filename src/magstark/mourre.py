@@ -15,7 +15,7 @@ whenever H has a real form, and each norm from a Gram eigensolve
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,8 +64,12 @@ def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
     if not np.any(sel):
         warnings.warn(f"no eigenvalues in ({a}, {b}]; returning +inf sentinel")
         return float("inf")
+    if not sel.all():  # compress only the selected pairs
+        dec = replace(dec, eigenvalues=dec.eigenvalues[sel],
+                      factor=dec.factor[:, sel],
+                      parity=None if dec.parity is None else dec.parity[sel])
     compressed = dec.compress(fields.eps + np.asarray(dxv, dtype=float))
-    return float(np.linalg.eigvalsh(compressed[np.ix_(sel, sel)])[0])
+    return float(np.linalg.eigvalsh(compressed)[0])
 
 
 def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, v, chi: BumpFunction):

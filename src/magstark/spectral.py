@@ -145,6 +145,12 @@ class SpectralDecomposition:
                 "n": n, "pairs": self.dim,
                 "factor_bytes": self.factor.nbytes, **(self.certificate or {})}
 
+    def health_info(self):
+        """:meth:`solver_info` with both health defects of the pairs held."""
+        return {**self.solver_info(),
+                "reconstruction_defect": self.reconstruction_defect(),
+                "orthonormality_defect": self.orthonormality_defect()}
+
     def residual(self):
         """(F, E) with E = A F - F diag(lam), A applied by ``stencil_apply``.
 
@@ -192,7 +198,7 @@ def eigendecompose(op: DiscreteOperator, window=None):
         return _windowed(op, *window)
     n, m = op.dim, op.dim // 2
     if not op.is_t_symmetric():
-        lam, u = scipy.linalg.eigh(op.dense(), driver="evd")
+        lam, u = scipy.linalg.eigh(op.dense(), overwrite_a=True, driver="evd")
         return SpectralDecomposition(lam, u, op)
     if not _commutes_with_reversal(op):
         lam, phi = scipy.linalg.eigh(_real_form(op), overwrite_a=True,

@@ -24,7 +24,7 @@ from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, SpectralDecomposition, eigendecompose,
                        localized_spectrum, trace_function,
                        weighted_trace_function)
-from .traces import resolvent
+from .traces import column_block_max, resolvent
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class TraceFormulaReport:
     rhs: float
     residual: float
     h: float
+    eigensolve: dict  # health_info() of the windowed solves of H and H0
 
     @property
     def relative_residual(self):
@@ -120,7 +121,9 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
            - weighted_trace_function(dech0, chi, f))
     rhs = -(1.0 / fields.eps) * weighted_trace_function(
         dech, chi * fieldsV.dxv, f)
-    return TraceFormulaReport(lhs, rhs, lhs - rhs, h=max(grid.hx, grid.hy))
+    return TraceFormulaReport(lhs, rhs, lhs - rhs, h=max(grid.hx, grid.hy),
+                              eigensolve={"h": dech.health_info(),
+                                          "h0": dech0.health_info()})
 
 
 def truncation_convergence(grid: GridSpec, fields: FieldParams,
@@ -236,20 +239,19 @@ def resolvent_expansion_check(q: DiscreteOperator, h: DiscreteOperator,
     for n in orders:
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
-    rq = resolvent(q, z)
     rh = resolvent(h, z)
-    xf, _ = q.grid.meshes()
-    block = rq * xf  # (z-Q)^-1 X
+    term = resolvent(q, z)  # eps^(n-1) [(z-Q)^-1 X]^(n-1) (z-Q)^-1
+    block = term * q.grid.meshes()[0]  # (z-Q)^-1 X
     top = max(orders, default=0)
     at = {}
-    total = np.zeros_like(rq)
-    term = rq  # eps^(n-1) [(z-Q)^-1 X]^(n-1) (z-Q)^-1
+    total = np.zeros_like(term)
     tail = rh  # [(z-Q)^-1 X]^n (z-H)^-1, once advanced
     for n in range(1, top + 1):
         total += term
         tail = block @ tail
         if n in orders:
-            at[n] = float(np.max(np.abs(rh - total - (eps ** n) * tail)))
+            at[n] = column_block_max(lambda s: rh[:, s] - total[:, s]
+                                     - (eps ** n) * tail[:, s], q.grid)
         if n < top:
             term = eps * (block @ term)
     return [at[n] for n in orders]

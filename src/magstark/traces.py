@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, NearSingularityError
 from .grid import DiscreteOperator, apply_x
@@ -49,24 +50,31 @@ def operator_norm(m):
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
-def resolvent(op: DiscreteOperator, z):
-    """(z - M)^(-1) by direct solve of z - M, written straight from the
-    stencil, with a residual check.
+def column_block_max(f, grid):
+    """max |f(s)| over the column slices s of nx columns that tile the N grid
+    points; np.max, unlike a running max(), keeps a NaN of any block."""
+    return float(np.max([np.max(np.abs(f(slice(j, j + grid.nx))))
+                         for j in range(0, grid.n_points, grid.nx)]))
 
-    A z on the spectrum (an exactly singular z - M) or too near it (a
-    residual over RESIDUAL_TOL) raises :class:`NearSingularityError`.
+
+def resolvent(op: DiscreteOperator, z):
+    """(z - M)^(-1) by one direct solve of z - M, written straight from the
+    stencil and dropped once solved, against I as a strided view of one unit
+    vector.  A z on the spectrum (an exactly singular z - M) or too near it
+    (a stencil residual over RESIDUAL_TOL, checked nx columns at a time)
+    raises :class:`NearSingularityError`.
     """
     z = complex(z)
     n = op.dim
-    a = op.dense(z)
+    eye = sliding_window_view(np.eye(1, 2 * n - 1, n - 1, dtype=complex)[0],
+                              n)[::-1]
     try:
-        r = np.linalg.solve(a, np.eye(n, dtype=complex))
+        r = np.linalg.solve(op.dense(z), eye)
     except np.linalg.LinAlgError as exc:
         raise NearSingularityError(
             f"z = {z} is an eigenvalue of M: z - M is singular") from exc
-    res = z * r - op.stencil_apply(r)
-    res[np.diag_indices(n)] -= 1.0
-    defect = float(np.max(np.abs(res)))
+    defect = column_block_max(
+        lambda s: z * r[:, s] - op.stencil_apply(r[:, s]) - eye[:, s], op.grid)
     if not defect <= RESIDUAL_TOL:  # a NaN defect fails too
         raise NearSingularityError(
             f"resolvent solve at z = {z} left residual {defect:.3g} > {RESIDUAL_TOL}")
@@ -112,20 +120,17 @@ class TraceBoundReport:
         return max(self.products) / lo
 
 
-def sandwich_trace_norm(h: DiscreteOperator, v_diag, z, z_prime):
-    """||(z-H)^-1 V (z'-H)^-1||_tr for one pair of probe points."""
-    rz = resolvent(h, z)
-    rzp = resolvent(h, z_prime)
-    return nuclear_norm((rz * v_diag) @ rzp)
-
-
 def tracebound_sweep(h: DiscreteOperator, v_diag, probe: ProbeSpec):
-    """Scaled trace norms of the sandwiched resolvent along the Im-halving sweep."""
+    """Scaled trace norms of the sandwiched resolvent along the Im-halving
+    sweep; no resolvent outlives the product it enters."""
     products = []
     for d in probe.delta_list:
         z = complex(probe.z.real, d * np.sign(probe.z.imag))
-        tn = sandwich_trace_norm(h, v_diag, z, probe.z_prime)
-        products.append(abs(z.imag) * abs(probe.z_prime.imag) * tn)
+        rv = resolvent(h, z)
+        rv *= v_diag  # (z-H)^-1 V
+        rv = rv @ resolvent(h, probe.z_prime)
+        products.append(abs(z.imag) * abs(probe.z_prime.imag)
+                        * nuclear_norm(rv))
     return TraceBoundReport(tuple(probe.delta_list), tuple(products))
 
 
@@ -138,8 +143,9 @@ def weighted_resolvent_norms(h0: DiscreteOperator, w: WeightSpec):
     k1 = decay_weight(h0.grid, 1, w.delta)
     k2 = decay_weight(h0.grid, 2, w.delta)
     hs1 = frobenius_norm(k1[:, None] * r)
-    tr2 = nuclear_norm(k2[:, None] * (r @ r))
-    return {"hs1": hs1, "tr2": tr2}
+    r = r @ r
+    r *= k2[:, None]
+    return {"hs1": hs1, "tr2": nuclear_norm(r)}
 
 
 def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, w: WeightSpec, z):
@@ -156,9 +162,10 @@ def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, w: WeightSpec, z
         raise ConfigurationError(
             f"s must lie in (1/2, {s_hi}) for delta={w.delta}, got {w.s}")
     ws = weight_dx_s(q.grid, w, power=w.s)
-    rz = resolvent(q, z)
-    xf, _ = q.grid.meshes()
-    block = rz * xf  # (z-Q)^-1 X
-    m = np.linalg.matrix_power(block, n)
-    left = apply_x(q.grid, ws, dxv_diag[:, None] * m)
-    return nuclear_norm(apply_x(q.grid, ws.T, left.T).T)
+    m = resolvent(q, z)
+    m *= q.grid.meshes()[0]  # (z-Q)^-1 X
+    m = np.linalg.matrix_power(m, n)
+    m *= dxv_diag[:, None]
+    m = apply_x(q.grid, ws, m)
+    m = apply_x(q.grid, ws.T, m.T).T
+    return nuclear_norm(m)

@@ -490,3 +490,18 @@ def test_mourre_records_its_certified_window(tmp_path):
     assert h["factor_bytes"] == 8 * 225 * h["pairs"]
     assert 0 <= h["reconstruction_defect"] <= 1e-12
     assert 0 <= h["orthonormality_defect"] <= 1e-12
+
+
+def test_verify_theorem1_records_both_windowed_solves(tmp_path):
+    cfg = load_config("verify-theorem1", None, ["grid.nx=21", "grid.ny=21"])
+    _, env = run("verify-theorem1", cfg, tmp_path)
+    solves = env["results"]["eigensolve"]
+    assert sorted(solves) == ["h", "h0"]
+    for rec in solves.values():
+        assert rec["path"] == "real" and rec["window"] == [1.2, 2.8]
+        c_lo, c_hi = rec["counts"]
+        assert c_hi - c_lo == rec["pairs"] > 0
+        assert 0 <= rec["reconstruction_defect"] <= 1e-10
+        assert 0 <= rec["orthonormality_defect"] <= 1e-10
+    rows = (tmp_path / "verify-theorem1.csv").read_text().splitlines()
+    assert rows[0] == "lhs,rhs,residual,relative_residual"

@@ -61,6 +61,27 @@ def test_mourre_empty_projector_sentinel():
     assert bound == float("inf")
 
 
+@pytest.mark.parametrize("eps,y_odd,path", [(0.0, 0.0, "real_parity"),
+                                             (0.5, 0.0, "real"),
+                                             (0.5, 0.3, "complex")])
+def test_mourre_bound_from_a_full_decomposition_matches_the_window(eps, y_odd,
+                                                                    path):
+    # a full decomposition is restricted to the pairs in (a, b] before it
+    # is compressed; the windowed one holds exactly those pairs
+    g = make_grid(6, 6, 21, 21)
+    pv = eval_potential(PotentialSpec("gaussian", amplitude=0.3, width=1.5), g)
+    fields = FieldParams(b=1.0, eps=eps)
+    op = assemble(g, fields, pv.v + y_odd * g.meshes()[1])
+    full = eigendecompose(op)
+    assert full.path == path
+    sel = (full.eigenvalues > 1.6) & (full.eigenvalues <= 2.4)
+    assert 0 < np.count_nonzero(sel) < full.dim
+    a = mourre_gap_bound(full, 1.6, 2.4, fields, pv.dxv)
+    b = mourre_gap_bound(eigendecompose(op, window=(1.6, 2.4)), 1.6, 2.4,
+                         fields, pv.dxv)
+    assert abs(a - b) <= 1e-12 * abs(b)
+
+
 def _gap_slot_chi(dec, lo=1.2, hi=2.8, plateau=0.5):
     """Cutoff centered in the widest eigenvalue-free slot of the window."""
     lam = dec.eigenvalues

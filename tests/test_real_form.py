@@ -409,9 +409,8 @@ def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
         eigh_kwargs.clear()
         dec = eigendecompose(op)
         assert dec.path == path
-        # the real forms are solved in a buffer eigh may overwrite
-        full = ({"driver": "evd"} if path == "complex"
-                else {"overwrite_a": True, "driver": "evd"})
+        # every path is solved in a fresh buffer eigh may overwrite
+        full = {"overwrite_a": True, "driver": "evd"}
         assert eigh_kwargs == [full] * len(dec.solver_info()["blocks"])
         with monkeypatch.context() as m:
             m.setattr(scipy.linalg, "eigh", lambda a, *args, driver=None,

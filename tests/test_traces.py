@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,9 +11,10 @@ from magstark.grid import DiscreteOperator, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import WeightSpec
+from magstark.ssf import resolvent_expansion_check
 from magstark.traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm,
                              nuclear_norm, operator_norm, tracebound_sweep,
-                             resolvent_chain_tracenorm, resolvent, sandwich_trace_norm)
+                             resolvent_chain_tracenorm, resolvent)
 
 
 def _random(n, seed, complex_=True):
@@ -130,12 +133,13 @@ def test_tracebound_sweep_zero_potential():
 
 
 def test_sandwich_norm_adjoint_symmetry():
+    # ||R_z V R_z'||_tr = ||R_conj(z') V R_conj(z)||_tr, the norm of the adjoint
     h = assemble(GRID, FIELDS, eval_potential(SEP3, GRID).v)
     v = eval_potential(SEP3, GRID).v
     z, zp = 1.8 + 0.4j, 2.2 + 0.3j
-    a = sandwich_trace_norm(h, v, z, zp)
-    b = sandwich_trace_norm(h, v, np.conj(zp), np.conj(z))
-    assert np.isclose(a, b, rtol=1e-8)
+    a = tracebound_sweep(h, v, ProbeSpec(z, zp, (z.imag,)))
+    b = tracebound_sweep(h, v, ProbeSpec(np.conj(zp), np.conj(z), (zp.imag,)))
+    assert np.isclose(a.products[0], b.products[0], rtol=1e-8)
 
 
 def test_tracebound_sweep_deterministic():
@@ -203,10 +207,78 @@ def test_chain_tracenorm_continuity_in_z():
 
 
 def test_resolvent_rejects_a_nan_residual():
-    # NaN > RESIDUAL_TOL is False, so the check must read not defect <= tol
+    # NaN > RESIDUAL_TOL is False, so the check must read not defect <= tol;
+    # a NaN on the diagonal reaches every column block of the residual
     g = make_grid(1, 1, 8, 8)
-    d = np.arange(64, dtype=float)
-    d[5] = np.nan
-    op = DiscreteOperator(d, np.zeros((8, 7), complex), 0.0, g)
-    with pytest.raises(NearSingularityError):
+    for k in (5, 63):
+        d = np.arange(64, dtype=float)
+        d[k] = np.nan
+        op = DiscreteOperator(d, np.zeros((8, 7), complex), 0.0, g)
+        with pytest.raises(NearSingularityError):
+            resolvent(op, 100.5 + 1j)
+
+
+def test_resolvent_rejects_a_nan_in_the_last_column_block(monkeypatch):
+    # a NaN in one column of the solution reaches only the last block of nx
+    # columns of the residual; a running max() over the blocks would lose it
+    g = make_grid(1, 1, 8, 8)
+    op = DiscreteOperator(np.arange(64, dtype=float),
+                          np.zeros((8, 7), complex), 0.0, g)
+    exact = np.diag(1.0 / (100.5 + 1j - op.diag))
+    exact[0, 63] = np.nan
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: exact.copy())
+    with pytest.raises(NearSingularityError, match="nan"):
         resolvent(op, 100.5 + 1j)
+
+
+def test_resolvent_is_bitwise_the_dense_solve():
+    g = make_grid(6, 6, 13, 13)
+    h = assemble(g, FIELDS, eval_potential(SEP3, g).v)
+    eye = np.eye(h.dim, dtype=complex)
+    for z in (2.0 + 0.5j, -1j, 1.3 - 0.2j):
+        assert np.array_equal(resolvent(h, z),
+                              np.linalg.solve(h.dense(z), eye))
+
+
+def _peak(fn):
+    """Traced peak allocation of fn(), in complex N x N arrays at GRID
+    (16 N^2 bytes); LAPACK's own copies inside a solve are not traced."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * GRID.n_points ** 2)
+
+
+_PV = eval_potential(SEP3, GRID)
+_H = assemble(GRID, FIELDS, _PV.v)
+_Q = assemble(GRID, FieldParams(b=1.0), _PV.v)
+_H0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
+_W = WeightSpec(s=0.6, delta=0.5)
+
+# (traced call, bound); the parent code held 5.0, 6.0, 6.2, 5.0 and 8.0
+BUDGETS = {
+    # z - M and the solution
+    "resolvent": (lambda: resolvent(_H, 2.0 + 0.5j), 2.1),
+    # the scaled (z-H)^-1 V, and (z'-H)^-1 while it is solved
+    "tracebound_sweep": (lambda: tracebound_sweep(
+        _H, _PV.v, ProbeSpec(2.0 + 0.5j, 2.0 + 0.25j)), 3.1),
+    # the chain, and the copy its SVD takes
+    "resolvent_chain_tracenorm": (lambda: resolvent_chain_tracenorm(
+        _Q, _PV.dxv, 2, _W, 2.0 + 1.0j), 2.2),
+    "weighted_resolvent_norms": (lambda: weighted_resolvent_norms(_H0, _W),
+                                 2.2),
+    # (z-H)^-1, (z-Q)^-1 X, the partial sum, its next term, the tail and
+    # the product that advances one of the last two
+    "resolvent_expansion_check": (lambda: resolvent_expansion_check(
+        _Q, _H, 0.5, 2.0 + 0.5j, (1, 2, 3)), 6.1),
+}
+
+
+@pytest.mark.parametrize("name", BUDGETS)
+def test_resolvent_paths_hold_only_what_they_still_read(name):
+    call, bound = BUDGETS[name]
+    assert _peak(call) <= bound
