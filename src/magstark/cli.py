@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import ConfigurationError, MagstarkError
@@ -112,7 +113,8 @@ def _run_scaling(grid, fields, spec, f, e):
     rows = [("eps", "value")] + [(eps, v) for eps, v in rep.samples]
     results = {"slope": rep.slope, "intercept": rep.intercept, "r2": rep.r2,
                "underflow": rep.underflow, "target": rep.target,
-               "decay_certificate": _stark_certificate(spec, grid)}
+               "decay_certificate": _stark_certificate(spec, grid),
+               "eigensolve": {"h": list(rep.eigensolve)}}
     if rep.underflow and spec.family == "zero":
         gates = {"underflow_flagged": (1.0, 1.0, rep.underflow)}
     elif rep.slope is None:
@@ -203,7 +205,8 @@ def _run_lemma7(grid, fields, spec, f, e):
     rows = [("eps", "norm")] + list(zip(rep.params, rep.norms))
     results = {"slope": rep.slope, "r2": rep.r2,
                "decay_certificate": _stark_certificate(spec, grid),
-               "eigensolve": {"q": decq.solver_info()}}
+               "eigensolve": {"q": decq.solver_info(),
+                              "h": list(rep.eigensolve)}}
     return rows, results, \
         {"slope_window": (rep.slope, (e["slope_lo"], e["slope_hi"]), ok)}
 
@@ -280,15 +283,17 @@ def _run_spectrum(grid, fields, spec, f, e):
 
 
 def _run_truncation(grid, fields, spec, f, e):
-    table = truncation_convergence(grid, fields, spec, f,
-                                   TruncationSpec(_list("radii", e["radii"])))
+    rep = truncation_convergence(grid, fields, spec, f,
+                                 TruncationSpec(_list("radii", e["radii"])))
+    table = rep.rows
     rows = [("radius", "trace_diff", "weighted_diff")] + table
     c1 = [r[1] for r in table]
     c2 = [r[2] for r in table]
     tol = 1e-10
     ok = all(c1[i + 1] <= c1[i] + tol for i in range(len(c1) - 1)) and \
         all(c2[i + 1] <= c2[i] + tol for i in range(len(c2) - 1))
-    return rows, {"table": table}, {"monotone_decreasing": (c1 + c2, None, ok)}
+    return rows, {"table": table, "eigensolve": rep.eigensolve}, \
+        {"monotone_decreasing": (c1 + c2, None, ok)}
 
 
 def _run_expansion(grid, fields, spec, f, e):
@@ -499,9 +504,25 @@ def run(experiment, cfg, outdir):
         "gates": report,
         "all_pass": all(g["pass"] for g in report.values()),
         "timings": {"wall_seconds": wall},
+        "environment": _environment(),
     }
     _emit(outdir, experiment, rows, envelope)
     return (0 if envelope["all_pass"] else 2), envelope
+
+
+def _environment():
+    """numpy and scipy versions, the BLAS each links and the BLAS thread
+    settings: two BLAS builds in one process can contend for the cores."""
+
+    def blas(mod):
+        b = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": b.get("name"), "version": b.get("version"),
+                "config": b.get("openblas configuration")}
+
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": blas(np), "scipy_blas": blas(scipy),
+            **{k: os.environ.get(k)
+               for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
 def _plain(v, bad):
@@ -573,6 +594,7 @@ def run_convergence(experiment, cfg, levels, outdir):
         "orders": _plain(orders, bad), "verdict": verdict,
         "all_pass": bool(ok) and not bad,
         "timings": {"wall_seconds": time.time() - t0},
+        "environment": _environment(),
     }
     if bad:
         envelope["reason"] = "non_finite"

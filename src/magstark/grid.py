@@ -150,20 +150,25 @@ class DiscreteOperator:
         on grid line j, C_j its diagonal coupling to line j + 1), and the
         block LDL* recursion S_j = D_j - s - C_{j-1}* S_{j-1}^-1 C_{j-1} has
         inertia(M - s) = sum_j inertia(S_j) (Haynsworth, Linear Algebra
-        Appl. 1 (1968) 73): O(N m^2) for lines of m points."""
+        Appl. 1 (1968) 73): O(N m^2) for lines of m points.  Each S_j is
+        counted as it is formed, so only two lines' m x m blocks are held."""
         ny, nx, hop = self.grid.ny, self.grid.nx, self.yhop
         d, inner, cross = (self.diag.reshape(ny, nx), self.xhop,
                            np.full((ny - 1, nx), hop))
         if ny < nx:
             d, inner, cross = d.T, np.full((nx, ny - 1), hop), self.xhop.T
-        i = np.arange(d.shape[1])
-        s = np.zeros((d.shape[0], len(shifts)) + 2 * i.shape, complex)
-        s[..., i, i] = d[:, None] - np.asarray(shifts, dtype=float)[:, None]
-        s[..., i[:-1], i[1:]] = inner[:, None]
-        s[..., i[1:], i[:-1]] = inner.conj()[:, None]
-        for j, c in enumerate(cross, 1):
-            s[j] -= c.conj()[:, None] * np.linalg.inv(s[j - 1]) * c
-        return np.count_nonzero(np.linalg.eigvalsh(s) <= 0.0, axis=(0, 2))
+        i, shifts = np.arange(d.shape[1]), np.asarray(shifts, dtype=float)
+        count, s = np.zeros(shifts.size, dtype=int), None
+        for j in range(d.shape[0]):
+            prev, s = s, np.zeros((shifts.size,) + 2 * i.shape, complex)
+            s[:, i, i] = d[j] - shifts[:, None]
+            s[:, i[:-1], i[1:]] = inner[j]
+            s[:, i[1:], i[:-1]] = inner[j].conj()
+            if j:
+                c = cross[j - 1]
+                s -= c.conj()[:, None] * np.linalg.inv(prev) * c
+            count += np.count_nonzero(np.linalg.eigvalsh(s) <= 0.0, axis=1)
+        return count
 
     def is_t_symmetric(self):
         """True when conj(M) == P_y M P_y holds bitwise, i.e. M commutes with

@@ -38,6 +38,7 @@ class ProbeReport:
     slope: float | None = None
     r2: float | None = None
     residual_bound: float | None = None  # certified resolvent residual
+    eigensolve: tuple = ()  # health_info() of each windowed solve
 
     @property
     def plateau_ratio(self):
@@ -72,11 +73,10 @@ def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
     return float(np.linalg.eigvalsh(compressed)[0])
 
 
-def gap_cutoff_norm(grid: GridSpec, fields: FieldParams, v, chi: BumpFunction):
-    """Operator norm of chi(H) <x>^-2 for H with the sampled potential v,
-    from the eigenpairs of H in supp chi."""
-    dec = eigendecompose(assemble(grid, fields, v), window=chi.support)
-    xf, _ = grid.meshes()
+def gap_cutoff_norm(dec: SpectralDecomposition, chi: BumpFunction):
+    """Operator norm of chi(H) <x>^-2 from ``dec``, the eigenpairs of H in
+    supp chi (or more)."""
+    xf, _ = dec.source.grid.meshes()
     wx = 1.0 / (1.0 + xf * xf)
     # chi(H) <x>^-2 = U_k [chi(lam_k) U_k* <x>^-2] and U_k has orthonormal
     # columns, so the k x N factor in brackets has the same operator norm.
@@ -98,12 +98,17 @@ def gap_cutoff_sweep(grid: GridSpec, b, v, chi: BumpFunction, eps_list,
             f"cutoff support [{lo:.4g}, {hi:.4g}] is within {margin} of "
             f"localized Q eigenvalue(s) {q_localized[inside][:4]}")
     eps_list = tuple(float(e) for e in eps_list)
-    norms = tuple(gap_cutoff_norm(grid, FieldParams(b=b, eps=e), v, chi)
-                  for e in eps_list)
+    norms, infos = [], []
+    for e in eps_list:
+        dec = eigendecompose(assemble(grid, FieldParams(b=b, eps=e), v),
+                             window=chi.support)
+        norms.append(gap_cutoff_norm(dec, chi))
+        infos.append(dec.health_info())
+    norms, infos = tuple(norms), tuple(infos)
     if min(norms) == 0.0:
-        return ProbeReport(eps_list, norms)
+        return ProbeReport(eps_list, norms, eigensolve=infos)
     slope, _, r2 = fit_loglog(eps_list, norms)
-    return ProbeReport(eps_list, norms, slope=slope, r2=r2)
+    return ProbeReport(eps_list, norms, slope=slope, r2=r2, eigensolve=infos)
 
 
 def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,

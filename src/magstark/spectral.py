@@ -17,7 +17,7 @@ what callers see:
   operator with a potential even in y does, W = (I + i P_y)/sqrt(2) is
   unitary and W* M W = Re M - (Im M) P_y is real symmetric.  Its
   eigenvectors phi map back to eigenvectors u = (phi + i P_y phi)/sqrt(2)
-  of M.  Any other input takes the complex solve, of the dense M.
+  of M.  Any other input takes the complex solve, of M itself.
 * Parity split.  When the real form R also commutes bitwise with the flat
   reversal J = P_x P_y, as it does for every eps = 0 operator with a
   potential even in x and y, R is block diagonal in the +-1 eigenspaces of
@@ -29,10 +29,16 @@ what callers see:
 * Window.  ``window=(lo, hi)`` computes only the k eigenpairs in (lo, hi].
   A function supported in [lo, hi] vanishes on every other eigenvalue, so
   its f(M) and (weighted) traces are unchanged.  Stencil inertia counts
-  certify the pairs (:func:`_windowed`), which cost 8 N^2 bytes for the
-  unsplit real form plus 8 N (k + 2) for eigenvectors, not 16 N^2.
+  certify the pairs (:func:`_windowed`), which one of two paths solves,
+  chosen from N and the counts alone.  Above N = 512 a window of at most
+  N/16 pairs takes shift-invert Lanczos (ARPACK ``eigsh``) at the window
+  midpoint on the sparse unsplit real form, 7 nonzeros per row, and holds
+  no N x N array.  Any other window takes one index-subset eigh of the
+  dense real form: 8 N^2 bytes plus 8 N (k + 2) for eigenvectors, not
+  16 N^2.  The certificate names the path as ``solver``.
 
-A full solve uses LAPACK's ``evd``; a windowed one the subset driver ``evr``.
+A full solve uses LAPACK's ``evd``; a dense window the default driver
+``evr``, which has a subset.
 
 The eigenvectors are kept in the real factor they were solved in: the
 parity-block vectors (ceil(N/2) rows, with the +-1 parity of each column),
@@ -50,6 +56,13 @@ import scipy.linalg
 from .errors import ConfigurationError, SpectralWindowError
 from .grid import DiscreteOperator, GridSpec, checked_zeros, d2_op
 
+# A window of at most N/16 pairs is solved sparse above this order.  On 2
+# cores a 4-pair window costs about the same both ways at N = 361 to 441
+# and 0.6 times as much sparse at N = 729, where dense catches up near
+# 0.07 N pairs.
+SPARSE_DIM_MIN = 512
+SPARSE_PAD = 2  # Lanczos pairs asked for beyond the window and its neighbours
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -61,7 +74,8 @@ class SpectralDecomposition:
     (ceil(N/2) rows; an odd column is zero on the centre row of odd N) with
     the +-1 parity of each column.  With ``window`` set, only the eigenpairs
     with eigenvalue in (lo, hi] are held, and ``certificate`` holds the
-    window, its inertia counts and the bracketing eigenvalues.
+    window, its inertia counts, the bracketing eigenvalues and the solver
+    path, "dense" or "sparse".
     """
 
     eigenvalues: np.ndarray
@@ -223,9 +237,15 @@ def eigendecompose(op: DiscreteOperator, window=None):
 
 def _windowed(op: DiscreteOperator, lo, hi):
     """The eigenpairs in (lo, hi], certified by the stencil's inertia counts
-    c_lo, c_hi at lo and hi: one eigh of the unsplit real form, or of M,
-    returns the pairs c_lo - 1 to c_hi, and the bracketing ones must lie at
-    or below lo and above hi, else :class:`SpectralWindowError`."""
+    c_lo, c_hi at lo and hi.
+
+    Above SPARSE_DIM_MIN, a window of at most N/16 pairs is solved by
+    :func:`_shift_invert` on the sparse real form, or M; any other by one
+    eigh of the dense one for the pairs c_lo - 1 to c_hi.  Either way the
+    window must hold c_hi - c_lo eigenvalues, and each bracketing pair that
+    exists must be returned and lie at or below lo or above hi, else
+    :class:`SpectralWindowError`.
+    """
     if not lo < hi:
         raise ConfigurationError(f"window needs lo < hi, got {(lo, hi)}")
     n, real = op.dim, op.is_t_symmetric()
@@ -234,20 +254,80 @@ def _windowed(op: DiscreteOperator, lo, hi):
     except np.linalg.LinAlgError:  # an end is an eigenvalue of a leading block
         raise SpectralWindowError(f"no inertia count at a window end of "
                                   f"{(lo, hi)}; move it off the spectrum") from None
-    first = max(c_lo - 1, 0)
-    lam, v = scipy.linalg.eigh(_real_form(op) if real else op.dense(),
-                               subset_by_index=(first, min(c_hi, n - 1)),
-                               overwrite_a=True)
+    if n > SPARSE_DIM_MIN and 16 * (c_hi - c_lo) <= n:
+        solver = "sparse"
+        lam, v, first = _shift_invert(op, real, lo, hi, c_lo, c_hi)
+    else:
+        solver, first = "dense", max(c_lo - 1, 0)
+        lam, v = scipy.linalg.eigh(_real_form(op) if real else op.dense(),
+                                   subset_by_index=(first, min(c_hi, n - 1)),
+                                   overwrite_a=True)
+    # lam[i] is eigenvalue first + i if the counts hold
     below, above = lam[:c_lo - first], lam[c_hi - first:]
-    if (np.count_nonzero((lam > lo) & (lam <= hi)) != c_hi - c_lo
+    if (first < 0 or below.size != (c_lo > 0) or above.size != (c_hi < n)
+            or np.count_nonzero((lam > lo) & (lam <= hi)) != c_hi - c_lo
             or np.any(below > lo) or np.any(above <= hi)):
         raise SpectralWindowError(f"inertia counts {c_lo}, {c_hi} at {lo}, "
                                   f"{hi} disagree with the eigenvalues {lam}")
     k = slice(c_lo - first, c_hi - first)
     cert = {"window": [lo, hi], "counts": [c_lo, c_hi],
-            "bracket": [float(b[0]) if b.size else None for b in (below, above)]}
+            "bracket": [float(b[0]) if b.size else None for b in (below, above)],
+            "solver": solver}
     return SpectralDecomposition(lam[k], v[:, k].copy(), op, (lo, hi),
                                  certificate=cert)
+
+
+def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
+    """Ascending eigenpairs c_lo - 1 to c_hi (those that exist) of the
+    sparse real form, or of M, written straight from the stencil, and the
+    index ``first`` of the first, from shift-invert Lanczos (ARPACK eigsh)
+    at sigma = (lo + hi)/2.
+
+    eigsh returns the k pairs nearest sigma.  k starts at the window and
+    its two neighbours plus SPARSE_PAD, and doubles, up to N/8, while a
+    neighbour that exists (c_lo > 0, c_hi < N) is missing.  The indices
+    follow from c_lo and the number returned at or below lo, so they are
+    right only when the counts are; :func:`_windowed` checks them.  A
+    neighbour still missing, no convergence, or a shift that is exactly an
+    eigenvalue (SuperLU's singular factor) raises
+    :class:`SpectralWindowError`.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    n, sigma = op.dim, 0.5 * (lo + hi)
+    k, c = op.near(np.arange(n))
+    # near repeats clipped positions, and a CSC matrix sums repeated entries
+    k, c = np.divmod(np.unique(k * n + c), n)
+    a = csc_matrix((op.real_entries(k, c) if real else op.entries(k, c),
+                    (k, c)), shape=(n, n))
+    nev = c_hi - c_lo + 2 + SPARSE_PAD
+    while True:
+        try:
+            lam, v = eigsh(a, nev, sigma=sigma, which="LM", v0=np.ones(n),
+                           tol=0)
+        except ArpackNoConvergence:
+            raise SpectralWindowError(f"shift-invert Lanczos for {nev} pairs "
+                                      f"near {sigma} did not converge") from None
+        except RuntimeError as exc:  # SuperLU's singular factor, or ARPACK
+            raise SpectralWindowError(f"no shift-invert at {sigma}, the window "
+                                      f"midpoint of {(lo, hi)}: {exc}") from None
+        order = np.argsort(lam, kind="stable")
+        lam, v = lam[order], v[:, order]
+        n_below = int(np.count_nonzero(lam <= lo))
+        missing = ((c_lo > 0 and n_below == 0)
+                   or (c_hi < n and not np.any(lam > hi)))
+        if not missing:
+            break
+        if nev >= n // 8:
+            raise SpectralWindowError(
+                f"inertia counts {c_lo}, {c_hi} at {lo}, {hi} leave a "
+                f"bracketing eigenvalue outside the {nev} nearest {sigma}")
+        nev = min(2 * nev, n // 8)
+    # the pairs nearest sigma are contiguous, so if the counts hold, lam[0]
+    # is eigenvalue c_lo - n_below; keep c_lo - 1 to c_hi, as eigh does
+    start = max(n_below - 1, 0)
+    keep = slice(start, n_below + c_hi - c_lo + 1)
+    return lam[keep], v[:, keep], c_lo - n_below + start
 
 
 def _real_form(op: DiscreteOperator):

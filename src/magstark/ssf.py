@@ -52,6 +52,16 @@ class ScalingReport:
     r2: float | None
     underflow: bool
     target: float
+    eigensolve: tuple  # health_info() of each windowed solve, in sweep order
+
+
+@dataclass(frozen=True)
+class TruncationReport:
+    """(radius, |tr f(H_R) - tr f(H)|, weighted difference) rows of the
+    cutoff-radius study, and the windowed solves behind them."""
+
+    rows: list
+    eigensolve: dict  # health_info() of the solve of H, and of each H_R
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,7 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
 
 def truncation_convergence(grid: GridSpec, fields: FieldParams,
                            spec: PotentialSpec, f: BumpFunction,
-                           trunc: TruncationSpec):
+                           trunc: TruncationSpec) -> TruncationReport:
     """Cutoff-radius study of tr f(H_R) -> tr f(H) and the weighted analogue."""
     rmax = trunc.radii[-1]
     if rmax > min(grid.lx, grid.ly) / 2.0:
@@ -141,7 +151,7 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
     dech = eigendecompose(assemble(grid, fields, fieldsV.v), window=f.support)
     tr_full = trace_function(dech, f)
     w_full = weighted_trace_function(dech, fieldsV.dxv, f)
-    rows = []
+    rows, infos = [], []
     for radius in trunc.radii:
         prof = trunc.profile(radius)
         chi_r = prof(r)
@@ -154,7 +164,8 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
         wgt = dchi_r * fieldsV.v + chi_r * fieldsV.dxv
         col2 = abs(weighted_trace_function(dec_r, wgt, f) - w_full)
         rows.append((radius, col1, col2))
-    return rows
+        infos.append(dec_r.health_info())
+    return TruncationReport(rows, {"h": dech.health_info(), "h_r": infos})
 
 
 def sigma_q_gap_window(decQ: SpectralDecomposition, margin):
@@ -197,19 +208,22 @@ def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
     fieldsV = eval_potential(spec, grid)
     chi = (np.ones(grid.n_points) if wall_cutoff is None
            else wall_cutoff_weights(grid, wall_cutoff))
-    samples = []
+    samples, infos = [], []
     for eps in eps_list:
         dech = eigendecompose(assemble(grid, FieldParams(b=b, eps=eps),
                                        fieldsV.v), window=f.support)
         val = -(1.0 / eps) * weighted_trace_function(
             dech, chi * fieldsV.dxv, f)
         samples.append((eps, abs(val)))
+        infos.append(dech.health_info())
     target = float(spec.decay_n - 2)
     if any(v < 1e-13 for _, v in samples):
-        return ScalingReport(tuple(samples), None, None, None, True, target)
+        return ScalingReport(tuple(samples), None, None, None, True, target,
+                             tuple(infos))
     slope, intercept, r2 = fit_loglog([e for e, _ in samples],
                                       [v for _, v in samples])
-    return ScalingReport(tuple(samples), slope, intercept, r2, False, target)
+    return ScalingReport(tuple(samples), slope, intercept, r2, False, target,
+                         tuple(infos))
 
 
 def fit_loglog(xs, ys):

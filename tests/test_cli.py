@@ -301,6 +301,7 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
     env = json.loads((tmp_path / f"{name}.json").read_text(),
                      parse_constant=_reject_constant)
     if name == "lemma7":
+        solves = env["results"]["eigensolve"].pop("h")
         assert env["results"] == {
             "slope": None, "r2": None,
             "decay_certificate": {"convention": "stark_order", "n": 3,
@@ -308,6 +309,12 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
             "eigensolve": {"q": {"path": "real_parity", "blocks": [264, 263],
                                  "n": 527, "pairs": 527,
                                  "factor_bytes": 264 * 527 * 8}}}
+        # one windowed solve of H per eps, sparse at N = 527; the window
+        # at eps = 0.2 is empty
+        assert len(solves) == 5 and solves[0]["pairs"] == 0
+        for rec in solves:
+            assert rec["solver"] == "sparse" and rec["path"] == "real"
+            assert rec["counts"][1] - rec["counts"][0] == rec["pairs"]
 
 
 def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
@@ -490,6 +497,49 @@ def test_mourre_records_its_certified_window(tmp_path):
     assert h["factor_bytes"] == 8 * 225 * h["pairs"]
     assert 0 <= h["reconstruction_defect"] <= 1e-12
     assert 0 <= h["orthonormality_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("name,nx,ny,solver", [
+    ("scaling", 61, 13, "sparse"), ("scaling", 41, 9, "dense"),
+    ("truncation", 27, 27, "sparse"), ("truncation", 21, 21, "dense")])
+def test_sweeps_record_each_windowed_solve(name, nx, ny, solver, tmp_path):
+    # scaling solves H once per eps, truncation H and each H_R; N = 793
+    # and 729 take the sparse path, 369 and 441 the dense one
+    _, env = run(name, load_config(name, None, [f"grid.nx={nx}",
+                                                f"grid.ny={ny}"]), tmp_path)
+    solves = env["results"]["eigensolve"]
+    if name == "scaling":
+        assert sorted(solves) == ["h"] and len(solves["h"]) == 5
+        recs = solves["h"]
+    else:
+        assert sorted(solves) == ["h", "h_r"] and len(solves["h_r"]) == 3
+        recs = [solves["h"]] + solves["h_r"]
+    f = load_config(name)["function"]
+    for rec in recs:
+        assert rec["solver"] == solver and rec["n"] == nx * ny
+        assert rec["window"] == [f["center"] - f["halfwidth"],
+                                 f["center"] + f["halfwidth"]]
+        c_lo, c_hi = rec["counts"]
+        assert c_hi - c_lo == rec["pairs"] > 0
+        assert 0 <= rec["reconstruction_defect"] <= 1e-10
+        assert 0 <= rec["orthonormality_defect"] <= 1e-10
+
+
+def test_envelopes_record_the_environment(tmp_path, monkeypatch):
+    import scipy
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg = load_config("prop4", None, ["grid.nx=9", "grid.ny=9"])
+    _, env = run("prop4", cfg, tmp_path)
+    _, conv = run_convergence("prop4", cfg, [9, 10, 11], tmp_path)
+    for rec in (env["environment"], conv["environment"]):
+        assert rec["numpy"] == np.__version__
+        assert rec["scipy"] == scipy.__version__
+        for lib in ("numpy_blas", "scipy_blas"):
+            assert sorted(rec[lib]) == ["config", "name", "version"]
+        assert rec["OPENBLAS_NUM_THREADS"] == "3"
+        assert rec["OMP_NUM_THREADS"] is None
+    assert "numpy" not in (tmp_path / "prop4.csv").read_text()
 
 
 def test_verify_theorem1_records_both_windowed_solves(tmp_path):

@@ -97,7 +97,9 @@ def test_gap_cutoff_norm_vanishes_on_spectrum_free_cutoff():
     g = make_grid(6, 6, 41, 41)
     v0 = np.zeros(g.n_points)
     chi = _gap_slot_chi(eigendecompose(assemble(g, FieldParams(b=1.0), v0)))
-    assert gap_cutoff_norm(g, FieldParams(b=1.0, eps=0.0), v0, chi) <= 1e-6
+    dec = eigendecompose(assemble(g, FieldParams(b=1.0, eps=0.0), v0),
+                         window=chi.support)
+    assert gap_cutoff_norm(dec, chi) <= 1e-6
 
 
 def test_gap_cutoff_support_overlap_error():

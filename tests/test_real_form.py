@@ -25,11 +25,11 @@ from magstark.grid import DiscreteOperator, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
-from magstark.spectral import (BumpFunction, SpectralDecomposition,
-                               _commutes_with_reversal, _parity_blocks,
-                               _real_form, eigendecompose, localization_scores,
-                               localized_spectrum, trace_function,
-                               weighted_trace_function)
+from magstark.spectral import (SPARSE_DIM_MIN, SPARSE_PAD, BumpFunction,
+                               SpectralDecomposition, _commutes_with_reversal,
+                               _parity_blocks, _real_form, eigendecompose,
+                               localization_scores, localized_spectrum,
+                               trace_function, weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
 from oracles import (apply_function, commutes_with_reversal, eigenvectors,
@@ -157,7 +157,8 @@ def test_gap_cutoff_norm_matches_full_svd(n, y_odd):
     xf, _ = g.meshes()
     full = operator_norm(apply_function(ref, chi) / (1.0 + xf * xf)[None, :])
     assert full > 0.01
-    val = gap_cutoff_norm(g, FIELDS, v, chi)
+    val = gap_cutoff_norm(eigendecompose(assemble(g, FIELDS, v),
+                                         window=chi.support), chi)
     assert abs(val - full) <= 1e-10 * full
 
 
@@ -395,17 +396,36 @@ def eigh_kwargs(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Record the order k and keyword arguments of each sparse eigsh."""
+    import scipy.sparse.linalg
+    seen = []
+    orig = scipy.sparse.linalg.eigsh
+
+    def spy(a, k, **kwargs):
+        seen.append((k, kwargs))
+        return orig(a, k, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return seen
+
+
+def _ops_by_path(nx, ny, family):
+    g = make_grid(6, 6, nx, ny)
+    v = eval_potential(PotentialSpec(family, amplitude=0.5, width=2.0), g).v
+    h = assemble(g, FIELDS, v)
+    return {"real_parity": assemble(g, FieldParams(b=1.0), v), "real": h,
+            "complex": _odd_in_y(h)}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
+                                                           eigsh_calls,
                                                            monkeypatch):
-    g = make_grid(6, 6, 31, 31)
-    spec = PotentialSpec(family, amplitude=0.5, width=2.0)
-    v = eval_potential(spec, g).v
-    h = assemble(g, FIELDS, v)
-    ops = {"real_parity": assemble(g, FieldParams(b=1.0), v), "real": h,
-           "complex": _odd_in_y(h)}
+    small = _ops_by_path(21, 21, family)
     spy = scipy.linalg.eigh
-    for path, op in ops.items():
+    for path, op in _ops_by_path(31, 31, family).items():
         eigh_kwargs.clear()
         dec = eigendecompose(op)
         assert dec.path == path
@@ -427,13 +447,27 @@ def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
         dens = np.abs(eigenvectors(dec)[:, simple]) ** 2
         ref_dens = np.abs(eigenvectors(ref)[:, simple]) ** 2
         assert np.max(np.abs(dens - ref_dens)) <= 1e-10
-        # a windowed solve keeps the default driver, which has a subset,
-        # and asks for the window and its two neighbours by index
+        # at N = 441 a windowed solve keeps the default driver, which has a
+        # subset, and asks for the window and its two neighbours by index
         eigh_kwargs.clear()
-        c_lo, c_hi = eigendecompose(op, window=F.support).certificate["counts"]
-        assert 0 < c_lo < c_hi < op.dim
+        dec = eigendecompose(small[path], window=F.support)
+        c_lo, c_hi = dec.certificate["counts"]
+        assert 0 < c_lo < c_hi < small[path].dim <= SPARSE_DIM_MIN
+        assert dec.certificate["solver"] == "dense" and eigsh_calls == []
         assert eigh_kwargs == [{"subset_by_index": (c_lo - 1, c_hi),
                                 "overwrite_a": True}]
+        # at N = 961 it is one shift-invert eigsh at the window midpoint,
+        # for the window, its two neighbours and the pad, and no dense eigh
+        eigh_kwargs.clear()
+        dec = eigendecompose(op, window=F.support)
+        c_lo, c_hi = dec.certificate["counts"]
+        assert 0 < c_lo < c_hi < op.dim and dec.certificate["solver"] == "sparse"
+        assert eigh_kwargs == [] and len(eigsh_calls) == 1
+        k, kw = eigsh_calls.pop()
+        assert k == c_hi - c_lo + 2 + SPARSE_PAD
+        assert sorted(kw) == ["sigma", "tol", "v0", "which"]
+        assert kw["sigma"] == 0.5 * sum(F.support) and kw["which"] == "LM"
+        assert kw["tol"] == 0 and np.array_equal(kw["v0"], np.ones(op.dim))
 
 
 @settings(max_examples=40, deadline=None)
@@ -532,19 +566,31 @@ def test_inertia_counts_match_dense_counts(nx, ny, eps, family, amplitude,
     assert got.tolist() == [int(np.count_nonzero(lam <= s)) for s in shifts]
 
 
-@pytest.mark.parametrize("nx,ny", [(21, 21), (24, 17), (15, 22)])
+def _kind(nx, ny, kind):
+    g = make_grid(6, 6, nx, ny)
+    v = eval_potential(GAUSS, g).v
+    op = assemble(g, FieldParams(b=1.0, eps=0.0 if kind == "q" else 0.5), v)
+    return _odd_in_y(op) if kind == "y_odd" else op
+
+
+# 25 x 25, 31 x 21 and 23 x 29 (N = 625, 651, 667) solve every window but
+# (20, 1e4) sparse, the other sizes dense; both paths are held to 1e-12,
+# where the sparse eigenvalues measured at most 1.5e-13 off at (-50, 0.5),
+# whose shift lies far from its pairs, and 2.3e-14 elsewhere, and the
+# sparse projectors at most 1e-14
+@pytest.mark.parametrize("nx,ny", [(21, 21), (24, 17), (15, 22), (25, 25),
+                                   (31, 21), (23, 29)])
 @pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
 @pytest.mark.parametrize("window", [F.support, (1.6, 2.4), (-50.0, 0.5),
                                     (20.0, 1e4)])
 def test_windowed_pairs_match_the_by_value_solve(nx, ny, kind, window):
-    g = make_grid(6, 6, nx, ny)
-    v = eval_potential(GAUSS, g).v
-    op = assemble(g, FieldParams(b=1.0, eps=0.0 if kind == "q" else 0.5), v)
-    if kind == "y_odd":
-        op = _odd_in_y(op)
+    op = _kind(nx, ny, kind)
     ref = windowed_by_value(op, window)
     dec = eigendecompose(op, window=window)
     assert dec.path == ref.path and dec.dim == ref.dim
+    sparse = op.dim > SPARSE_DIM_MIN and 16 * dec.dim <= op.dim
+    assert dec.certificate["solver"] == ("sparse" if sparse else "dense")
+    assert sparse == (op.dim > SPARSE_DIM_MIN and window != (20.0, 1e4))
     assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues),
                   initial=0.0) <= 1e-12
     # the projector onto the window does not see a rotation of its basis
@@ -560,9 +606,13 @@ def test_windowed_pairs_match_the_by_value_solve(nx, ny, kind, window):
     assert info["counts"] == [c_lo, c_hi] and info["pairs"] == dec.dim
 
 
-def test_a_windowed_solve_peaks_below_one_real_n_by_n_array_and_a_third():
-    # the real form is 8 N^2 bytes; a by-value eigh of it adds a second
-    # N x N eigenvector array, an index-subset eigh only N (k + 2) columns
+def test_a_windowed_solve_peaks_below_one_real_n_by_n_array_and_a_third(
+        monkeypatch):
+    # on the dense path the real form is 8 N^2 bytes; a by-value eigh of it
+    # adds a second N x N eigenvector array, an index-subset eigh only
+    # N (k + 2) columns
+    import magstark.spectral
+    monkeypatch.setattr(magstark.spectral, "SPARSE_DIM_MIN", 10 ** 9)
     g = make_grid(6, 6, 35, 35)
     h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     peaks = []
@@ -590,6 +640,101 @@ def test_a_wrong_inertia_count_raises(off, monkeypatch):
                         lambda op, s: counts(op, s) + np.array(off))
     with pytest.raises(SpectralWindowError, match="inertia counts"):
         eigendecompose(h, window=F.support)
+
+
+def test_a_sparse_window_peaks_below_one_eighth_of_the_real_form(monkeypatch):
+    # the sparse path holds the 7-per-row stencil, its LU factors and the
+    # Lanczos basis, so the dense byte limit no longer bounds a window
+    import magstark.grid
+    g = make_grid(6, 6, 35, 35)
+    h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
+    eigendecompose(h, window=F.support)  # scipy.sparse imported untraced
+    tracemalloc.start()
+    try:
+        dec = eigendecompose(h, window=F.support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.certificate["solver"] == "sparse" and 0 < dec.dim < 50
+    assert peak < 8 * h.dim ** 2 / 8
+    monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 8 * h.dim ** 2 - 1)
+    assert eigendecompose(h, window=F.support).dim == dec.dim
+    with pytest.raises(CapacityError, match="dense limit"):
+        eigendecompose(h)
+
+
+@pytest.mark.parametrize("kind", ["h", "y_odd"])
+@pytest.mark.parametrize("off", [(0, 2), (0, -2), (2, 0), (-2, 0), (0, 1)])
+def test_a_wrong_inertia_count_raises_on_the_sparse_path(kind, off,
+                                                         monkeypatch):
+    # the in-window count catches a wrong difference c_hi - c_lo
+    op = _kind(25, 25, kind)
+    counts = DiscreteOperator.inertia_counts
+    dec = eigendecompose(op, window=F.support)
+    assert dec.certificate["solver"] == "sparse" and 2 <= dec.dim
+    monkeypatch.setattr(DiscreteOperator, "inertia_counts",
+                        lambda op, s: counts(op, s) + np.array(off))
+    with pytest.raises(SpectralWindowError, match="inertia counts"):
+        eigendecompose(op, window=F.support)
+
+
+@pytest.mark.parametrize("window,off", [((-50.0, 0.5), (1, 1)),
+                                        ((-50.0, 0.5), (-1, 0))])
+def test_a_count_past_a_spectrum_end_raises_on_the_sparse_path(window, off,
+                                                               monkeypatch):
+    # c_lo = 0 is exact here: a count of 1 below -50 leaves a bracketing
+    # pair that no widening finds, and c_lo = -1 one below lo too many
+    op = _kind(25, 25, "h")
+    counts = DiscreteOperator.inertia_counts
+    assert eigendecompose(op, window=window).certificate["counts"][0] == 0
+    monkeypatch.setattr(DiscreteOperator, "inertia_counts",
+                        lambda op, s: counts(op, s) + np.array(off))
+    with pytest.raises(SpectralWindowError, match="inertia counts"):
+        eigendecompose(op, window=window)
+
+
+def test_a_far_neighbour_widens_the_sparse_solve(eigsh_calls):
+    # a diagonal operator (N = 576) with 1.0 alone in (0, 1.9] and the 39
+    # values 2.0, 2.1, ..., 5.8 all nearer the midpoint 0.95 than the lower
+    # neighbour -4.0: k doubles from 5 until that neighbour is returned,
+    # the last step clamped to N/8 = 72
+    d = np.full(576, 100.0) + np.arange(576)
+    d[:41] = np.concatenate([[-4.0, 1.0], 2.0 + 0.1 * np.arange(39)])
+    op = DiscreteOperator(d, np.zeros((24, 23), complex), 0.0,
+                          make_grid(1, 1, 24, 24))
+    dec = eigendecompose(op, window=(0.0, 1.9))
+    assert [k for k, _ in eigsh_calls] == [5, 10, 20, 40, 72]
+    assert dec.certificate["solver"] == "sparse"
+    assert dec.certificate["counts"] == [1, 2]
+    assert np.max(np.abs(dec.eigenvalues - [1.0])) <= 1e-12
+    assert np.max(np.abs(np.subtract(dec.certificate["bracket"],
+                                     [-4.0, 2.0]))) <= 1e-12
+
+
+def test_no_convergence_raises_on_the_sparse_path(monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled(a, k, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    with pytest.raises(SpectralWindowError, match="did not converge"):
+        eigendecompose(_kind(25, 25, "h"), window=F.support)
+
+
+def test_a_shift_on_an_eigenvalue_raises_on_the_sparse_path():
+    # the midpoint 4.0 of (2.5, 5.5) is an eigenvalue of this diagonal
+    # operator (N = 576), so SuperLU finds D - 4 exactly singular
+    op = DiscreteOperator(np.arange(576, dtype=float),
+                          np.zeros((24, 23), complex), 0.0,
+                          make_grid(1, 1, 24, 24))
+    with pytest.raises(SpectralWindowError, match="no shift-invert"):
+        eigendecompose(op, window=(2.5, 5.5))
+    dec = eigendecompose(op, window=(2.5, 5.6))
+    assert dec.certificate["solver"] == "sparse"
+    assert np.max(np.abs(dec.eigenvalues - [3.0, 4.0, 5.0])) <= 1e-12
+    assert np.max(np.abs(np.subtract(dec.certificate["bracket"],
+                                     [2.0, 6.0]))) <= 1e-12
 
 
 def test_a_window_end_on_an_eigenvalue_of_a_leading_block_raises():

@@ -91,7 +91,7 @@ def test_truncation_compact_support_collapses():
     g = make_grid(12, 12, 33, 33)
     bump = PotentialSpec("compact_bump", amplitude=0.5, width=2.5)
     tab = truncation_convergence(g, FieldParams(1.0, 0.5), bump, F,
-                                 TruncationSpec((3.0, 4.5, 6.0)))
+                                 TruncationSpec((3.0, 4.5, 6.0))).rows
     for _, c1, c2 in tab:
         assert c1 <= 1e-10 and c2 <= 1e-10
 
@@ -99,7 +99,7 @@ def test_truncation_compact_support_collapses():
 def test_truncation_zero_potential():
     g = make_grid(12, 12, 33, 33)
     tab = truncation_convergence(g, FieldParams(1.0, 0.5), ZERO, F,
-                                 TruncationSpec((3.0, 4.5, 6.0)))
+                                 TruncationSpec((3.0, 4.5, 6.0))).rows
     for _, c1, c2 in tab:
         assert c1 == 0.0 and c2 == 0.0
 
@@ -107,7 +107,7 @@ def test_truncation_zero_potential():
 def test_truncation_gaussian_monotone():
     g = make_grid(12, 12, 41, 41)
     tab = truncation_convergence(g, FieldParams(1.0, 0.5), GAUSS, F,
-                                 TruncationSpec((3.0, 4.5, 6.0)))
+                                 TruncationSpec((3.0, 4.5, 6.0))).rows
     c1 = [row[1] for row in tab]
     c2 = [row[2] for row in tab]
     assert c1[0] > c1[1] > c1[2]
