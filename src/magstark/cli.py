@@ -166,23 +166,23 @@ def _run_lap_probe(grid, fields, spec, f, e):
     used = clamp_amplitude(spec, fields.eps / 2.0)
     v = eval_potential(used, grid).v
     h = assemble(grid, fields, v)
-    dec = eigendecompose(h)
     # probe at the middle of the widest eigenvalue-free slot of H inside
-    # the first gap of the localized spectrum of Q
+    # the first gap of the localized spectrum of Q: H's certified window
     decq = eigendecompose(assemble(grid, FieldParams(fields.b), v))
     lo, hi = sigma_q_gap_window(decq, margin=0.3)
+    dec = eigendecompose(h, window=(lo, hi))
     lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
     deltas = tuple(2.0 ** (-k) for k in
                    range(int(e["delta_max_exp"]), int(e["delta_min_exp"]) + 1))
-    rep = lap_probe(dec, lam, WeightSpec(s=e["s"], delta=0.5), deltas)
+    rep = lap_probe(h, lam, WeightSpec(s=e["s"], delta=0.5), deltas)
     ok = rep.plateau_ratio <= e["plateau_max"]
     rows = [("delta", "norm")] + list(zip(rep.params, rep.norms))
     results = {"lambda": lam, "plateau_ratio": rep.plateau_ratio,
                "sweep_growth": rep.sweep_growth,
                "amplitude": spec.amplitude, "amplitude_used": used.amplitude,
                "residual_bound": rep.residual_bound, "n": h.dim,
-               "solver": "eigenbasis",
-               "eigensolve": {"h": dec.solver_info(), "q": decq.solver_info()}}
+               "solver": "splu_lanczos",
+               "eigensolve": {"h": dec.health_info(), "q": decq.solver_info()}}
     return rows, results, {"plateau": (rep.plateau_ratio, e["plateau_max"], ok)}
 
 

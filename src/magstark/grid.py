@@ -8,7 +8,7 @@ forming it.  All fields outside the sampled box are treated as zero
 (hard-wall / Dirichlet truncation).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,6 +131,24 @@ class DiscreteOperator:
         vals = self.entries(k, c)
         m[k, c] = vals if z is None else np.where(k == c, z, 0) - vals
         return m
+
+    def csc(self, z=None, real=False):
+        """M, z - M or (``real``) the real form as a CSC matrix, one entry per
+        position of ``near`` (only the real form reads its P_y columns)."""
+        from scipy.sparse import csc_matrix
+        n, (k, c) = self.dim, self.near(np.arange(self.dim))
+        # near repeats clipped positions; a CSC matrix sums repeated entries
+        k, c = np.divmod(np.unique((k * n + c)[:, :7 if real else 5]), n)
+        vals = self.real_entries(k, c) if real else self.entries(k, c)
+        vals = vals if z is None else np.where(k == c, z, 0) - vals
+        return csc_matrix((vals, (k, c)), shape=(n, n))
+
+    def gershgorin_floor(self):
+        """min_k diag[k] - sum_l |M[k, l]| (l != k), a lower bound of the
+        spectrum of M and of its unitarily similar real form."""
+        off = replace(self, diag=np.zeros(self.dim), xhop=np.abs(self.xhop),
+                      yhop=abs(self.yhop)).stencil_apply(np.ones((self.dim, 1)))
+        return float(np.min(self.diag - off.real[:, 0]))
 
     def stencil_apply(self, x):
         """M @ x for an N x k block x, in O(N) per column."""

@@ -8,10 +8,9 @@ Dirichlet corner terms carry the compensating negative weight.  The
 multiplication form is the quantity the positivity statement actually
 controls.
 
-The limiting-absorption probe reads every weighted resolvent of its delta
-sweep from one eigendecomposition of H, in the real eigenvector factor
-whenever H has a real form, and each norm from a Gram eigensolve
-(:func:`~magstark.traces.operator_norm`).
+The limiting-absorption probe needs no eigendecomposition of H: each
+delta's weighted-resolvent norm comes from one sparse LU of z - H and a
+Lanczos top eigenvalue, every solve certified by its stencil residual.
 """
 
 import warnings
@@ -19,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ConfigurationError, NearSingularityError,
+from .errors import (ConfigurationError, MagstarkError, NearSingularityError,
                      SpectralWindowError)
-from .grid import GridSpec, apply_x
+from .grid import DiscreteOperator, GridSpec, apply_x
 from .hamiltonian import FieldParams, assemble
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
                        eigendecompose, weight_dx_s)
@@ -37,7 +36,7 @@ class ProbeReport:
     norms: tuple
     slope: float | None = None
     r2: float | None = None
-    residual_bound: float | None = None  # certified resolvent residual
+    residual_bound: float | None = None  # largest certified solve bound
     eigensolve: tuple = ()  # health_info() of each windowed solve
 
     @property
@@ -111,75 +110,65 @@ def gap_cutoff_sweep(grid: GridSpec, b, v, chi: BumpFunction, eps_list,
     return ProbeReport(eps_list, norms, slope=slope, r2=r2, eigensolve=infos)
 
 
-def lap_probe(dec: SpectralDecomposition, lam, w: WeightSpec,
+def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
               delta_list) -> ProbeReport:
     """Norms ||<Dx>^-s (H - lam - i delta)^-1 <Dx>^-s|| along a delta sweep.
 
-    Every resolvent is read from the full eigendecomposition ``dec`` of H:
-    with G = <Dx>^-s U and d = 1/(z - lam_k), the weighted resolvent at
-    z = lam + i delta is G diag(d) G*, so the sweep costs one product and
-    one operator norm per delta and no solve.
+    Per delta, z - H (z = lam + i delta) is factored once by SuperLU
+    (``splu`` of :meth:`~magstark.grid.DiscreteOperator.csc`), and the norm
+    of A = W (z - H)^-1 W, W = <Dx>^-s = kron(I, w1d), is the square root of
+    the top eigenvalue of A*A from Lanczos (ARPACK ``eigsh``, k = 1), whose
+    products apply W, a solve, W^2, an adjoint solve and W: O(N) memory.
 
-    A real factor keeps the sweep real: U = (phi + i P_y phi)/sqrt(2) = Y phi
-    with Y = (I + i P_y)/sqrt(2) unitary, and <Dx>^-s = kron(I, w1d)
-    commutes with P_y, so G = Y (<Dx>^-s phi) and the weighted resolvent is
-    Y [G diag(d) G^T] Y* with G = <Dx>^-s phi real: the bracket has the
-    same norm and is formed by one real product.
-
-    A certificate stands in for the residual check of
-    :func:`~magstark.traces.resolvent`, in the factor F the sweep uses (U,
-    or phi with the real form R = Y* H Y in place of H): with
-    E = H F - F diag(lam_k) (:meth:`SpectralDecomposition.residual`) and
-    O = F*F - I,
-    (z - H) F diag(d) F* - I = (FF* - I) - E diag(d) F*, whose Frobenius
-    norm (a bound on its largest entry) is at most
-    ||E||_F max|d| ||F||_2 + ||O||_F, since F is square (so FF* - I has the
-    Frobenius norm of O) and ||F||_2^2 <= 1 + ||O||_F.  A bound
-    over RESIDUAL_TOL raises :class:`NearSingularityError`; the report keeps
-    the largest bound of the sweep as ``residual_bound``.
+    H is Hermitian, so ||(z - H)^-1|| <= 1/delta, and a solve y is within
+    ||r|| / (delta ||y||) of the exact one relative to ||y||, r its residual
+    applied by ``stencil_apply``.  A bound over RESIDUAL_TOL, a NaN bound or
+    a singular factor raises :class:`NearSingularityError`; the report keeps
+    the largest bound as ``residual_bound``.  Lanczos without convergence,
+    or a Ritz pair (theta, v) with ||A*A v - theta v|| > RESIDUAL_TOL theta,
+    raises :class:`MagstarkError`.
     """
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh, splu)
     deltas = tuple(float(d) for d in delta_list)
     if len(deltas) < 2 or any(d < 1e-6 for d in deltas) or any(
             deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)):
-        raise ConfigurationError(
-            f"delta_list must hold at least two values, decreasing and "
-            f">= 1e-6, got {deltas}")
-    if dec.window is not None:
-        raise ConfigurationError(
-            f"lap_probe needs the full eigendecomposition of H, got the "
-            f"window {dec.window}")
-    ev, grid = dec.eigenvalues, dec.source.grid
-    f, e = dec.residual()
-    e_fro = np.linalg.norm(e)
-    del e
-    gram = f.conj().T @ f
-    gram[np.diag_indices(dec.dim)] -= 1.0
-    o_fro = np.linalg.norm(gram)
-    del gram
-    f_norm = np.sqrt(1.0 + o_fro)
-    g = apply_x(grid, weight_dx_s(grid, w), f)  # <Dx>^-s F
+        raise ConfigurationError(f"delta_list must hold at least two values, "
+                                 f"decreasing and >= 1e-6, got {deltas}")
+    grid, n, w1d = h.grid, h.dim, weight_dx_s(h.grid, w)
+    w2 = w1d @ w1d
     norms, bounds = [], []
     for delta in deltas:
         z = lam + 1j * delta
-        d = 1.0 / (z - ev)
-        bound = float(e_fro * np.max(np.abs(d)) * f_norm + o_fro)
-        if not bound <= RESIDUAL_TOL:  # a NaN bound fails too
-            raise NearSingularityError(
-                f"eigenbasis resolvent at z = {z} has residual bound "
-                f"{bound:.3g} > {RESIDUAL_TOL}")
-        bounds.append(bound)
-        norms.append(operator_norm(_sandwich(g, d)))
+        try:
+            lu = splu(h.csc(z))
+        except RuntimeError as exc:  # SuperLU's exactly singular factor
+            raise NearSingularityError(f"singular z - H at z = {z}") from exc
+
+        def solve(b, zt, trans):
+            y = lu.solve(b, trans=trans)
+            r = zt * y - h.stencil_apply(y) - b
+            bound = float(np.linalg.norm(r) / (delta * np.linalg.norm(y)))
+            if not bound <= RESIDUAL_TOL:  # a NaN bound fails too
+                raise NearSingularityError(f"forward-error bound {bound:.3g}"
+                                           f" > {RESIDUAL_TOL} at z = {z}")
+            bounds.append(bound)
+            return y
+
+        def gram(x):  # A*A x
+            y = solve(apply_x(grid, w1d, x.reshape(n, 1)), z, "N")
+            y = solve(apply_x(grid, w2, y), z.conjugate(), "H")
+            return apply_x(grid, w1d, y)
+
+        try:
+            theta, v = eigsh(LinearOperator((n, n), gram, dtype=complex), 1,
+                             which="LA", v0=np.ones(n), tol=0)
+        except ArpackNoConvergence:
+            raise MagstarkError(f"Lanczos for the norm at z = {z} did not "
+                                f"converge") from None
+        ritz = float(np.linalg.norm(gram(v) - theta[0] * v))
+        if not ritz <= RESIDUAL_TOL * theta[0]:
+            raise MagstarkError(f"Ritz residual {ritz:.3g} of the norm at "
+                                f"z = {z} exceeds {RESIDUAL_TOL} theta")
+        norms.append(float(np.sqrt(theta[0])))
     return ProbeReport(deltas, tuple(norms), residual_bound=max(bounds))
-
-
-def _sandwich(g, d):
-    """G diag(d) G* for a complex d.
-
-    For a real G it is one real product: diag(d) G^T, read as real numbers,
-    interleaves the columns of diag(Re d) G^T and diag(Im d) G^T, so G times
-    it holds G diag(d) G^T in the same interleaved layout.
-    """
-    if np.iscomplexobj(g):
-        return (g * d) @ g.conj().T
-    b = np.multiply(d[:, None], g.T, order="C")
-    return (g @ b.view(float)).view(complex)

@@ -31,11 +31,11 @@ what callers see:
   its f(M) and (weighted) traces are unchanged.  Stencil inertia counts
   certify the pairs (:func:`_windowed`), which one of two paths solves,
   chosen from N and the counts alone.  Above N = 512 a window of at most
-  N/16 pairs takes shift-invert Lanczos (ARPACK ``eigsh``) at the window
-  midpoint on the sparse unsplit real form, 7 nonzeros per row, and holds
-  no N x N array.  Any other window takes one index-subset eigh of the
-  dense real form: 8 N^2 bytes plus 8 N (k + 2) for eigenvectors, not
-  16 N^2.  The certificate names the path as ``solver``.
+  N/16 pairs takes shift-invert Lanczos (ARPACK ``eigsh``) on the sparse
+  unsplit real form, 7 nonzeros per row, and holds no N x N array.  Any
+  other window takes one index-subset eigh of the dense real form: 8 N^2
+  bytes plus 8 N (k + 2) for eigenvectors, not 16 N^2.  The certificate
+  names the path as ``solver``.
 
 A full solve uses LAPACK's ``evd``; a dense window the default driver
 ``evr``, which has a subset.
@@ -72,16 +72,15 @@ class SpectralDecomposition:
     A complex ``factor`` is U itself.  A real one is phi, the eigenvectors of
     the real form (N rows), or, with ``parity`` set, the parity-block vectors
     (ceil(N/2) rows; an odd column is zero on the centre row of odd N) with
-    the +-1 parity of each column.  With ``window`` set, only the eigenpairs
-    with eigenvalue in (lo, hi] are held, and ``certificate`` holds the
+    the +-1 parity of each column.  A windowed solve holds only the
+    eigenpairs with eigenvalue in (lo, hi], and its ``certificate`` holds the
     window, its inertia counts, the bracketing eigenvalues and the solver
-    path, "dense" or "sparse".
+    path, "dense" or "sparse" (with its ``sigma``, ``nev`` and ``doublings``).
     """
 
     eigenvalues: np.ndarray
     factor: np.ndarray
     source: DiscreteOperator
-    window: tuple | None = None
     parity: np.ndarray | None = None
     certificate: dict | None = None
 
@@ -165,27 +164,22 @@ class SpectralDecomposition:
                 "reconstruction_defect": self.reconstruction_defect(),
                 "orthonormality_defect": self.orthonormality_defect()}
 
-    def residual(self):
-        """(F, E) with E = A F - F diag(lam), A applied by ``stencil_apply``.
+    def reconstruction_defect(self):
+        """max|A F - F diag(lam)|, the eigen-residual of the pairs held in
+        the stored factor, A applied by ``stencil_apply``.
 
         A is M and F = U for a complex factor, else F = phi and A the real
         form R = Re M - (Im M) P_y = Re M + P_y Im M (T-symmetry makes Im M
         anticommute with P_y), so R phi = Re(M phi) + P_y Im(M phi).
         """
         f, lam, grid = self.real_eigenvectors(), self.eigenvalues, self.source.grid
+        mf = self.source.stencil_apply(self.factor if f is None else f)
         if f is None:
-            return self.factor, self.source.stencil_apply(self.factor) \
-                - self.factor * lam
-        mf = self.source.stencil_apply(f)
+            return float(np.max(np.abs(mf - self.factor * lam), initial=0.0))
         e = mf.real - f * lam
         e.reshape(grid.ny, grid.nx, -1)[::-1] += mf.imag.reshape(
             grid.ny, grid.nx, -1)
-        return f, e
-
-    def reconstruction_defect(self):
-        """max|A F - F diag(lam)|, the eigen-residual of the pairs held, in
-        the factor of :meth:`residual`."""
-        return float(np.max(np.abs(self.residual()[1]), initial=0.0))
+        return float(np.max(np.abs(e), initial=0.0))
 
     def orthonormality_defect(self):
         """max|F* F - I| of the stored factor: U* U = phi^T phi, and
@@ -256,9 +250,9 @@ def _windowed(op: DiscreteOperator, lo, hi):
                                   f"{(lo, hi)}; move it off the spectrum") from None
     if n > SPARSE_DIM_MIN and 16 * (c_hi - c_lo) <= n:
         solver = "sparse"
-        lam, v, first = _shift_invert(op, real, lo, hi, c_lo, c_hi)
+        lam, v, first, record = _shift_invert(op, real, lo, hi, c_lo, c_hi)
     else:
-        solver, first = "dense", max(c_lo - 1, 0)
+        solver, first, record = "dense", max(c_lo - 1, 0), {}
         lam, v = scipy.linalg.eigh(_real_form(op) if real else op.dense(),
                                    subset_by_index=(first, min(c_hi, n - 1)),
                                    overwrite_a=True)
@@ -272,16 +266,16 @@ def _windowed(op: DiscreteOperator, lo, hi):
     k = slice(c_lo - first, c_hi - first)
     cert = {"window": [lo, hi], "counts": [c_lo, c_hi],
             "bracket": [float(b[0]) if b.size else None for b in (below, above)],
-            "solver": solver}
-    return SpectralDecomposition(lam[k], v[:, k].copy(), op, (lo, hi),
-                                 certificate=cert)
+            "solver": solver, **record}
+    return SpectralDecomposition(lam[k], v[:, k].copy(), op, certificate=cert)
 
 
 def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
     """Ascending eigenpairs c_lo - 1 to c_hi (those that exist) of the
-    sparse real form, or of M, written straight from the stencil, and the
-    index ``first`` of the first, from shift-invert Lanczos (ARPACK eigsh)
-    at sigma = (lo + hi)/2.
+    sparse real form, or of M (``op.csc``), the index ``first`` of the
+    first and the solve's record {sigma, nev, doublings}, from shift-invert
+    Lanczos (ARPACK eigsh) at sigma = (lo + hi)/2, or for c_lo = 0 at
+    max(lo, ``op.gershgorin_floor()``), below the lowest eigenvalue.
 
     eigsh returns the k pairs nearest sigma.  k starts at the window and
     its two neighbours plus SPARSE_PAD, and doubles, up to N/8, while a
@@ -292,15 +286,10 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
     eigenvalue (SuperLU's singular factor) raises
     :class:`SpectralWindowError`.
     """
-    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-    n, sigma = op.dim, 0.5 * (lo + hi)
-    k, c = op.near(np.arange(n))
-    # near repeats clipped positions, and a CSC matrix sums repeated entries
-    k, c = np.divmod(np.unique(k * n + c), n)
-    a = csc_matrix((op.real_entries(k, c) if real else op.entries(k, c),
-                    (k, c)), shape=(n, n))
-    nev = c_hi - c_lo + 2 + SPARSE_PAD
+    n, a = op.dim, op.csc(real=real)
+    sigma = 0.5 * (lo + hi) if c_lo else max(lo, op.gershgorin_floor())
+    nev, doublings = c_hi - c_lo + 2 + SPARSE_PAD, 0
     while True:
         try:
             lam, v = eigsh(a, nev, sigma=sigma, which="LM", v0=np.ones(n),
@@ -309,8 +298,8 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
             raise SpectralWindowError(f"shift-invert Lanczos for {nev} pairs "
                                       f"near {sigma} did not converge") from None
         except RuntimeError as exc:  # SuperLU's singular factor, or ARPACK
-            raise SpectralWindowError(f"no shift-invert at {sigma}, the window "
-                                      f"midpoint of {(lo, hi)}: {exc}") from None
+            raise SpectralWindowError(f"no shift-invert at {sigma} for the "
+                                      f"window {(lo, hi)}: {exc}") from None
         order = np.argsort(lam, kind="stable")
         lam, v = lam[order], v[:, order]
         n_below = int(np.count_nonzero(lam <= lo))
@@ -322,12 +311,13 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
             raise SpectralWindowError(
                 f"inertia counts {c_lo}, {c_hi} at {lo}, {hi} leave a "
                 f"bracketing eigenvalue outside the {nev} nearest {sigma}")
-        nev = min(2 * nev, n // 8)
+        nev, doublings = min(2 * nev, n // 8), doublings + 1
     # the pairs nearest sigma are contiguous, so if the counts hold, lam[0]
     # is eigenvalue c_lo - n_below; keep c_lo - 1 to c_hi, as eigh does
     start = max(n_below - 1, 0)
     keep = slice(start, n_below + c_hi - c_lo + 1)
-    return lam[keep], v[:, keep], c_lo - n_below + start
+    return (lam[keep], v[:, keep], c_lo - n_below + start,
+            {"sigma": sigma, "nev": nev, "doublings": doublings})
 
 
 def _real_form(op: DiscreteOperator):

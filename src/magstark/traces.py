@@ -34,7 +34,8 @@ def frobenius_norm(m):
 
 
 def operator_norm(m):
-    """Largest singular value (spectral norm).
+    """Largest singular value (spectral norm) of a dense m; it serves
+    :func:`~magstark.mourre.gap_cutoff_norm`'s k x N factor.
 
     sigma_max^2 is the top eigenvalue of the Gram matrix of m's smaller
     side (Golub & Van Loan, Matrix Computations, 8.6), read from a

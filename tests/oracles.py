@@ -160,6 +160,6 @@ def windowed_by_value(op: DiscreteOperator, window):
     m = op.dense()
     if not is_t_symmetric(m, op.grid):
         lam, u = scipy.linalg.eigh(m, subset_by_value=window)
-        return SpectralDecomposition(lam, u.copy(), op, window)
+        return SpectralDecomposition(lam, u.copy(), op)
     lam, phi = scipy.linalg.eigh(real_form(m, op.grid), subset_by_value=window)
-    return SpectralDecomposition(lam, phi.copy(), op, window)
+    return SpectralDecomposition(lam, phi.copy(), op)

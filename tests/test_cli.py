@@ -317,48 +317,69 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
             assert rec["counts"][1] - rec["counts"][0] == rec["pairs"]
 
 
-def test_lap_probe_reads_its_sweep_from_the_eigenbasis(tmp_path, monkeypatch):
-    # no solve at all: every resolvent of the sweep comes from eigendecompose
-    calls = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
-    code, env = run("lap-probe",
-                    load_config("lap-probe", None, ["grid.nx=13", "grid.ny=13"]),
-                    tmp_path)
-    assert calls == []
+def test_lap_probe_solves_h_only_on_its_certified_window(tmp_path):
+    from magstark.grid import make_grid
+    from magstark.hamiltonian import FieldParams, assemble
+    from magstark.potentials import (PotentialSpec, clamp_amplitude,
+                                     eval_potential)
+    from magstark.spectral import eigendecompose
+    from magstark.ssf import sigma_q_gap_window
+    cfg = load_config("lap-probe", None, ["grid.nx=13", "grid.ny=13"])
+    code, env = run("lap-probe", cfg, tmp_path)
     res = env["results"]
-    assert res["solver"] == "eigenbasis" and res["n"] == 169
+    assert code == 0 and res["solver"] == "splu_lanczos" and res["n"] == 169
     assert 0.0 < res["residual_bound"] <= 1e-8
     # the default amplitude 0.3 is clamped to sup|dxV| <= eps/2
     assert res["amplitude"] == 0.3 and 0.0 < res["amplitude_used"] < 0.3
-    # H (eps > 0) takes the unsplit real form, Q (eps = 0) the parity split
-    assert res["eigensolve"] == {
-        "h": {"path": "real", "blocks": [169], "n": 169, "pairs": 169,
-              "factor_bytes": 169 * 169 * 8},
-        "q": {"path": "real_parity", "blocks": [85, 84], "n": 169,
-              "pairs": 169, "factor_bytes": 85 * 169 * 8}}
+    # Q (eps = 0) takes the full parity split; H is solved only on the
+    # first admissible gap of localized sigma(Q), with its certificate
+    h, q = res["eigensolve"]["h"], res["eigensolve"]["q"]
+    assert q == {"path": "real_parity", "blocks": [85, 84], "n": 169,
+                 "pairs": 169, "factor_bytes": 85 * 169 * 8}
+    g = make_grid(**cfg["grid"])
+    spec = PotentialSpec("gaussian", amplitude=0.3, width=1.5)
+    v = eval_potential(clamp_amplitude(spec, 0.05), g).v
+    window = sigma_q_gap_window(eigendecompose(assemble(g, FieldParams(1.0),
+                                                        v)), margin=0.3)
+    c_lo, c_hi = h["counts"]
+    assert h["window"] == list(window) and h["solver"] == "dense"
+    assert h["path"] == "real" and h["pairs"] == c_hi - c_lo > 0
+    assert window[0] < res["lambda"] < window[1]
 
 
-def test_lap_probe_reads_each_norm_from_one_gram_eigensolve(tmp_path,
-                                                         monkeypatch):
-    # operator_norm takes no SVD: one values-only eigvalsh per delta
+def test_lap_probe_runs_no_eigvalsh_svd_or_full_eigh_of_h(tmp_path,
+                                                          monkeypatch):
+    # the only eigvalsh calls are the inertia count's 13 x 13 line blocks,
+    # and the only eigh of an N x N array is H's index-subset window
     import scipy.linalg
-
-    def no_svd(*a, **k):
-        raise AssertionError("lap-probe called scipy.linalg.svdvals")
-
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    seen = []
+    for mod, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "svdvals"),
+                      (scipy.linalg, "eigh")):
+        def spy(a, *args, _orig=getattr(mod, name), _name=name, **kwargs):
+            seen.append((_name, np.shape(a), kwargs))
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(mod, name, spy)
     code, _ = run("lap-probe",
                   load_config("lap-probe", None, ["grid.nx=13", "grid.ny=13"]),
                   tmp_path)
     assert code == 0
-    rows = (tmp_path / "lap-probe.csv").read_text().strip().splitlines()
-    assert len(calls) == len(rows) - 1 == 8
+    assert {name for name, _, _ in seen} == {"eigvalsh", "eigh"}
+    assert all(shape[-1] == 13 for name, shape, _ in seen if name == "eigvalsh")
+    full = [kw for name, shape, kw in seen if shape == (169, 169)]
+    assert len(full) == 1 and "subset_by_index" in full[0]
+
+
+def test_lap_probe_exits_1_when_lanczos_does_not_converge(tmp_path,
+                                                         monkeypatch, capsys):
+    # one restart of a 3-vector Arnoldi basis leaves the norm unconverged
+    import scipy.sparse.linalg
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: eigsh(
+        *a, **{**k, "maxiter": 1, "ncv": 3}))
+    code = main(["lap-probe", "--set", "grid.nx=13", "--set", "grid.ny=13",
+                 "--out", str(tmp_path)])
+    assert code == 1 and "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "lap-probe.csv").exists()
 
 
 def test_mourre_records_its_clamped_amplitude(tmp_path):

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magstark.errors import (ConfigurationError, NearSingularityError,
-                             SpectralWindowError)
+from magstark.errors import (ConfigurationError, MagstarkError,
+                             NearSingularityError, SpectralWindowError)
 from magstark.grid import make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import (gap_cutoff_norm, gap_cutoff_sweep, lap_probe,
@@ -113,7 +113,7 @@ def test_gap_cutoff_support_overlap_error():
 def test_lap_probe_validation():
     h = assemble(GRID, FIELDS, NO_V)
     with pytest.raises(ConfigurationError, match="delta_list"):
-        lap_probe(eigendecompose(h), 2.0, WeightSpec(s=0.75), (0.1, 0.2))
+        lap_probe(h, 2.0, WeightSpec(s=0.75), (0.1, 0.2))
 
 
 def test_lap_probe_blows_up_at_localized_eigenvalue():
@@ -123,11 +123,10 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     spec = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     fields = FieldParams(b=1.0, eps=0.1)
     h = assemble(GRID, fields, eval_potential(spec, GRID).v)
-    dec = eigendecompose(h)
-    loc = localized_spectrum(dec, margin=0.05)
+    loc = localized_spectrum(eigendecompose(h), margin=0.05)
     lam0 = float(loc[0])
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
-    rep = lap_probe(dec, lam0, WeightSpec(s=0.75), deltas)
+    rep = lap_probe(h, lam0, WeightSpec(s=0.75), deltas)
     assert rep.sweep_growth >= 5.0
     assert rep.norms[-1] / rep.norms[-2] >= 1.8
 
@@ -135,107 +134,131 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
 def test_lap_probe_plateau_off_spectrum():
     # at a spectrum-free lambda the norms saturate once delta resolves the gap
     h = assemble(GRID, FIELDS, NO_V)
-    dec = eigendecompose(h)
-    lam = dec.eigenvalues
-    win = (lam > 1.5) & (lam < 2.5)
-    pts = np.concatenate([[1.5], lam[win], [2.5]])
+    lam = eigendecompose(h, window=(1.5, 2.5)).eigenvalues
+    pts = np.concatenate([[1.5], lam[lam < 2.5], [2.5]])
     gaps = np.diff(pts)
     k = int(np.argmax(gaps))
     lam0 = 0.5 * (pts[k] + pts[k + 1])
     deltas = tuple(2.0 ** (-j) for j in range(1, 9))
-    rep = lap_probe(dec, lam0, WeightSpec(s=0.75), deltas)
+    rep = lap_probe(h, lam0, WeightSpec(s=0.75), deltas)
     assert rep.plateau_ratio <= 1.15
 
 
+def _direct_norms(h, lam, w, deltas):
+    """||W (z - H)^-1 W|| from one dense solve against W, without the
+    residual-checked resolvent, and a dense 2-norm."""
+    g = h.grid
+    wmat = embed_x(g, weight_dx_s(g, w))
+    eye = np.eye(g.n_points)
+    return [np.linalg.norm(wmat @ np.linalg.solve(
+        (lam + 1j * d) * eye - h.dense(), wmat.astype(complex)), 2)
+        for d in deltas]
+
 
 def test_lap_probe_matches_direct_solve():
-    # oracle: ||W (z - H)^-1 W|| from one solve against W, without the
-    # residual-checked resolvent
     spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.3, width=1.5),
                            0.05)
     g = make_grid(6, 6, 21, 21)
     h = assemble(g, FieldParams(b=1.0, eps=0.1), eval_potential(spec, g).v)
-    w = WeightSpec(s=0.75)
-    wmat = embed_x(g, weight_dx_s(g, w))
-    deltas = (0.5, 0.125, 0.03125)
-    rep = lap_probe(eigendecompose(h), 2.1, w, deltas)
-    eye = np.eye(g.n_points)
-    for d, norm in zip(deltas, rep.norms):
-        r = np.linalg.solve((2.1 + 1j * d) * eye - h.dense(), wmat.astype(complex))
-        expected = np.linalg.norm(wmat @ r, 2)
+    w, deltas = WeightSpec(s=0.75), (0.5, 0.125, 0.03125)
+    rep = lap_probe(h, 2.1, w, deltas)
+    for norm, expected in zip(rep.norms, _direct_norms(h, 2.1, w, deltas)):
         assert abs(norm - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("eps,y0,path", [
     (0.1, 0.0, "real"), (0.0, 0.0, "real_parity"), (0.1, 0.7, "complex")])
 def test_lap_probe_matches_direct_solve_on_every_factor(eps, y0, path):
-    # eps > 0 sweeps the real form phi, eps = 0 scatters phi from the parity
-    # blocks, and a V that is not even in y keeps the complex U
+    # the three operators the eigensolve tells apart: eps > 0 (real form),
+    # eps = 0 (parity split), and a V that is not even in y (complex); the
+    # probe factors z - H the same way for each
     g = make_grid(6, 6, 17, 15)
     xf, yf = g.meshes()
     v = 0.2 * np.exp(-(xf * xf + (yf - y0) ** 2) / 2.0)
     h = assemble(g, FieldParams(b=1.0, eps=eps), v)
-    dec = eigendecompose(h)
-    assert dec.path == path
-    w = WeightSpec(s=0.75)
-    wmat = embed_x(g, weight_dx_s(g, w))
-    deltas = (0.5, 0.125, 0.03125)
-    rep = lap_probe(dec, 2.1, w, deltas)
+    assert eigendecompose(h).path == path
+    w, deltas = WeightSpec(s=0.75), (0.5, 0.125, 0.03125)
+    rep = lap_probe(h, 2.1, w, deltas)
     assert 0.0 < rep.residual_bound <= 1e-10
-    eye = np.eye(g.n_points)
-    for d, norm in zip(deltas, rep.norms):
-        r = np.linalg.solve((2.1 + 1j * d) * eye - h.dense(), wmat.astype(complex))
-        expected = np.linalg.norm(wmat @ r, 2)
+    for norm, expected in zip(rep.norms, _direct_norms(h, 2.1, w, deltas)):
         assert abs(norm - expected) <= 1e-12 * expected
 
 
-PEAK_MB = 24.0
+PEAK_MB = 2.0
 
 
 def test_lap_probe_peak_allocation():
-    # the sweep holds the real G = <Dx>^-s phi and, per delta, the complex
-    # G diag(d) G^T, its conjugate and their Gram matrix: 20.9 MiB at 25^2,
-    # against 36.5 MiB when it held the complex U, G and G* and took SVDs
+    # the sweep holds the stencil, one sparse LU and the Lanczos basis, all
+    # O(N): 0.37 MiB at 25^2, against 20.9 MiB when it read an
+    # eigendecomposition of H (and held its factor besides)
     import tracemalloc
     g = make_grid(6, 6, 25, 25)
     spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.3, width=1.5),
                            0.05)
-    dec = eigendecompose(assemble(g, FieldParams(b=1.0, eps=0.1),
-                                  eval_potential(spec, g).v))
-    assert dec.path == "real"
+    h = assemble(g, FieldParams(b=1.0, eps=0.1), eval_potential(spec, g).v)
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
+    lap_probe(h, 2.1, WeightSpec(s=0.75), deltas[:2])  # imports untraced
     tracemalloc.start()
     try:
-        lap_probe(dec, 2.1, WeightSpec(s=0.75), deltas)
+        lap_probe(h, 2.1, WeightSpec(s=0.75), deltas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_MB * 2 ** 20
 
 
-def test_lap_probe_certificate_fails_at_an_eigenvalue():
-    # at an exact eigenvalue with delta = 1e-6, max|d| = 1e6 lifts the
-    # residual bound of the eigenbasis resolvent over RESIDUAL_TOL
-    h = assemble(GRID, FIELDS, NO_V)
-    dec = eigendecompose(h)
-    lam0 = float(dec.eigenvalues[40])
-    with pytest.raises(NearSingularityError, match="residual bound"):
-        lap_probe(dec, lam0, WeightSpec(s=0.75), (0.5, 1e-6))
-    rep = lap_probe(dec, lam0, WeightSpec(s=0.75), (0.5, 0.25))
-    assert 0.0 < rep.residual_bound <= 1e-8
+class _Defective:
+    """A SuperLU factor whose solves come back scaled by 1 + defect."""
+
+    def __init__(self, lu, defect):
+        self.lu, self.defect = lu, defect
+
+    def solve(self, b, trans="N"):
+        return self.lu.solve(b, trans=trans) * (1.0 + self.defect)
 
 
-def test_lap_probe_rejects_a_windowed_decomposition():
-    dec = eigendecompose(assemble(GRID, FIELDS, NO_V), window=(1.5, 2.5))
-    with pytest.raises(ConfigurationError, match="full eigendecomposition"):
-        lap_probe(dec, 2.0, WeightSpec(s=0.75), (0.5, 0.25))
+def _probe_with_defect(defect, monkeypatch):
+    """lap_probe at 31^2 with every solve scaled by 1 + defect."""
+    import scipy.sparse.linalg
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a: _Defective(splu(a), defect))
+    return lap_probe(assemble(GRID, FIELDS, NO_V), 2.0, WeightSpec(s=0.75),
+                     (0.5, 0.25))
 
 
-def test_lap_probe_rejects_a_nan_residual_bound():
-    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
-    lam = dec.eigenvalues.copy()
-    lam[3] = np.nan
+def test_lap_probe_rejects_a_solve_defect(monkeypatch):
+    # a relative solve error of 1e-6 reads as a bound of about
+    # 1e-6 ||z - H|| / delta, far over RESIDUAL_TOL; 1e-12 stays under it
+    assert 0.0 < _probe_with_defect(1e-12, monkeypatch).residual_bound <= 1e-8
+    with pytest.raises(NearSingularityError, match="forward-error bound"):
+        _probe_with_defect(1e-6, monkeypatch)
+
+
+def test_lap_probe_rejects_a_nan_residual_bound(monkeypatch):
     with np.errstate(invalid="ignore"), \
-            pytest.raises(NearSingularityError, match="residual bound"):
-        lap_probe(replace(dec, eigenvalues=lam), 2.0, WeightSpec(s=0.75),
+            pytest.raises(NearSingularityError, match="bound nan"):
+        _probe_with_defect(np.nan, monkeypatch)
+
+
+def test_lap_probe_rejects_a_singular_factor():
+    # a NaN in H leaves SuperLU no pivot
+    h = assemble(GRID, FIELDS, NO_V)
+    diag = h.diag.copy()
+    diag[3] = np.nan
+    with pytest.raises(NearSingularityError, match="singular"):
+        lap_probe(replace(h, diag=diag), 2.0, WeightSpec(s=0.75), (0.5, 0.25))
+
+
+def test_lap_probe_rejects_a_wrong_ritz_value(monkeypatch):
+    import scipy.sparse.linalg
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def off(*args, **kwargs):
+        theta, v = eigsh(*args, **kwargs)
+        return theta * (1.0 + 1e-6), v
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", off)
+    with pytest.raises(MagstarkError, match="Ritz residual"):
+        lap_probe(assemble(GRID, FIELDS, NO_V), 2.0, WeightSpec(s=0.75),
                   (0.5, 0.25))

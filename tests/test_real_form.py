@@ -84,8 +84,7 @@ def _unsplit(op, window=None):
     py = np.arange(op.dim).reshape(ny, nx)[::-1].ravel()
     subset = {} if window is None else {"subset_by_value": window}
     lam, phi = scipy.linalg.eigh(real_form(op.dense(), op.grid), **subset)
-    return SpectralDecomposition(lam, (phi + 1j * phi[py]) / np.sqrt(2.0), op,
-                                 window)
+    return SpectralDecomposition(lam, (phi + 1j * phi[py]) / np.sqrt(2.0), op)
 
 
 @pytest.mark.parametrize("n", [31, 41])
@@ -188,7 +187,7 @@ def test_windowed_reconstruction_defect_is_the_eigen_residual():
     # a rank-k reconstruction sits ~|M| away from M; the residual does not
     assert dec.reconstruction_defect() <= 1e-12 * _norm(_reference(op))
     shifted = SpectralDecomposition(dec.eigenvalues + 1e-3,
-                                    eigenvectors(dec), op, dec.window)
+                                    eigenvectors(dec), op)
     expected = 1e-3 * np.max(np.abs(eigenvectors(dec)))
     assert abs(shifted.reconstruction_defect() - expected) <= 1e-10
 
@@ -251,6 +250,29 @@ def test_stencil_checks_and_builders_match_the_dense_oracles(
         for got, ref in zip(_parity_blocks(op), parity_blocks(r)):
             assert got.flags.f_contiguous
             assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
+def test_the_csc_writer_matches_the_dense_writers_entry_by_entry(kind):
+    # one entry per position: the 5 of M and z - M, the 7 of the real form
+    op, z = _kind(9, 8, kind), 2.1 + 0.3j
+    pairs = [(op.csc(), op.dense(), 5), (op.csc(z), op.dense(z), 5)]
+    if op.is_t_symmetric():
+        pairs.append((op.csc(real=True), _real_form(op), 7))
+    for a, ref, per_row in pairs:
+        assert a.format == "csc" and a.has_canonical_format
+        assert a.nnz <= per_row * op.dim and a.dtype == ref.dtype
+        assert np.array_equal(a.toarray(), ref)
+
+
+@pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
+def test_the_gershgorin_floor_is_the_dense_row_bound(kind):
+    op = _kind(9, 8, kind)
+    m = op.dense()
+    d = m.diagonal().real
+    rows = d - (np.abs(m).sum(axis=1) - np.abs(d))
+    assert abs(op.gershgorin_floor() - np.min(rows)) <= 1e-12 * np.max(np.abs(d))
+    assert op.gershgorin_floor() < np.linalg.eigvalsh(m)[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -575,9 +597,9 @@ def _kind(nx, ny, kind):
 
 # 25 x 25, 31 x 21 and 23 x 29 (N = 625, 651, 667) solve every window but
 # (20, 1e4) sparse, the other sizes dense; both paths are held to 1e-12,
-# where the sparse eigenvalues measured at most 1.5e-13 off at (-50, 0.5),
-# whose shift lies far from its pairs, and 2.3e-14 elsewhere, and the
-# sparse projectors at most 1e-14
+# where the sparse eigenvalues measured at most 3.0e-14 off at (-50, 0.5),
+# shifted at its Gershgorin floor (1.5e-13 when shifted at its midpoint),
+# and 2.3e-14 elsewhere, and the sparse projectors at most 1e-14
 @pytest.mark.parametrize("nx,ny", [(21, 21), (24, 17), (15, 22), (25, 25),
                                    (31, 21), (23, 29)])
 @pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
@@ -706,6 +728,9 @@ def test_a_far_neighbour_widens_the_sparse_solve(eigsh_calls):
     assert [k for k, _ in eigsh_calls] == [5, 10, 20, 40, 72]
     assert dec.certificate["solver"] == "sparse"
     assert dec.certificate["counts"] == [1, 2]
+    # the certificate records the shift, the final k and the doublings
+    assert {k: dec.certificate[k] for k in ("sigma", "nev", "doublings")} \
+        == {"sigma": 0.95, "nev": 72, "doublings": 4}
     assert np.max(np.abs(dec.eigenvalues - [1.0])) <= 1e-12
     assert np.max(np.abs(np.subtract(dec.certificate["bracket"],
                                      [-4.0, 2.0]))) <= 1e-12
