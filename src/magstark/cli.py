@@ -20,8 +20,10 @@ Exit codes: 0 all gates pass, 2 a gate failed, 1 configuration/runtime error.
 """
 
 import argparse
+import atexit
 import configparser
 import copy
+import gc
 import json
 import os
 import sys
@@ -44,6 +46,10 @@ from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, WeightSpec,
 from .ssf import (TruncationSpec, epsilon_scaling, resolvent_expansion_check,
                   sigma_q_gap_window, trace_identity_check, truncation_convergence)
 from .traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
+
+# At exit the last cyclic collection would walk the whole numpy/scipy import
+# heap; frozen, it is skipped.  Outputs are closed before main() returns.
+atexit.register(gc.freeze)
 
 # Reference configuration shared by every experiment; each value can be
 # overridden per experiment, from INI or from --set.
@@ -510,9 +516,25 @@ def run(experiment, cfg, outdir):
     return (0 if envelope["all_pass"] else 2), envelope
 
 
+def _git_sha(git=Path(__file__).resolve().parents[2] / ".git"):
+    """The commit checked out in the git directory, read from HEAD and the
+    ref it names (a loose ref or a packed-refs entry); None outside one."""
+    try:
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        ref = head.removeprefix("ref: ")
+        if ref == head:
+            return head  # a detached HEAD holds the commit itself
+        if (git / ref).is_file():
+            return (git / ref).read_text(encoding="utf-8").strip()
+        packed = (git / "packed-refs").read_text(encoding="utf-8").split()
+    except OSError:
+        return None
+    return packed[packed.index(ref) - 1] if ref in packed else None
+
+
 def _environment():
-    """numpy and scipy versions, the BLAS each links and the BLAS thread
-    settings: two BLAS builds in one process can contend for the cores."""
+    """Library versions, their BLAS builds and threads, and the commit; numpy
+    and scipy keep one OpenBLAS pool each, and the norms use numpy's alone."""
 
     def blas(mod):
         b = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -521,6 +543,7 @@ def _environment():
 
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "numpy_blas": blas(np), "scipy_blas": blas(scipy),
+            "git_sha": _git_sha(),
             **{k: os.environ.get(k)
                for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 

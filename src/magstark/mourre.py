@@ -122,19 +122,24 @@ def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
 
     H is Hermitian, so ||(z - H)^-1|| <= 1/delta, and a solve y is within
     ||r|| / (delta ||y||) of the exact one relative to ||y||, r its residual
-    applied by ``stencil_apply``.  A bound over RESIDUAL_TOL, a NaN bound or
-    a singular factor raises :class:`NearSingularityError`; the report keeps
-    the largest bound as ``residual_bound``.  Lanczos without convergence,
-    or a Ritz pair (theta, v) with ||A*A v - theta v|| > RESIDUAL_TOL theta,
-    raises :class:`MagstarkError`.
+    applied by ``stencil_apply``.  A delta under 4 eps_mach ||z - H|| /
+    RESIDUAL_TOL (||z - H|| by Gershgorin) is a :class:`ConfigurationError`;
+    a bound over RESIDUAL_TOL, a NaN bound or a singular factor raises
+    :class:`NearSingularityError`; the report keeps the largest bound as
+    ``residual_bound``.  Lanczos without convergence, or a Ritz pair with
+    ||A*A v - theta v|| > RESIDUAL_TOL theta, raises :class:`MagstarkError`.
     """
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh, splu)
     deltas = tuple(float(d) for d in delta_list)
-    if len(deltas) < 2 or any(d < 1e-6 for d in deltas) or any(
-            deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)):
+    # Gershgorin: sigma(H) lies in [floor(H), -floor(-H)], so ||H - lam|| <= g
+    neg = replace(h, diag=-h.diag, xhop=-h.xhop, yhop=-h.yhop)
+    g = max(lam - h.gershgorin_floor(), -neg.gershgorin_floor() - lam)
+    floor = 4 * np.finfo(float).eps * (g + max((0, *deltas))) / RESIDUAL_TOL
+    if len(deltas) < 2 or deltas[-1] < floor or any(
+            not a > b for a, b in zip(deltas, deltas[1:])):
         raise ConfigurationError(f"delta_list must hold at least two values, "
-                                 f"decreasing and >= 1e-6, got {deltas}")
+                                 f"decreasing and >= {floor:.3g}, got {deltas}")
     grid, n, w1d = h.grid, h.dim, weight_dx_s(h.grid, w)
     w2 = w1d @ w1d
     norms, bounds = [], []

@@ -1,7 +1,8 @@
 """Trace/nuclear/Frobenius norms, shifted resolvents, and norm-bound probes.
 
-Nuclear norms are computed from full singular value decompositions, since
-they read every singular value; the desk scale of the grids keeps that exact
+Nuclear norms are full singular value decompositions (numpy's, so every
+dense kernel here runs on numpy's one OpenBLAS thread pool), since they
+read every singular value; the desk scale of the grids keeps that exact
 and deterministic, so probe reports can gate on tight ratios instead of
 stochastic estimates.  The operator norm reads one value, so it takes the
 top eigenvalue of a Gram matrix from a values-only eigensolve instead.  The
@@ -14,7 +15,6 @@ would cost O(N^3).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, NearSingularityError
@@ -25,8 +25,10 @@ RESIDUAL_TOL = 1e-8
 
 
 def nuclear_norm(m):
-    """Sum of singular values (trace norm)."""
-    return float(np.sum(scipy.linalg.svdvals(m)))
+    """Sum of singular values (trace norm), from LAPACK gesdd without
+    vectors; nan for a non-finite m, which never reaches LAPACK."""
+    return (float(np.sum(np.linalg.svd(m, compute_uv=False)))
+            if np.isfinite(m).all() else float("nan"))
 
 
 def frobenius_norm(m):

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from magstark.cli import (EXPERIMENTS, default_config, load_config, main, run,
-                          run_convergence)
+from magstark.cli import (EXPERIMENTS, _git_sha, default_config, load_config,
+                          main, run, run_convergence)
 from magstark.errors import ConfigurationError
 
 
@@ -350,11 +350,12 @@ def test_lap_probe_solves_h_only_on_its_certified_window(tmp_path):
 def test_lap_probe_runs_no_eigvalsh_svd_or_full_eigh_of_h(tmp_path,
                                                           monkeypatch):
     # the only eigvalsh calls are the inertia count's 13 x 13 line blocks,
-    # and the only eigh of an N x N array is H's index-subset window
+    # and the only eigh of an N x N array is H's index-subset window; no
+    # SVD runs from either library
     import scipy.linalg
     seen = []
     for mod, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "svdvals"),
-                      (scipy.linalg, "eigh")):
+                      (np.linalg, "svd"), (scipy.linalg, "eigh")):
         def spy(a, *args, _orig=getattr(mod, name), _name=name, **kwargs):
             seen.append((_name, np.shape(a), kwargs))
             return _orig(a, *args, **kwargs)
@@ -367,6 +368,28 @@ def test_lap_probe_runs_no_eigvalsh_svd_or_full_eigh_of_h(tmp_path,
     assert all(shape[-1] == 13 for name, shape, _ in seen if name == "eigvalsh")
     full = [kw for name, shape, kw in seen if shape == (169, 169)]
     assert len(full) == 1 and "subset_by_index" in full[0]
+
+
+def test_trace_norms_run_on_numpy_alone(tmp_path, monkeypatch):
+    # every trace norm is numpy's gesdd: with scipy's SVD raising, each
+    # experiment exits as before, with the same CSV, one SVD per norm
+    import scipy.linalg
+    expected = {}
+    for name in ("prop2", "prop4", "appendix-norms"):
+        expected[name] = main([name, "--set", "grid.nx=9", "--set",
+                               "grid.ny=9", "--out", str(tmp_path / "ref")])
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(scipy.linalg, "svdvals",
+                        lambda *a, **k: pytest.fail("scipy's SVD ran"))
+    for name, svds in (("prop2", 3), ("prop4", 1), ("appendix-norms", 1)):
+        calls.clear()
+        assert main([name, "--set", "grid.nx=9", "--set", "grid.ny=9",
+                     "--out", str(tmp_path)]) == expected[name] == 0
+        assert len(calls) == svds
+        assert ((tmp_path / f"{name}.csv").read_text()
+                == (tmp_path / "ref" / f"{name}.csv").read_text())
 
 
 def test_lap_probe_exits_1_when_lanczos_does_not_converge(tmp_path,
@@ -461,6 +484,27 @@ def test_a_non_finite_gate_value_fails(name, target, value, tmp_path,
     assert data["gates"]["finite"]["pass"] is False
     assert data["results"]["reason"] == "non_finite"
     assert data["all_pass"] is False and data["experiment"] == name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_trace_norm_fails_its_gate(bad, tmp_path, monkeypatch):
+    # nuclear_norm reads nan for a non-finite matrix, so prop4's finite gate
+    # fails with a reason instead of LAPACK raising
+    import magstark.traces as traces
+    resolvent = traces.resolvent
+
+    def spoiled(*args):
+        r = resolvent(*args)
+        r[0, 0] = bad
+        return r
+
+    monkeypatch.setattr(traces, "resolvent", spoiled)
+    cfg = load_config("prop4", None, ["grid.nx=9", "grid.ny=9"])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the chain's products
+        code, env = run("prop4", cfg, tmp_path)
+    assert code == 2 and env["results"]["reason"] == "non_finite"
+    assert env["gates"]["finite"] == {"value": None, "threshold": None,
+                                      "pass": False}
 
 
 def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
@@ -560,7 +604,32 @@ def test_envelopes_record_the_environment(tmp_path, monkeypatch):
             assert sorted(rec[lib]) == ["config", "name", "version"]
         assert rec["OPENBLAS_NUM_THREADS"] == "3"
         assert rec["OMP_NUM_THREADS"] is None
+        assert rec["git_sha"] == _git_sha()
     assert "numpy" not in (tmp_path / "prop4.csv").read_text()
+
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.mark.parametrize("layout", ["loose", "packed", "detached", "unborn",
+                                    "none"])
+def test_git_sha_is_read_from_the_git_directory(layout, tmp_path):
+    # a loose ref, a packed-refs entry (beside the header, a peeled line and
+    # another branch), a detached HEAD, a branch with no commit yet, and no
+    # checkout at all
+    git = tmp_path / ".git"
+    if layout != "none":
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text(SHA + "\n" if layout == "detached"
+                                  else "ref: refs/heads/main\n")
+    if layout == "loose":
+        (git / "refs" / "heads" / "main").write_text(SHA + "\n")
+    elif layout == "packed":
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted \n"
+            f"{'f' * 40} refs/heads/dev\n{SHA} refs/heads/main\n"
+            f"^{'e' * 40}\n")
+    assert _git_sha(git) == (None if layout in ("unborn", "none") else SHA)
 
 
 def test_verify_theorem1_records_both_windowed_solves(tmp_path):

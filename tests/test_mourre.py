@@ -12,6 +12,7 @@ from magstark.mourre import (gap_cutoff_norm, gap_cutoff_sweep, lap_probe,
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
                                localized_spectrum, weight_dx_s)
+from magstark.traces import RESIDUAL_TOL
 from oracles import embed_x
 
 GRID = make_grid(6, 6, 31, 31)
@@ -114,6 +115,30 @@ def test_lap_probe_validation():
     h = assemble(GRID, FIELDS, NO_V)
     with pytest.raises(ConfigurationError, match="delta_list"):
         lap_probe(h, 2.0, WeightSpec(s=0.75), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("target", [10.0, 40.0, 100.0])
+def test_lap_probe_delta_floor_follows_the_operator(target, monkeypatch):
+    # the floor is 4 eps_mach g / RESIDUAL_TOL, g >= ||z - H|| by Gershgorin;
+    # round-off reads as a bound of 0.5-1.5 eps_mach g / delta at 25^2 to
+    # 41^2, so a delta at the floor passes, and one under it (1e-6 here
+    # failed the bound near eigenvalues 40 and 100) is refused unfactored
+    import scipy.sparse.linalg
+    h = assemble(GRID, FIELDS, NO_V)
+    m = h.dense()
+    ev = np.linalg.eigvalsh(m)
+    lam = float(ev[np.argmin(np.abs(ev - target))])
+    radii = np.abs(m).sum(axis=1) - np.abs(m.diagonal())
+    g = np.max(np.abs(lam - h.diag) + radii) + 0.5
+    assert g >= np.max(np.abs(ev - lam)) + 0.5
+    floor = 4 * np.finfo(float).eps * g / RESIDUAL_TOL
+    rep = lap_probe(h, lam, WeightSpec(s=0.75), (0.5, 1.001 * floor))
+    assert 0.0 < rep.residual_bound <= RESIDUAL_TOL
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a: pytest.fail("factored"))
+    for low in (0.999 * floor, 1e-6):
+        with pytest.raises(ConfigurationError, match="delta_list"):
+            lap_probe(h, lam, WeightSpec(s=0.75), (0.5, low))
 
 
 def test_lap_probe_blows_up_at_localized_eigenvalue():

@@ -47,6 +47,35 @@ def test_nuclear_norm_unitary_invariance():
     assert np.isclose(nuclear_norm(w @ m @ w2), nuclear_norm(m), rtol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("complex_", [True, False])
+def test_nuclear_norm_of_a_non_finite_matrix_is_nan(bad, complex_, monkeypatch):
+    # nan, as the finite gates expect, and LAPACK never sees the matrix
+    m = _random(6, 1, complex_)
+    m[2, 3] = bad
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: pytest.fail("LAPACK called"))
+    assert np.isnan(nuclear_norm(m))
+
+
+@pytest.mark.parametrize("complex_", [True, False])
+@pytest.mark.parametrize("shape,rank", [((7, 7), 7), ((9, 5), 5), ((5, 9), 5),
+                                        ((8, 8), 3), ((6, 6), 0)])
+def test_nuclear_norm_matches_scipy_svdvals(shape, rank, complex_):
+    # full rank, tall, wide, rank-deficient and all-zero; the same gesdd
+    # (no vectors) on numpy's LAPACK as scipy.linalg.svdvals on scipy's
+    rng = np.random.default_rng(rank)
+
+    def draw(s):
+        a = rng.standard_normal(s)
+        return a + 1j * rng.standard_normal(s) if complex_ else a
+
+    m = draw((shape[0], rank)) @ draw((rank, shape[1]))
+    expected = float(np.sum(scipy.linalg.svdvals(m)))
+    assert abs(nuclear_norm(m) - expected) <= 1e-12 * expected
+    assert nuclear_norm(m) == 0.0 if rank == 0 else nuclear_norm(m) > 0.0
+
+
 def test_norm_inequalities():
     m = _random(40, 5)
     tn, fn = nuclear_norm(m), frobenius_norm(m)
