@@ -462,7 +462,7 @@ def _model(cfg):
 def write_csv(path, rows):
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
 
 
@@ -490,9 +490,9 @@ def run(experiment, cfg, outdir):
     A non-finite value is written as null, with results.reason "non_finite"
     unless the runner set one, and fails its gate if it is a gate value.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, results, gates = EXPERIMENTS[experiment].run(*_model(cfg))
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     bad, report = [], {}
     results = _plain(results, bad)
     for name, (val, thr, ok) in gates.items():
@@ -584,7 +584,7 @@ def run_convergence(experiment, cfg, levels, outdir):
     name = exp.observable
     ratio = cfg["grid"]["ny"] / cfg["grid"]["nx"]
     values, hs = [], []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for nx in levels:
         c = copy.deepcopy(cfg)
         c["grid"]["nx"] = int(nx)
@@ -616,7 +616,7 @@ def run_convergence(experiment, cfg, levels, outdir):
         "observable": name, "values": _plain(values, bad),
         "orders": _plain(orders, bad), "verdict": verdict,
         "all_pass": bool(ok) and not bad,
-        "timings": {"wall_seconds": time.time() - t0},
+        "timings": {"wall_seconds": time.perf_counter() - t0},
         "environment": _environment(),
     }
     if bad:

@@ -80,7 +80,8 @@ class DiscreteOperator:
 
     For grid point k = j*nx + i, M[k, k] = diag[k] (real), M[k, k+1] =
     conj(M[k+1, k]) = xhop[j, i] for i < nx - 1, and M[k, k+-nx] = yhop
-    (real); every other entry is zero.  :meth:`dense` builds M on demand.
+    (real); every other entry is zero.  Every dense or sparse matrix of M,
+    its real form or their parts is written from the entry list :meth:`coo`.
     """
 
     diag: np.ndarray
@@ -92,63 +93,63 @@ class DiscreteOperator:
     def dim(self):
         return self.diag.size
 
-    def entries(self, k, l):
-        """M[k, l] for flat index arrays k, l of one shape."""
-        d, hop = l - k, np.zeros(self.dim, dtype=complex)
-        hop.reshape(self.grid.ny, -1)[:, :-1] = self.xhop  # 0 at row ends
-        out = np.zeros(k.shape, dtype=complex)
-        out[d == 0] = self.diag[k[d == 0]]
-        out[d == 1] = hop[k[d == 1]]
-        # M[l+1, l] = conj(hop[l]), with 0.0 - im so no zero turns negative
-        out.real[d == -1] = hop.real[l[d == -1]]
-        out.imag[d == -1] = 0.0 - hop.imag[l[d == -1]]
-        out[np.abs(d) == self.grid.nx] = self.yhop
-        return out
-
-    def real_entries(self, k, l):
-        """R[k, l] of the real form R = Re M - (Im M) P_y, entry by entry."""
-        return self.entries(k, l).real - self.entries(k, self.flip_y(l)).imag
-
     def flip_y(self, k):
         """P_y on flat indices: grid row j to row ny-1-j."""
         return k + (self.grid.ny - 1 - 2 * (k // self.grid.nx)) * self.grid.nx
 
-    def near(self, k):
-        """(row, column) index pairs holding every nonzero of rows k of M and
-        of its real form: the 5-point stencil and P_y of the x neighbours.
-        Indices past an edge are clipped; a repeated entry gets one value."""
-        nx, n = self.grid.nx, self.dim
-        c = np.clip(k[:, None] + np.array([0, 1, -1, nx, -nx]), 0, n - 1)
-        c = np.hstack([c, self.flip_y(c[:, 1:3])])
-        return np.broadcast_to(k[:, None], c.shape), c
+    def coo(self, real=False):
+        """(rows, cols, values) of M, or with ``real`` of its real form R =
+        Re M - (Im M) P_y, one entry per position, sorted by row and column:
+        the five bands of M, an x neighbour past a row end an explicit 0, and
+        for R the P_y images of the x bands' -Im, summed with Re M where they
+        meet on the centre row.  At most 5N entries, or 7N for R."""
+        n, nx = self.dim, self.grid.nx
+        hop = np.zeros(n, dtype=complex)
+        hop.reshape(self.grid.ny, -1)[:, :-1] = self.xhop  # 0 at row ends
+        k, y, h = np.arange(n), np.full(n - nx, self.yhop), hop[:-1]
+        rows = np.concatenate([k[:-1], k[1:], k[:-nx], k, k[nx:]])
+        cols = np.concatenate([k[1:], k[:-1], k[nx:], k, k[:-nx]])
+        # M[k+1, k] = conj(M[k, k+1]) + 0.0, whose zeros are all +0
+        vals = np.concatenate([h, h.conj() + 0.0, y, self.diag, y])
+        if real:  # the x bands come first
+            x = slice(2 * n - 2)
+            rows = np.concatenate([rows, rows[x]])
+            cols = np.concatenate([cols, self.flip_y(cols[x])])
+            vals = np.concatenate([vals.real, 0.0 - vals.imag[x]])
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        # a position holds at most a band entry and, after it, one image
+        dup = key[1:] == key[:-1]
+        vals[:-1][dup] += vals[1:][dup]
+        keep = np.concatenate([[True], ~dup])
+        return (*np.divmod(key[keep], n), vals[keep])
 
-    def dense(self, z=None):
-        """M as a complex N x N array, or z - M when z is given, written
-        straight from the stencil in Fortran order (eigh may overwrite it)."""
-        n = self.dim
-        m = checked_zeros((n, n), complex, order="F")
-        k, c = self.near(np.arange(n))
-        vals = self.entries(k, c)
+    def dense(self, z=None, real=False):
+        """M as a complex N x N array, z - M when z is given, or with
+        ``real`` the real form R, written from :meth:`coo` in Fortran order
+        (eigh may overwrite it)."""
+        m = checked_zeros((self.dim,) * 2, float if real else complex, "F")
+        k, c, vals = self.coo(real)
         m[k, c] = vals if z is None else np.where(k == c, z, 0) - vals
         return m
 
     def csc(self, z=None, real=False):
-        """M, z - M or (``real``) the real form as a CSC matrix, one entry per
-        position of ``near`` (only the real form reads its P_y columns)."""
+        """M, z - M or (``real``) the real form as a CSC matrix, one stored
+        entry per position of :meth:`coo`."""
         from scipy.sparse import csc_matrix
-        n, (k, c) = self.dim, self.near(np.arange(self.dim))
-        # near repeats clipped positions; a CSC matrix sums repeated entries
-        k, c = np.divmod(np.unique((k * n + c)[:, :7 if real else 5]), n)
-        vals = self.real_entries(k, c) if real else self.entries(k, c)
+        k, c, vals = self.coo(real)
         vals = vals if z is None else np.where(k == c, z, 0) - vals
-        return csc_matrix((vals, (k, c)), shape=(n, n))
+        return csc_matrix((vals, (k, c)), shape=(self.dim,) * 2)
 
-    def gershgorin_floor(self):
-        """min_k diag[k] - sum_l |M[k, l]| (l != k), a lower bound of the
-        spectrum of M and of its unitarily similar real form."""
+    def gershgorin_bounds(self):
+        """(min_k diag[k] - off[k], max_k diag[k] + off[k]), off[k] =
+        sum_l |M[k, l]| (l != k): an interval holding the spectrum of M and
+        of its unitarily similar real form."""
         off = replace(self, diag=np.zeros(self.dim), xhop=np.abs(self.xhop),
                       yhop=abs(self.yhop)).stencil_apply(np.ones((self.dim, 1)))
-        return float(np.min(self.diag - off.real[:, 0]))
+        off = off.real[:, 0]
+        return float(np.min(self.diag - off)), float(np.max(self.diag + off))
 
     def stencil_apply(self, x):
         """M @ x for an N x k block x, in O(N) per column."""

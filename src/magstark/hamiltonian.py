@@ -17,8 +17,8 @@ row of grid point (i, j) carries a 5-point stencil plus the cross term:
     (i, j +- 1)     -cy
 
 The operator holds these coefficients and nothing else, so assembly costs
-O(N) time and memory; the solvers write the dense arrays they need (M, z - M,
-the real form, its parity blocks) straight from them.
+O(N) time and memory; every matrix a solver needs (M, z - M, the real form,
+its parity blocks, dense or sparse) is written from its entry list ``coo``.
 """
 
 from dataclasses import dataclass

@@ -132,9 +132,9 @@ def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh, splu)
     deltas = tuple(float(d) for d in delta_list)
-    # Gershgorin: sigma(H) lies in [floor(H), -floor(-H)], so ||H - lam|| <= g
-    neg = replace(h, diag=-h.diag, xhop=-h.xhop, yhop=-h.yhop)
-    g = max(lam - h.gershgorin_floor(), -neg.gershgorin_floor() - lam)
+    # Gershgorin: sigma(H) lies in [lo, hi], so ||H - lam|| <= g
+    lo, hi = h.gershgorin_bounds()
+    g = max(lam - lo, hi - lam)
     floor = 4 * np.finfo(float).eps * (g + max((0, *deltas))) / RESIDUAL_TOL
     if len(deltas) < 2 or deltas[-1] < floor or any(
             not a > b for a, b in zip(deltas, deltas[1:])):

@@ -25,17 +25,17 @@ what callers see:
   block R11 - R12 J (the even one bordered by the centre row and column,
   scaled by sqrt(2), when N is odd), so two eigensolves of order about N/2
   replace one of order N at about a quarter of the flops.  Both checks read
-  the stencil in O(N), and R or its blocks are written straight from it.
+  the stencil in O(N), and R or its blocks are written from its entry list.
 * Window.  ``window=(lo, hi)`` computes only the k eigenpairs in (lo, hi].
   A function supported in [lo, hi] vanishes on every other eigenvalue, so
   its f(M) and (weighted) traces are unchanged.  Stencil inertia counts
   certify the pairs (:func:`_windowed`), which one of two paths solves,
   chosen from N and the counts alone.  Above N = 512 a window of at most
   N/16 pairs takes shift-invert Lanczos (ARPACK ``eigsh``) on the sparse
-  unsplit real form, 7 nonzeros per row, and holds no N x N array.  Any
-  other window takes one index-subset eigh of the dense real form: 8 N^2
-  bytes plus 8 N (k + 2) for eigenvectors, not 16 N^2.  The certificate
-  names the path as ``solver``.
+  unsplit real form, at most 7 entries per row, and holds no N x N array.
+  Any other window takes one index-subset eigh of the dense real form: 8
+  N^2 bytes plus 8 N (k + 2) for eigenvectors, not 16 N^2.  The
+  certificate names the path as ``solver``.
 
 A full solve uses LAPACK's ``evd``; a dense window the default driver
 ``evr``, which has a subset.
@@ -204,14 +204,11 @@ def eigendecompose(op: DiscreteOperator, window=None):
     """
     if window is not None:
         return _windowed(op, *window)
-    n, m = op.dim, op.dim // 2
-    if not op.is_t_symmetric():
-        lam, u = scipy.linalg.eigh(op.dense(), overwrite_a=True, driver="evd")
-        return SpectralDecomposition(lam, u, op)
-    if not _commutes_with_reversal(op):
-        lam, phi = scipy.linalg.eigh(_real_form(op), overwrite_a=True,
-                                     driver="evd")
-        return SpectralDecomposition(lam, phi, op)
+    n, m, real = op.dim, op.dim // 2, op.is_t_symmetric()
+    if not (real and _commutes_with_reversal(op)):  # one eigh, of M or R
+        lam, f = scipy.linalg.eigh(op.dense(real=real), overwrite_a=True,
+                                   driver="evd")
+        return SpectralDecomposition(lam, f, op)
     even, odd = _parity_blocks(op)
     lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, driver="evd")
     del even
@@ -253,7 +250,7 @@ def _windowed(op: DiscreteOperator, lo, hi):
         lam, v, first, record = _shift_invert(op, real, lo, hi, c_lo, c_hi)
     else:
         solver, first, record = "dense", max(c_lo - 1, 0), {}
-        lam, v = scipy.linalg.eigh(_real_form(op) if real else op.dense(),
+        lam, v = scipy.linalg.eigh(op.dense(real=real),
                                    subset_by_index=(first, min(c_hi, n - 1)),
                                    overwrite_a=True)
     # lam[i] is eigenvalue first + i if the counts hold
@@ -274,8 +271,9 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
     """Ascending eigenpairs c_lo - 1 to c_hi (those that exist) of the
     sparse real form, or of M (``op.csc``), the index ``first`` of the
     first and the solve's record {sigma, nev, doublings}, from shift-invert
-    Lanczos (ARPACK eigsh) at sigma = (lo + hi)/2, or for c_lo = 0 at
-    max(lo, ``op.gershgorin_floor()``), below the lowest eigenvalue.
+    Lanczos (ARPACK eigsh) at sigma = (lo + hi)/2, or for c_lo = 0 at max(lo,
+    the Gershgorin floor ``op.gershgorin_bounds()[0]``), below the lowest
+    eigenvalue.
 
     eigsh returns the k pairs nearest sigma.  k starts at the window and
     its two neighbours plus SPARSE_PAD, and doubles, up to N/8, while a
@@ -288,7 +286,7 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
     """
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     n, a = op.dim, op.csc(real=real)
-    sigma = 0.5 * (lo + hi) if c_lo else max(lo, op.gershgorin_floor())
+    sigma = 0.5 * (lo + hi) if c_lo else max(lo, op.gershgorin_bounds()[0])
     nev, doublings = c_hi - c_lo + 2 + SPARSE_PAD, 0
     while True:
         try:
@@ -320,50 +318,36 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
             {"sigma": sigma, "nev": nev, "doublings": doublings})
 
 
-def _real_form(op: DiscreteOperator):
-    """Re M - (Im M) P_y, 7 nonzeros per row (the 5 of Re M and the 2 of
-    -(Im M) P_y), in one Fortran-ordered buffer that eigh may overwrite."""
-    n = op.dim
-    r = checked_zeros((n, n), order="F")
-    k, c = op.near(np.arange(n))
-    r[k, c] = op.real_entries(k, c)
-    return r
-
-
 def _commutes_with_reversal(op: DiscreteOperator):
-    """True when the real form R has R[k, l] == R[N-1-k, N-1-l] bitwise for
-    all k, l (R J == J R), checked in O(N) at the positions of ``op.near``,
-    which hold every nonzero of R."""
-    n = op.dim
-    k, c = op.near(np.arange(n))
-    return np.array_equal(op.real_entries(k, c),
-                          op.real_entries(n - 1 - k, n - 1 - c))
+    """True when the real form commutes bitwise with the flat reversal J,
+    which maps the sorted positions of ``op.coo(real=True)`` onto themselves
+    in reverse order: when the values read the same reversed."""
+    vals = op.coo(real=True)[2]
+    return np.array_equal(vals, vals[::-1])
 
 
 def _parity_blocks(op: DiscreteOperator):
     """The even and odd blocks of a real form R that commutes with J,
-    written straight from the stencil.
+    folded from ``op.coo(real=True)``.
 
     In the basis (e_k +- e_{N-1-k})/sqrt(2), k < m = N//2, plus the centre
     e_m in the even block when N is odd, R is diag(R11 + R12 J, R11 - R12 J)
-    with R11 = R[:m, :m] and (R12 J)[k, l] = R[k, N-1-l]: a nonzero R[k, c]
+    with R11 = R[:m, :m] and (R12 J)[k, l] = R[k, N-1-l]: an entry R[k, c]
     lands on block column c, or N-1-c when c >= N - m.  Both blocks are
     Fortran ordered, so eigh can overwrite them without a copy.
     """
     n, m = op.dim, op.dim // 2
     even = checked_zeros((n - m, n - m), order="F")
     odd = checked_zeros((m, m), order="F")
-    k, c = op.near(np.arange(m))
-    c = np.where(c < m, c, n - 1 - c)
-    k, c = k[c < m], c[c < m]
-    r11, r12j = op.real_entries(k, c), op.real_entries(k, n - 1 - c)
-    even[k, c] = r11 + r12j
-    odd[k, c] = r11 - r12j
-    if n > 2 * m:
-        k, c = np.arange(m), np.full(m, m)
-        even[:m, m] = np.sqrt(2.0) * op.real_entries(k, c)
-        even[m, :m] = np.sqrt(2.0) * op.real_entries(c, k)
-        even[m, m] = op.real_entries(c[:1], c[:1])[0]
+    k, c, r = op.coo(real=True)
+    left, right = (k < m) & (c < m), (k < m) & (c >= n - m)
+    for block, sign in ((even, 1.0), (odd, -1.0)):
+        block[k[left], c[left]] = r[left]
+        block[k[right], n - 1 - c[right]] += sign * r[right]
+    if n > 2 * m:  # the centre column and row, the off-centre part scaled
+        mid, row = (k < m) & (c == m), (k == m) & (c <= m)
+        even[k[mid], m] = np.sqrt(2.0) * r[mid]
+        even[m, c[row]] = np.where(c[row] < m, np.sqrt(2.0), 1.0) * r[row]
     return even, odd
 
 

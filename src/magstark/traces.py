@@ -61,8 +61,8 @@ def column_block_max(f, grid):
 
 
 def resolvent(op: DiscreteOperator, z):
-    """(z - M)^(-1) by one direct solve of z - M, written straight from the
-    stencil and dropped once solved, against I as a strided view of one unit
+    """(z - M)^(-1) by one direct solve of z - M, written from ``op.coo()``
+    and dropped once solved, against I as a strided view of one unit
     vector.  A z on the spectrum (an exactly singular z - M) or too near it
     (a stencil residual over RESIDUAL_TOL, checked nx columns at a time)
     raises :class:`NearSingularityError`.

@@ -2,19 +2,20 @@
 
 No experiment runs these.  They form the plain dense objects of the
 definitions: the first-difference matrix, the kron embedding of an x-axis
-operator, the d/dx matrix and explicit commutators with it, f(M) from the
-eigenvectors, the mollified counting difference, the symmetry checks,
-real form and parity blocks of a dense M, and the windowed eigensolve by
-value range.  Tests compare the package's stencil writes, per-row products,
-eigenvalue sums and windows with them, and check the exact
-finite-dimensional identities the trace formula rests on.
+operator, H(B, eps) as a sum of Kronecker products, the d/dx matrix and
+explicit commutators with it, f(M) from the eigenvectors, the mollified
+counting difference, the symmetry checks, real form and parity blocks of a
+dense M, and the windowed eigensolve by value range.  Tests compare the
+package's stencil writes, per-row products, eigenvalue sums and windows
+with them, and check the exact finite-dimensional identities the trace
+formula rests on.
 """
 
 import numpy as np
 import scipy.linalg
 
 from magstark.errors import ConfigurationError
-from magstark.grid import DiscreteOperator, GridSpec
+from magstark.grid import DiscreteOperator, GridSpec, d2_op
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, SpectralDecomposition,
@@ -38,6 +39,19 @@ def d1_op(n, h):
 def embed_x(grid: GridSpec, m1d):
     """Embed a 1D x-axis operator into the 2D grid: kron(I_ny, m1d)."""
     return np.kron(np.eye(grid.ny, dtype=m1d.dtype), m1d)
+
+
+def kron_reference(grid: GridSpec, fields: FieldParams, v):
+    """H(B, eps) as the sum of Kronecker products of the 1D stencils."""
+    d2x = embed_x(grid, d2_op(grid.nx, grid.hx))
+    d2y = np.kron(d2_op(grid.ny, grid.hy), np.eye(grid.nx))
+    cross = np.kron(np.diag(-2.0 * fields.b * grid.y), d1_op(grid.nx, grid.hx))
+    ysq = np.kron(np.diag((fields.b * grid.y) ** 2), np.eye(grid.nx))
+    m = (d2x + d2y + cross + ysq).astype(complex)
+    xf, _ = grid.meshes()
+    m[np.diag_indices_from(m)] += fields.eps * xf
+    m[np.diag_indices_from(m)] += v
+    return m
 
 
 def interior_mask(grid: GridSpec, band: int = 2):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magstark.cli import (EXPERIMENTS, _git_sha, default_config, load_config,
-                          main, run, run_convergence)
+                          main, run, run_convergence, write_csv)
 from magstark.errors import ConfigurationError
 
 
@@ -16,6 +16,15 @@ def test_default_configs_cover_all_experiments():
         cfg = default_config(name)
         assert {"grid", "fields", "experiment"} <= set(cfg)
         assert ("function" in cfg) == (name in readers)
+
+
+def test_write_csv_writes_numpy_floats_as_plain_numbers(tmp_path):
+    # np.float64 subclasses float, and its repr is "np.float64(0.5)" under
+    # numpy 2; the other numpy floats are written by str
+    p = tmp_path / "t.csv"
+    write_csv(p, [("a", 3, 1.5, np.float64(0.5), np.float64(np.nan),
+                   np.float32(0.25), np.int64(7))])
+    assert p.read_text(encoding="utf-8") == "a,3,1.5,0.5,nan,0.25,7\n"
 
 
 def test_unknown_experiment():

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magstark.grid import d2_op, make_grid
+from magstark.grid import make_grid
 from magstark.errors import CapacityError, ConfigurationError
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import eigendecompose, localized_spectrum
 from magstark.traces import resolvent
-from oracles import commutator_dx, d1_op, embed_x, interior_mask, partial_x
+from oracles import commutator_dx, interior_mask, kron_reference, partial_x
 
 GRID = make_grid(6, 6, 25, 25)
 NO_V = np.zeros(GRID.n_points)
@@ -41,19 +41,6 @@ def test_assemble_capacity_checked_before_allocation():
     assert peak < 2 ** 20
 
 
-def _kron_reference(grid, fields, v):
-    """H(B, eps) as the sum of Kronecker products of the 1D stencils."""
-    d2x = embed_x(grid, d2_op(grid.nx, grid.hx))
-    d2y = np.kron(d2_op(grid.ny, grid.hy), np.eye(grid.nx))
-    cross = np.kron(np.diag(-2.0 * fields.b * grid.y), d1_op(grid.nx, grid.hx))
-    ysq = np.kron(np.diag((fields.b * grid.y) ** 2), np.eye(grid.nx))
-    m = (d2x + d2y + cross + ysq).astype(complex)
-    xf, _ = grid.meshes()
-    m[np.diag_indices_from(m)] += fields.eps * xf
-    m[np.diag_indices_from(m)] += v
-    return m
-
-
 @pytest.mark.parametrize("shape", [(21, 35), (41, 21)])
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("eps", [0.0, 0.5])
@@ -67,7 +54,7 @@ def test_assemble_matches_kron_reference_bitwise(shape, family, eps):
     # bit patterns are compared, since a float == treats -0.0 as 0.0
     m = np.ascontiguousarray(assemble(g, fields, v).dense())
     assert np.array_equal(m.view(np.uint64),
-                          _kron_reference(g, fields, v).view(np.uint64))
+                          kron_reference(g, fields, v).view(np.uint64))
 
 
 @pytest.mark.parametrize("shape", [(21, 35), (41, 21)])

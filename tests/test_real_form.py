@@ -10,6 +10,9 @@ counts are checked against dense eigenvalue counts, and its pairs against
 the by-value solve of ``oracles.windowed_by_value``.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -27,13 +30,13 @@ from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (SPARSE_DIM_MIN, SPARSE_PAD, BumpFunction,
                                SpectralDecomposition, _commutes_with_reversal,
-                               _parity_blocks, _real_form, eigendecompose,
+                               _parity_blocks, eigendecompose,
                                localization_scores, localized_spectrum,
                                trace_function, weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
 from oracles import (apply_function, commutes_with_reversal, eigenvectors,
-                     is_t_symmetric, parity_blocks, real_form,
+                     is_t_symmetric, kron_reference, parity_blocks, real_form,
                      windowed_by_value)
 
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
@@ -244,7 +247,7 @@ def test_stencil_checks_and_builders_match_the_dense_oracles(
     if not op.is_t_symmetric():
         return
     r = real_form(m, g)
-    assert _real_form(op).tobytes() == r.tobytes()
+    assert op.dense(real=True).tobytes() == r.tobytes()
     assert _commutes_with_reversal(op) == commutes_with_reversal(r)
     if commutes_with_reversal(r):
         for got, ref in zip(_parity_blocks(op), parity_blocks(r)):
@@ -254,11 +257,16 @@ def test_stencil_checks_and_builders_match_the_dense_oracles(
 
 @pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
 def test_the_csc_writer_matches_the_dense_writers_entry_by_entry(kind):
-    # one entry per position: the 5 of M and z - M, the 7 of the real form
+    # one stored entry per position: the 5 of M and z - M, the 7 of the
+    # real form, each equal to the Kronecker-sum oracle and its real form
     op, z = _kind(9, 8, kind), 2.1 + 0.3j
-    pairs = [(op.csc(), op.dense(), 5), (op.csc(z), op.dense(z), 5)]
+    fields = FieldParams(b=1.0, eps=0.0 if kind == "q" else 0.5)
+    m = kron_reference(op.grid, fields, eval_potential(GAUSS, op.grid).v)
+    if kind == "y_odd":
+        m[np.diag_indices_from(m)] += 0.3 * op.grid.meshes()[1]
+    pairs = [(op.csc(), m, 5), (op.csc(z), z * np.eye(op.dim) - m, 5)]
     if op.is_t_symmetric():
-        pairs.append((op.csc(real=True), _real_form(op), 7))
+        pairs.append((op.csc(real=True), real_form(m, op.grid), 7))
     for a, ref, per_row in pairs:
         assert a.format == "csc" and a.has_canonical_format
         assert a.nnz <= per_row * op.dim and a.dtype == ref.dtype
@@ -267,12 +275,55 @@ def test_the_csc_writer_matches_the_dense_writers_entry_by_entry(kind):
 
 @pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
 def test_the_gershgorin_floor_is_the_dense_row_bound(kind):
+    # the floor and ceiling are the dense row bounds, and hold the spectrum
     op = _kind(9, 8, kind)
     m = op.dense()
     d = m.diagonal().real
-    rows = d - (np.abs(m).sum(axis=1) - np.abs(d))
-    assert abs(op.gershgorin_floor() - np.min(rows)) <= 1e-12 * np.max(np.abs(d))
-    assert op.gershgorin_floor() < np.linalg.eigvalsh(m)[0]
+    off = np.abs(m).sum(axis=1) - np.abs(d)
+    lo, hi = op.gershgorin_bounds()
+    lam = np.linalg.eigvalsh(m)
+    assert abs(lo - np.min(d - off)) <= 1e-12 * np.max(np.abs(d))
+    assert abs(hi - np.max(d + off)) <= 1e-12 * np.max(np.abs(d))
+    assert lo < lam[0] and lam[-1] < hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(8, 13), ny=st.integers(8, 13),
+       eps=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+       real=st.booleans(), y_odd=st.booleans())
+def test_coo_positions_are_unique_sorted_and_closed_under_reversal(
+        nx, ny, eps, real, y_odd):
+    g = make_grid(6, 6, nx, ny)
+    op = assemble(g, FieldParams(b=1.3, eps=eps), eval_potential(GAUSS, g).v)
+    op = _odd_in_y(op) if y_odd else op
+    k, c, vals = op.coo(real=real)
+    key, n = k * op.dim + c, op.dim
+    assert k.shape == c.shape == vals.shape
+    assert vals.dtype == (float if real else complex)
+    assert np.all(np.diff(key) > 0) and key.size <= (7 if real else 5) * n
+    # the flat reversal J maps the list onto itself in reverse order
+    assert np.array_equal((n - 1 - k)[::-1], k)
+    assert np.array_equal((n - 1 - c)[::-1], c)
+
+
+def test_dense_paths_leave_scipy_sparse_unimported():
+    # importing scipy.sparse raises peak RSS, which an experiment that never
+    # solves sparse should not pay
+    code = (
+        "import sys\n"
+        "from magstark.grid import make_grid\n"
+        "from magstark.hamiltonian import FieldParams, assemble\n"
+        "from magstark.spectral import eigendecompose\n"
+        "g = make_grid(6, 6, 11, 11)\n"
+        "x, y = g.meshes()\n"
+        "assemble(g, FieldParams(b=1.0, eps=0.5), 0.0 * x).dense(1j)\n"
+        "assert eigendecompose(assemble(g, FieldParams(b=1.0), 0.0 * x)"
+        ").path == 'real_parity'\n"
+        "print('scipy.sparse' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                         "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=30, deadline=None)
@@ -639,7 +690,8 @@ def test_a_windowed_solve_peaks_below_one_real_n_by_n_array_and_a_third(
     h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     peaks = []
     for solve in (lambda: eigendecompose(h, window=F.support).eigenvalues,
-                  lambda: scipy.linalg.eigh(_real_form(h), overwrite_a=True,
+                  lambda: scipy.linalg.eigh(h.dense(real=True),
+                                            overwrite_a=True,
                                             subset_by_value=F.support)[0]):
         tracemalloc.start()
         try:
