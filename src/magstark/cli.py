@@ -42,7 +42,8 @@ from .mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
 from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, WeightSpec,
-                       eigendecompose, localization_scores, localized_spectrum)
+                       eigendecompose, interior_mask, localized_spectrum,
+                       weighted_spectrum)
 from .ssf import (TruncationSpec, epsilon_scaling, resolvent_expansion_check,
                   sigma_q_gap_window, trace_identity_check, truncation_convergence)
 from .traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
@@ -222,12 +223,9 @@ def _run_prop2(grid, fields, spec, f, e):
     h = assemble(grid, fields, v)
     # pin the probe at the most V-coupled level in the bulk window,
     # where the uniform bound is under the most pressure
-    dec = eigendecompose(h)
-    lam = dec.eigenvalues
+    lam, weights, _ = weighted_spectrum(h, v)
     win = (lam > 1.2) & (lam < 2.8)
-    weights = dec.weighted_density(v)[win]
-    re_z = float(lam[win][int(np.argmax(weights))])
-    del dec  # only re_z is read from here on
+    re_z = float(lam[win][int(np.argmax(weights[win]))])
     probe = ProbeSpec(z=complex(re_z, 0.5),
                       z_prime=complex(re_z, e["im_zp"]),
                       delta_list=_list("delta_list", e["delta_list"]))
@@ -273,19 +271,21 @@ def _run_spectrum(grid, fields, spec, f, e):
             f"cluster_targets repeats a target, got {targets}; each target "
             f"names one gate")
     # the Landau clusters belong to Q, the eps = 0 member of the family
-    dec = eigendecompose(assemble(grid, fields, eval_potential(spec, grid).v))
-    scores = localization_scores(dec, e["margin"])
+    # each parity block's vectors are dropped once their scores are summed
+    lam, scores, solve = weighted_spectrum(
+        assemble(grid, fields, eval_potential(spec, grid).v),
+        interior_mask(grid, e["margin"]))
     rows = [("eigenvalue", "score", "localized")]
-    rows += [(float(lam), float(s), int(s > LOCALIZATION_THRESHOLD))
-             for lam, s in zip(dec.eigenvalues, scores)]
-    loc = dec.eigenvalues[scores > LOCALIZATION_THRESHOLD]
+    rows += [(float(t), float(s), int(s > LOCALIZATION_THRESHOLD))
+             for t, s in zip(lam, scores)]
+    loc = lam[scores > LOCALIZATION_THRESHOLD]
     gates = {}
     for t, tol in zip(targets, tols):
         members = loc[np.abs(loc - t) <= tol]
         ok = members.size >= int(e["cluster_min"])
         gates[f"cluster_{t}"] = (int(members.size), int(e["cluster_min"]), ok)
     return rows, {"n_localized": int(loc.size),
-                  "eigensolve": {"q": dec.solver_info()}}, gates
+                  "eigensolve": {"q": solve}}, gates
 
 
 def _run_truncation(grid, fields, spec, f, e):

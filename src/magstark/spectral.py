@@ -25,7 +25,12 @@ what callers see:
   block R11 - R12 J (the even one bordered by the centre row and column,
   scaled by sqrt(2), when N is odd), so two eigensolves of order about N/2
   replace one of order N at about a quarter of the flops.  Both checks read
-  the stencil in O(N), and R or its blocks are written from its entry list.
+  the stencil in O(N), and R or its blocks are written from its entry list,
+  built once per solve.  :func:`weighted_spectrum` writes, solves and
+  reduces one block at a time for a caller that reads each eigenvector
+  only through one weighted density, so it holds one block and its ``evd``
+  workspace (3 n_b^2 doubles for blocks of order n_b) where
+  :func:`eigendecompose` holds about 4 n_b^2.
 * Window.  ``window=(lo, hi)`` computes only the k eigenpairs in (lo, hi].
   A function supported in [lo, hi] vanishes on every other eigenvalue, so
   its f(M) and (weighted) traces are unchanged.  Stencil inertia counts
@@ -119,22 +124,13 @@ class SpectralDecomposition:
 
         |u|^2 = (phi^2 + (P_y phi)^2)/2, so a real factor is weighted by w
         folded by P_y, and the parity-block vectors by that folded again by
-        the flat reversal J.  Both folds are exact for any w.  The squares
-        are taken one grid row at a time, so no temporary has N rows.
+        the flat reversal J (:func:`_folded_weight`).  The squares are taken
+        one grid row at a time (:func:`_row_density`).
         """
-        a = self.factor
-        w = np.asarray(w, dtype=float)
-        nx, ny = self.source.grid.nx, self.source.grid.ny
+        a, grid = self.factor, self.source.grid
         if not np.iscomplexobj(a):
-            w = 0.5 * (w + w.reshape(ny, nx)[::-1].ravel())
-            if self.parity is not None:
-                m = w.size // 2
-                w = np.concatenate([0.5 * (w[:m] + w[::-1][:m]),
-                                    w[m:w.size - m]])
-        out = np.zeros(a.shape[1])
-        for k in range(0, a.shape[0], nx):
-            out += w[k:k + nx] @ (np.abs(a[k:k + nx]) ** 2)
-        return out
+            w = _folded_weight(w, grid, self.parity is not None)
+        return _row_density(w, a, grid.nx)
 
     def compress(self, w):
         """U* diag(w) U over the pairs held, for a real weight vector w on
@@ -151,12 +147,14 @@ class SpectralDecomposition:
     def solver_info(self):
         """The solver path, the order of each eigh call (N, or the two
         parity blocks), N, the number of eigenpairs held, the bytes of the
-        stored factor and the window certificate, if any, for a report."""
+        stored factor, and for a full solve the bytes of its largest dense
+        array and of that solve's ``evd`` workspace, or the window
+        certificate, for a report."""
         n, m = self.source.dim, self.source.dim // 2
-        return {"path": self.path,
-                "blocks": [n] if self.parity is None else [n - m, m],
-                "n": n, "pairs": self.dim,
-                "factor_bytes": self.factor.nbytes, **(self.certificate or {})}
+        blocks = [n] if self.parity is None else [n - m, m]
+        return {"path": self.path, "blocks": blocks, "n": n,
+                "pairs": self.dim, "factor_bytes": self.factor.nbytes,
+                **(self.certificate or _evd_bytes(self.path, blocks[0]))}
 
     def health_info(self):
         """:meth:`solver_info` with both health defects of the pairs held."""
@@ -204,15 +202,20 @@ def eigendecompose(op: DiscreteOperator, window=None):
     """
     if window is not None:
         return _windowed(op, *window)
-    n, m, real = op.dim, op.dim // 2, op.is_t_symmetric()
-    if not (real and _commutes_with_reversal(op)):  # one eigh, of M or R
-        lam, f = scipy.linalg.eigh(op.dense(real=real), overwrite_a=True,
-                                   driver="evd")
-        return SpectralDecomposition(lam, f, op)
-    even, odd = _parity_blocks(op)
-    lam_e, a = scipy.linalg.eigh(even, overwrite_a=True, driver="evd")
+    entries = _parity_entries(op)
+    if entries is None:
+        return _unsplit(op)
+    n, m = op.dim, op.dim // 2
+    # both blocks are written before either solve: a block written after
+    # the first solve has freed its workspace comes from the heap, not a
+    # fresh mmap (glibc raises its mmap threshold on that free), which
+    # raised lemma7's and lap-probe's max RSS by about 0.9 MB
+    even = _parity_block(op, entries, 1.0)
+    odd = _parity_block(op, entries, -1.0)
+    del entries
+    lam_e, a = _evd(even)
     del even
-    lam_o, b = scipy.linalg.eigh(odd, overwrite_a=True, driver="evd")
+    lam_o, b = _evd(odd)
     del odd
     lam = np.concatenate([lam_e, lam_o])
     order = np.argsort(lam, kind="stable")
@@ -224,6 +227,84 @@ def eigendecompose(op: DiscreteOperator, window=None):
     v[:, col[:lam_e.size]] = a
     v[:m, col[lam_e.size:]] = b
     return SpectralDecomposition(lam[order], v, op, parity=parity[order])
+
+
+def weighted_spectrum(op: DiscreteOperator, w):
+    """The ascending eigenvalues of a full solve, w @ |U|^2 for a real
+    weight vector w on the grid, and the record of the solve
+    (:meth:`SpectralDecomposition.solver_info`), holding no eigenvector.
+
+    On the parity path each block is written, solved and reduced before the
+    next is written, so one block and its ``evd`` workspace are held at a
+    time, and ``factor_bytes`` is 0.  The eigenvalues are those of
+    :func:`eigendecompose`, and the densities its ``weighted_density(w)``
+    to round-off; any other path is exactly those two calls.
+    """
+    entries = _parity_entries(op)
+    if entries is None:
+        dec = _unsplit(op)
+        return dec.eigenvalues, dec.weighted_density(w), dec.solver_info()
+    n, m = op.dim, op.dim // 2
+    w, lams, dens = _folded_weight(w, op.grid, parity=True), [], []
+    for sign in (1.0, -1.0):
+        lam, v = _evd(_parity_block(op, entries, sign))
+        lams.append(lam)  # an odd block has no centre row
+        dens.append(_row_density(w[:v.shape[0]], v, op.grid.nx))
+        del v
+    lam = np.concatenate(lams)
+    order = np.argsort(lam, kind="stable")
+    return (lam[order], np.concatenate(dens)[order],
+            {"path": "real_parity", "blocks": [n - m, m], "n": n, "pairs": n,
+             "factor_bytes": 0, **_evd_bytes("real_parity", n - m)})
+
+
+def _unsplit(op: DiscreteOperator):
+    """The full solve of M, or of its real form when op is T-symmetric."""
+    return SpectralDecomposition(*_evd(op.dense(real=op.is_t_symmetric())), op)
+
+
+def _evd(a):
+    """eigh of a, which it may overwrite, by LAPACK's divide and conquer."""
+    return scipy.linalg.eigh(a, overwrite_a=True, driver="evd")
+
+
+def _evd_bytes(path, order):
+    """The bytes of the largest dense array a full solve on ``path`` writes,
+    of the given order, and of LAPACK's ``evd`` workspace for it: work,
+    rwork (complex only) and the 4-byte iwork, from the driver's lwork
+    query."""
+    from scipy.linalg import lapack
+    if path == "complex":
+        work, iwork, rwork, _ = lapack.zheevd_lwork(order)
+        dense, ws = 16 * order ** 2, 16 * int(work.real) + 8 * int(rwork)
+    else:
+        work, iwork, _ = lapack.dsyevd_lwork(order)
+        dense, ws = 8 * order ** 2, 8 * int(work)
+    return {"dense_bytes": dense, "workspace_bytes": ws + 4 * int(iwork)}
+
+
+def _folded_weight(w, grid: GridSpec, parity):
+    """The weight of |phi|^2 that gives w @ |U|^2: w folded by P_y, and
+    with ``parity`` that folded again by the flat reversal J, for the
+    ceil(N/2) rows of the parity-block vectors.  Both folds are exact."""
+    w = np.asarray(w, dtype=float)
+    w = 0.5 * (w + w.reshape(grid.ny, grid.nx)[::-1].ravel())
+    if not parity:
+        return w
+    m = w.size // 2
+    return np.concatenate([0.5 * (w[:m] + w[::-1][:m]), w[m:w.size - m]])
+
+
+def _row_density(w, a, nx):
+    """w @ |a|^2, the squares taken nx rows at a time, so no temporary has
+    as many rows as a.  The squares are C ordered whatever the layout of a,
+    so a column sums in the same order in eigh's Fortran-ordered vectors
+    as in the merged parity-block factor."""
+    w = np.asarray(w, dtype=float)
+    out = np.zeros(a.shape[1])
+    for k in range(0, a.shape[0], nx):
+        out += w[k:k + nx] @ (np.abs(a[k:k + nx], order="C") ** 2)
+    return out
 
 
 def _windowed(op: DiscreteOperator, lo, hi):
@@ -318,37 +399,39 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
             {"sigma": sigma, "nev": nev, "doublings": doublings})
 
 
-def _commutes_with_reversal(op: DiscreteOperator):
-    """True when the real form commutes bitwise with the flat reversal J,
-    which maps the sorted positions of ``op.coo(real=True)`` onto themselves
-    in reverse order: when the values read the same reversed."""
-    vals = op.coo(real=True)[2]
-    return np.array_equal(vals, vals[::-1])
+def _parity_entries(op: DiscreteOperator):
+    """``op.coo(real=True)``, the entry list of the real form, when op is
+    T-symmetric and its real form commutes bitwise with the flat reversal
+    J, else None.  J maps the sorted positions onto themselves in reverse
+    order, so it commutes when the values read the same reversed."""
+    if not op.is_t_symmetric():
+        return None
+    entries = op.coo(real=True)
+    return entries if np.array_equal(entries[2], entries[2][::-1]) else None
 
 
-def _parity_blocks(op: DiscreteOperator):
-    """The even and odd blocks of a real form R that commutes with J,
-    folded from ``op.coo(real=True)``.
+def _parity_block(op: DiscreteOperator, entries, sign):
+    """The even (``sign`` +1) or odd (-1) block of a real form R that
+    commutes with J, folded from its entry list ``entries``.
 
     In the basis (e_k +- e_{N-1-k})/sqrt(2), k < m = N//2, plus the centre
     e_m in the even block when N is odd, R is diag(R11 + R12 J, R11 - R12 J)
     with R11 = R[:m, :m] and (R12 J)[k, l] = R[k, N-1-l]: an entry R[k, c]
-    lands on block column c, or N-1-c when c >= N - m.  Both blocks are
-    Fortran ordered, so eigh can overwrite them without a copy.
+    lands on block column c, or N-1-c when c >= N - m.  The block is
+    Fortran ordered, so eigh can overwrite it without a copy.
     """
     n, m = op.dim, op.dim // 2
-    even = checked_zeros((n - m, n - m), order="F")
-    odd = checked_zeros((m, m), order="F")
-    k, c, r = op.coo(real=True)
+    centre = sign > 0 and n > 2 * m
+    block = checked_zeros((m + centre,) * 2, order="F")
+    k, c, r = entries
     left, right = (k < m) & (c < m), (k < m) & (c >= n - m)
-    for block, sign in ((even, 1.0), (odd, -1.0)):
-        block[k[left], c[left]] = r[left]
-        block[k[right], n - 1 - c[right]] += sign * r[right]
-    if n > 2 * m:  # the centre column and row, the off-centre part scaled
+    block[k[left], c[left]] = r[left]
+    block[k[right], n - 1 - c[right]] += sign * r[right]
+    if centre:  # the centre column and row, the off-centre part scaled
         mid, row = (k < m) & (c == m), (k == m) & (c <= m)
-        even[k[mid], m] = np.sqrt(2.0) * r[mid]
-        even[m, c[row]] = np.where(c[row] < m, np.sqrt(2.0), 1.0) * r[row]
-    return even, odd
+        block[k[mid], m] = np.sqrt(2.0) * r[mid]
+        block[m, c[row]] = np.where(c[row] < m, np.sqrt(2.0), 1.0) * r[row]
+    return block
 
 
 @dataclass(frozen=True)
@@ -487,20 +570,21 @@ def decay_weight(grid: GridSpec, j, delta):
 LOCALIZATION_THRESHOLD = 0.99
 
 
-def localization_scores(dec: SpectralDecomposition, margin):
-    """Interior-box mass fraction of every eigenvector.
-
-    The box is the centered rectangle of relative size (1 - 2 margin) per
-    axis; wall-hugging truncation artifacts score low, gaussian-decaying
-    physical states score near 1.
-    """
+def interior_mask(grid: GridSpec, margin):
+    """The grid points of the centered box of relative size (1 - 2 margin)
+    per axis, as a boolean grid vector."""
     if not 0.0 < margin < 0.5:
         raise ConfigurationError(f"margin must lie in (0, 0.5), got {margin}")
-    grid = dec.source.grid
     xf, yf = grid.meshes()
-    inside = ((np.abs(xf) <= (1.0 - 2.0 * margin) * grid.lx + 1e-12)
-              & (np.abs(yf) <= (1.0 - 2.0 * margin) * grid.ly + 1e-12))
-    return dec.weighted_density(inside)
+    return ((np.abs(xf) <= (1.0 - 2.0 * margin) * grid.lx + 1e-12)
+            & (np.abs(yf) <= (1.0 - 2.0 * margin) * grid.ly + 1e-12))
+
+
+def localization_scores(dec: SpectralDecomposition, margin):
+    """Interior-box mass fraction of every eigenvector, in the box of
+    :func:`interior_mask`: wall-hugging truncation artifacts score low,
+    gaussian-decaying physical states score near 1."""
+    return dec.weighted_density(interior_mask(dec.source.grid, margin))
 
 
 def localized_spectrum(dec: SpectralDecomposition, margin=0.05):

@@ -297,6 +297,13 @@ def test_kept_entries_change_the_csv(name, dotted, tmp_path):
     assert csvs[0] != csvs[1]
 
 
+def _evd_bytes(n):
+    """The bytes of dsyevd's workspace for order n with eigenvectors:
+    1 + 6n + 2n^2 doubles and 3 + 5n 4-byte integers (LAPACK Users'
+    Guide, 3rd ed.)."""
+    return 8 * (1 + 6 * n + 2 * n ** 2) + 4 * (3 + 5 * n)
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -317,7 +324,9 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
                                   "passed": True, "failed": []},
             "eigensolve": {"q": {"path": "real_parity", "blocks": [264, 263],
                                  "n": 527, "pairs": 527,
-                                 "factor_bytes": 264 * 527 * 8}}}
+                                 "factor_bytes": 264 * 527 * 8,
+                                 "dense_bytes": 8 * 264 ** 2,
+                                 "workspace_bytes": _evd_bytes(264)}}}
         # one windowed solve of H per eps, sparse at N = 527; the window
         # at eps = 0.2 is empty
         assert len(solves) == 5 and solves[0]["pairs"] == 0
@@ -344,7 +353,8 @@ def test_lap_probe_solves_h_only_on_its_certified_window(tmp_path):
     # first admissible gap of localized sigma(Q), with its certificate
     h, q = res["eigensolve"]["h"], res["eigensolve"]["q"]
     assert q == {"path": "real_parity", "blocks": [85, 84], "n": 169,
-                 "pairs": 169, "factor_bytes": 85 * 169 * 8}
+                 "pairs": 169, "factor_bytes": 85 * 169 * 8,
+                 "dense_bytes": 8 * 85 ** 2, "workspace_bytes": _evd_bytes(85)}
     g = make_grid(**cfg["grid"])
     spec = PotentialSpec("gaussian", amplitude=0.3, width=1.5)
     v = eval_potential(clamp_amplitude(spec, 0.05), g).v
@@ -437,10 +447,12 @@ def test_spectrum_splits_q_into_two_parity_blocks(tmp_path, monkeypatch):
     cfg = load_config("spectrum", None, ["grid.nx=41", "grid.ny=41"])
     _, env = run("spectrum", cfg, tmp_path)
     assert orders == [841, 840]
-    # the held factor is the ceil(N/2) x N real parity-block vectors
+    # each block's vectors are reduced to their scores and dropped, so no
+    # factor is held; the larger block and its workspace are the bytes
     assert env["results"]["eigensolve"] == {
         "q": {"path": "real_parity", "blocks": [841, 840], "n": 1681,
-              "pairs": 1681, "factor_bytes": 841 * 1681 * 8}}
+              "pairs": 1681, "factor_bytes": 0, "dense_bytes": 8 * 841 ** 2,
+              "workspace_bytes": _evd_bytes(841)}}
 
 
 def test_mourre_empty_window_fails(tmp_path):

@@ -29,10 +29,11 @@ from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (SPARSE_DIM_MIN, SPARSE_PAD, BumpFunction,
-                               SpectralDecomposition, _commutes_with_reversal,
-                               _parity_blocks, eigendecompose,
+                               SpectralDecomposition, _parity_block,
+                               _parity_entries, eigendecompose, interior_mask,
                                localization_scores, localized_spectrum,
-                               trace_function, weighted_trace_function)
+                               trace_function, weighted_spectrum,
+                               weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
 from oracles import (apply_function, commutes_with_reversal, eigenvectors,
@@ -248,9 +249,11 @@ def test_stencil_checks_and_builders_match_the_dense_oracles(
         return
     r = real_form(m, g)
     assert op.dense(real=True).tobytes() == r.tobytes()
-    assert _commutes_with_reversal(op) == commutes_with_reversal(r)
-    if commutes_with_reversal(r):
-        for got, ref in zip(_parity_blocks(op), parity_blocks(r)):
+    entries = _parity_entries(op)
+    assert (entries is not None) == commutes_with_reversal(r)
+    if entries is not None:
+        for sign, ref in zip((1.0, -1.0), parity_blocks(r)):
+            got = _parity_block(op, entries, sign)
             assert got.flags.f_contiguous
             assert got.tobytes() == ref.tobytes()
 
@@ -566,6 +569,49 @@ def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
         <= 1e-13 * op.dim * np.max(np.abs(w))
 
 
+@pytest.mark.parametrize("nx,ny", [(13, 13), (12, 14), (15, 10)])
+@pytest.mark.parametrize("path", ["real_parity", "real", "complex"])
+def test_weighted_spectrum_matches_the_decomposition(nx, ny, path):
+    # odd N = 169 and even N = 168, 150; the parity path reduces each block
+    # before writing the next, every other path is eigendecompose itself
+    op = _ops_by_path(nx, ny, "gaussian")[path]
+    dec = eigendecompose(op)
+    assert dec.path == path
+    rng = np.random.default_rng(nx * ny)
+    for w in (interior_mask(op.grid, 0.05), rng.standard_normal(op.dim)):
+        lam, dens, info = weighted_spectrum(op, w)
+        assert lam.tobytes() == dec.eigenvalues.tobytes()
+        ref = dec.weighted_density(w)
+        assert np.max(np.abs(dens - ref)) <= 1e-14 * np.max(np.abs(w))
+        held = 0 if path == "real_parity" else dec.factor.nbytes
+        assert info == {**dec.solver_info(), "factor_bytes": held}
+
+
+def test_the_streamed_q_spectrum_holds_one_block_and_its_workspace():
+    # at 41 x 41 the blocks have order n_b = 841 and 840: eigendecompose
+    # holds both blocks (or one block and the other's vectors) and evd's
+    # 1 + 6 n + 2 n^2 workspace, about 4 n_b^2 doubles; the streamed path
+    # one block and its workspace, about 3 n_b^2.  It also keeps the entry
+    # list (0.28 MB) through the even solve, for the odd block's write, so
+    # it saves one block less that list, 0.95 of a block
+    g = make_grid(6, 6, 41, 41)
+    q = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
+    inside = interior_mask(g, 0.05)
+    weighted_spectrum(q, inside)  # lazy imports untraced
+    peaks = []
+    for solve in (lambda: eigendecompose(q),
+                  lambda: weighted_spectrum(q, inside)):
+        tracemalloc.start()
+        try:
+            solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = 8 * 841 ** 2
+    assert peaks[1] <= 3.2 * block
+    assert peaks[0] - peaks[1] >= 0.9 * block
+
+
 def test_q_spectrum_holds_no_complex_n_by_n_array():
     # assembly included: Q is held as its stencil, not as a dense M
     g = make_grid(6, 6, 41, 41)
@@ -611,10 +657,23 @@ def test_each_dense_write_checks_its_own_bytes(monkeypatch):
     for build in (h.dense, lambda: h.dense(1j), lambda: eigendecompose(h)):
         with pytest.raises(CapacityError, match="dense limit"):
             build()
+    with pytest.raises(CapacityError, match="dense limit"):
+        weighted_spectrum(h, v)
     assert eigendecompose(q).path == "real_parity"
+    assert weighted_spectrum(q, v)[2]["path"] == "real_parity"
     monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 3 * 10 ** 5)
     with pytest.raises(CapacityError, match="dense limit"):
         eigendecompose(q)
+    # the streamed path is refused at its first block, before it is written:
+    # what it traces is building the entry list, under one 221 x 221 block
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="dense limit"):
+            weighted_spectrum(q, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 221 ** 2
 
 
 @settings(max_examples=60, deadline=None)
