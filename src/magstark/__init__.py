@@ -14,7 +14,7 @@ from .hamiltonian import FieldParams, assemble
 from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
-                       eigendecompose, localized_spectrum, weight_dx_s)
+                       eigendecompose, weight_dx_s)
 from .traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm, nuclear_norm,
                      operator_norm, tracebound_sweep, resolvent_chain_tracenorm, resolvent)
 

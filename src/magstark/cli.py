@@ -42,8 +42,7 @@ from .mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
 from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, WeightSpec,
-                       eigendecompose, interior_mask, localized_spectrum,
-                       weighted_spectrum)
+                       eigendecompose, interior_mask, weighted_spectrum)
 from .ssf import (TruncationSpec, epsilon_scaling, resolvent_expansion_check,
                   sigma_q_gap_window, trace_identity_check, truncation_convergence)
 from .traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
@@ -169,14 +168,23 @@ def _widest_slot(lam, lo, hi):
     return float(0.5 * (pts[k] + pts[k + 1])), float(gaps[k])
 
 
+def _q_spectrum(grid, b, v):
+    """Q's ascending eigenvalues, those of its localized levels (interior
+    score in the 0.05 box above LOCALIZATION_THRESHOLD) and the solve's
+    record, from one streamed full solve."""
+    lam, scores, solve = weighted_spectrum(assemble(grid, FieldParams(b), v),
+                                           interior_mask(grid, 0.05))
+    return lam, lam[scores > LOCALIZATION_THRESHOLD], solve
+
+
 def _run_lap_probe(grid, fields, spec, f, e):
     used = clamp_amplitude(spec, fields.eps / 2.0)
     v = eval_potential(used, grid).v
     h = assemble(grid, fields, v)
     # probe at the middle of the widest eigenvalue-free slot of H inside
     # the first gap of the localized spectrum of Q: H's certified window
-    decq = eigendecompose(assemble(grid, FieldParams(fields.b), v))
-    lo, hi = sigma_q_gap_window(decq, margin=0.3)
+    _, loc, solve = _q_spectrum(grid, fields.b, v)
+    lo, hi = sigma_q_gap_window(loc, margin=0.3)
     dec = eigendecompose(h, window=(lo, hi))
     lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
     deltas = tuple(2.0 ** (-k) for k in
@@ -189,19 +197,17 @@ def _run_lap_probe(grid, fields, spec, f, e):
                "amplitude": spec.amplitude, "amplitude_used": used.amplitude,
                "residual_bound": rep.residual_bound, "n": h.dim,
                "solver": "splu_lanczos",
-               "eigensolve": {"h": dec.health_info(), "q": decq.solver_info()}}
+               "eigensolve": {"h": dec.health_info(), "q": solve}}
     return rows, results, {"plateau": (rep.plateau_ratio, e["plateau_max"], ok)}
 
 
 def _run_lemma7(grid, fields, spec, f, e):
     # eps comes from eps_list, so fields is Q's FieldParams(b)
     v = eval_potential(spec, grid).v
-    decq = eigendecompose(assemble(grid, fields, v))
-    loc = localized_spectrum(decq)
+    lam, loc, solve = _q_spectrum(grid, fields.b, v)
     # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
     # chi(Q) vanishes exactly at eps = 0
-    center, width = _widest_slot(decq.eigenvalues, f.center - 0.25,
-                                 f.center + 0.25)
+    center, width = _widest_slot(lam, f.center - 0.25, f.center + 0.25)
     chi = BumpFunction(center, min(f.halfwidth, 0.45 * width),
                        plateau=f.plateau if f.plateau > 0 else 0.5)
     rep = gap_cutoff_sweep(grid, fields.b, v, chi,
@@ -212,8 +218,7 @@ def _run_lemma7(grid, fields, spec, f, e):
     rows = [("eps", "norm")] + list(zip(rep.params, rep.norms))
     results = {"slope": rep.slope, "r2": rep.r2,
                "decay_certificate": _stark_certificate(spec, grid),
-               "eigensolve": {"q": decq.solver_info(),
-                              "h": list(rep.eigensolve)}}
+               "eigensolve": {"q": solve, "h": list(rep.eigensolve)}}
     return rows, results, \
         {"slope_window": (rep.slope, (e["slope_lo"], e["slope_hi"]), ok)}
 

@@ -66,8 +66,7 @@ def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
         return float("inf")
     if not sel.all():  # compress only the selected pairs
         dec = replace(dec, eigenvalues=dec.eigenvalues[sel],
-                      factor=dec.factor[:, sel],
-                      parity=None if dec.parity is None else dec.parity[sel])
+                      factor=dec.factor[:, sel])
     compressed = dec.compress(fields.eps + np.asarray(dxv, dtype=float))
     return float(np.linalg.eigvalsh(compressed)[0])
 
@@ -79,10 +78,10 @@ def gap_cutoff_norm(dec: SpectralDecomposition, chi: BumpFunction):
     wx = 1.0 / (1.0 + xf * xf)
     # chi(H) <x>^-2 = U_k [chi(lam_k) U_k* <x>^-2] and U_k has orthonormal
     # columns, so the k x N factor in brackets has the same operator norm.
-    # For a real factor U_k = Y phi_k with Y = (I + i P_y)/sqrt(2) unitary,
-    # and <x>^-2 commutes with P_y, so phi_k stands in for U_k.
-    f = dec.factor if dec.path == "complex" else dec.real_eigenvectors()
-    return operator_norm(chi(dec.eigenvalues)[:, None] * (f.conj().T * wx))
+    # U_k = Y phi_k with Y = (I + i P_y)/sqrt(2) unitary, and <x>^-2
+    # commutes with P_y, so phi_k stands in for U_k.
+    return operator_norm(chi(dec.eigenvalues)[:, None]
+                         * (dec.factor.T * wx))
 
 
 def gap_cutoff_sweep(grid: GridSpec, b, v, chi: BumpFunction, eps_list,

@@ -9,48 +9,45 @@ where the function is identically 1.  The localized spectrum, the discrete
 proxy for sigma(Q), is the eigenvalues whose eigenvectors carry almost all
 their mass inside an interior box.
 
-Three properties of the input make the eigensolve cheaper without changing
-what callers see:
+Every eigensolve runs in real arithmetic, and the real form is its
+precondition.  M must commute exactly with the antiunitary T = K P_y (K the
+complex conjugation, P_y the reflection y -> -y), as every assembled
+operator with a potential even in y does.  Then W = (I + i P_y)/sqrt(2) is
+unitary, W* M W = R = Re M - (Im M) P_y is real symmetric, and the
+eigenvectors phi of R map back to eigenvectors u = (phi + i P_y phi)/sqrt(2)
+of M.  Any other operator is refused with :class:`ConfigurationError` before
+anything is written.  Resolvents and the limiting-absorption probe, which
+factor z - M, are not eigensolves and stay complex.  The two solve shapes:
 
-* Real form.  When M commutes exactly with the antiunitary T = K P_y (K the
-  complex conjugation, P_y the reflection y -> -y), as every assembled
-  operator with a potential even in y does, W = (I + i P_y)/sqrt(2) is
-  unitary and W* M W = Re M - (Im M) P_y is real symmetric.  Its
-  eigenvectors phi map back to eigenvectors u = (phi + i P_y phi)/sqrt(2)
-  of M.  Any other input takes the complex solve, of M itself.
-* Parity split.  When the real form R also commutes bitwise with the flat
-  reversal J = P_x P_y, as it does for every eps = 0 operator with a
+* Full.  :func:`weighted_spectrum` returns the eigenvalues and one weighted
+  density, and keeps no eigenvector.  When R also commutes bitwise with the
+  flat reversal J = P_x P_y, as it does for every eps = 0 operator with a
   potential even in x and y, R is block diagonal in the +-1 eigenspaces of
   J.  On the first N//2 indices the even block is R11 + R12 J and the odd
   block R11 - R12 J (the even one bordered by the centre row and column,
   scaled by sqrt(2), when N is odd), so two eigensolves of order about N/2
-  replace one of order N at about a quarter of the flops.  Both checks read
-  the stencil in O(N), and R or its blocks are written from its entry list,
-  built once per solve.  :func:`weighted_spectrum` writes, solves and
-  reduces one block at a time for a caller that reads each eigenvector
-  only through one weighted density, so it holds one block and its ``evd``
-  workspace (3 n_b^2 doubles for blocks of order n_b) where
-  :func:`eigendecompose` holds about 4 n_b^2.
-* Window.  ``window=(lo, hi)`` computes only the k eigenpairs in (lo, hi].
-  A function supported in [lo, hi] vanishes on every other eigenvalue, so
-  its f(M) and (weighted) traces are unchanged.  Stencil inertia counts
-  certify the pairs (:func:`_windowed`), which one of two paths solves,
-  chosen from N and the counts alone.  Above N = 512 a window of at most
-  N/16 pairs takes shift-invert Lanczos (ARPACK ``eigsh``) on the sparse
-  unsplit real form, at most 7 entries per row, and holds no N x N array.
-  Any other window takes one index-subset eigh of the dense real form: 8
-  N^2 bytes plus 8 N (k + 2) for eigenvectors, not 16 N^2.  The
-  certificate names the path as ``solver``.
+  replace one of order N at about a quarter of the flops.  Each block is
+  written, solved and reduced before the next is written, so one block,
+  its ``evd`` workspace (3 n_b^2 doubles for a block of order n_b) and the
+  rows of R's entry list that the blocks read are held.  This is the only
+  place the parity split appears:
+  ``eigendecompose(op)`` is the unsplit solve of R, the dense reference.
+* Window.  ``eigendecompose(op, window=(lo, hi))`` computes only the k
+  eigenpairs in (lo, hi].  A function supported in [lo, hi] vanishes on
+  every other eigenvalue, so its f(M) and (weighted) traces are unchanged.
+  Stencil inertia counts certify the pairs (:func:`_windowed`), which one of
+  two paths solves, chosen from N and the counts alone.  Above N = 512 a
+  window of at most N/16 pairs takes shift-invert Lanczos (ARPACK ``eigsh``)
+  on the sparse R, at most 7 entries per row, and holds no N x N array.  Any
+  other window takes one index-subset eigh of the dense R: 8 N^2 bytes plus
+  8 N (k + 2) for eigenvectors.  The certificate names the path as
+  ``solver``.
 
-A full solve uses LAPACK's ``evd``; a dense window the default driver
-``evr``, which has a subset.
-
-The eigenvectors are kept in the real factor they were solved in: the
-parity-block vectors (ceil(N/2) rows, with the +-1 parity of each column),
-phi for the unsplit real form, and U itself only for the complex solve.
-Every reader works in that factor; none builds the complex U from it.
-Weighted densities w @ |U|^2 come from ``weighted_density``, compressions
-U* diag(w) U from ``compress``, and phi itself from ``real_eigenvectors``.
+R or its blocks are written from R's entry list, built once per solve.  A
+full solve uses LAPACK's ``evd``; a dense window the default driver ``evr``,
+which has a subset.  A decomposition keeps phi and every reader works in it;
+none builds the complex U.  Weighted densities w @ |U|^2 come from
+``weighted_density``, and compressions U* diag(w) U from ``compress``.
 """
 
 from dataclasses import dataclass
@@ -71,90 +68,50 @@ SPARSE_PAD = 2  # Lanczos pairs asked for beyond the window and its neighbours
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues of a Hermitian matrix M, and its eigenvectors in
-    the factor the solve produced.
-
-    A complex ``factor`` is U itself.  A real one is phi, the eigenvectors of
-    the real form (N rows), or, with ``parity`` set, the parity-block vectors
-    (ceil(N/2) rows; an odd column is zero on the centre row of odd N) with
-    the +-1 parity of each column.  A windowed solve holds only the
-    eigenpairs with eigenvalue in (lo, hi], and its ``certificate`` holds the
-    window, its inertia counts, the bracketing eigenvalues and the solver
-    path, "dense" or "sparse" (with its ``sigma``, ``nev`` and ``doublings``).
+    """Ascending eigenvalues of a T-symmetric Hermitian matrix M, and as
+    ``factor`` phi, the eigenvectors of its real form R (N rows), with U =
+    (phi + i P_y phi)/sqrt(2).  A windowed solve holds only the eigenpairs
+    with eigenvalue in (lo, hi], and its ``certificate`` holds the window,
+    its inertia counts, the bracketing eigenvalues and the solver path,
+    "dense" or "sparse" (with its ``sigma``, ``nev`` and ``doublings``).
     """
 
     eigenvalues: np.ndarray
     factor: np.ndarray
     source: DiscreteOperator
-    parity: np.ndarray | None = None
     certificate: dict | None = None
 
     @property
     def dim(self):
         return self.eigenvalues.size
 
-    @property
-    def path(self):
-        """The solve behind the factor: "complex", "real" or "real_parity"."""
-        if np.iscomplexobj(self.factor):
-            return "complex"
-        return "real" if self.parity is None else "real_parity"
-
-    def real_eigenvectors(self):
-        """phi, the eigenvectors of the real form, with U = (phi + i P_y
-        phi)/sqrt(2); None for a complex factor.
-
-        A parity-block vector v is scattered to its N rows: phi[k] =
-        v[k]/sqrt(2) and phi[N-1-k] = parity v[k]/sqrt(2) for k < m = N//2,
-        and phi[m] = v[m] at the centre of odd N (zero for an odd column).
-        """
-        a = self.factor
-        if np.iscomplexobj(a) or self.parity is None:
-            return None if np.iscomplexobj(a) else a
-        n, m = self.source.dim, self.source.dim // 2
-        phi = np.empty((n, a.shape[1]))
-        np.multiply(a[:m], np.sqrt(0.5), out=phi[:m])
-        phi[n - m:] = (self.parity * phi[:m])[::-1]
-        if n > 2 * m:
-            phi[m] = a[m]
-        return phi
-
     def weighted_density(self, w):
-        """w @ |U|^2 for a real weight vector w on the grid, from the factor.
-
-        |u|^2 = (phi^2 + (P_y phi)^2)/2, so a real factor is weighted by w
-        folded by P_y, and the parity-block vectors by that folded again by
-        the flat reversal J (:func:`_folded_weight`).  The squares are taken
-        one grid row at a time (:func:`_row_density`).
-        """
-        a, grid = self.factor, self.source.grid
-        if not np.iscomplexobj(a):
-            w = _folded_weight(w, grid, self.parity is not None)
-        return _row_density(w, a, grid.nx)
+        """w @ |U|^2 for a real weight vector w on the grid: |u|^2 = (phi^2
+        + (P_y phi)^2)/2, so phi is weighted by w folded by P_y
+        (:func:`_folded_weight`), one grid row at a time
+        (:func:`_row_density`)."""
+        grid = self.source.grid
+        return _row_density(_folded_weight(w, grid, parity=False),
+                            self.factor, grid.nx)
 
     def compress(self, w):
         """U* diag(w) U over the pairs held, for a real weight vector w on
-        the grid, in the stored factor: with U = (phi + i P_y phi)/sqrt(2)
-        it is phi^T diag(w_s) phi + i phi^T diag(w_a) P_y phi, where w_s and
-        w_a are the y-even and y-odd parts of w, exact for any real w."""
-        phi, w = self.real_eigenvectors(), np.asarray(w, dtype=float)
-        if phi is None:
-            return (self.factor.conj().T * w) @ self.factor
+        the grid: phi^T diag(w_s) phi + i phi^T diag(w_a) P_y phi, where w_s
+        and w_a are the y-even and y-odd parts of w, exact for any real w."""
+        phi, w = self.factor, np.asarray(w, dtype=float)
         py = self.source.flip_y(np.arange(w.size))
         return 0.5 * (phi.T @ ((w + w[py])[:, None] * phi)
                       + 1j * (phi.T @ ((w - w[py])[:, None] * phi[py])))
 
     def solver_info(self):
-        """The solver path, the order of each eigh call (N, or the two
-        parity blocks), N, the number of eigenpairs held, the bytes of the
-        stored factor, and for a full solve the bytes of its largest dense
-        array and of that solve's ``evd`` workspace, or the window
-        certificate, for a report."""
-        n, m = self.source.dim, self.source.dim // 2
-        blocks = [n] if self.parity is None else [n - m, m]
-        return {"path": self.path, "blocks": blocks, "n": n,
-                "pairs": self.dim, "factor_bytes": self.factor.nbytes,
-                **(self.certificate or _evd_bytes(self.path, blocks[0]))}
+        """The path ("real"), the order of its eigh call, N, the number of
+        eigenpairs held, the bytes of phi, and for a full solve the bytes of
+        R and of its ``evd`` workspace, or the window certificate, for a
+        report."""
+        n = self.source.dim
+        return {"path": "real", "blocks": [n], "n": n, "pairs": self.dim,
+                "factor_bytes": self.factor.nbytes,
+                **(self.certificate or _evd_bytes(n))}
 
     def health_info(self):
         """:meth:`solver_info` with both health defects of the pairs held."""
@@ -163,91 +120,56 @@ class SpectralDecomposition:
                 "orthonormality_defect": self.orthonormality_defect()}
 
     def reconstruction_defect(self):
-        """max|A F - F diag(lam)|, the eigen-residual of the pairs held in
-        the stored factor, A applied by ``stencil_apply``.
-
-        A is M and F = U for a complex factor, else F = phi and A the real
-        form R = Re M - (Im M) P_y = Re M + P_y Im M (T-symmetry makes Im M
-        anticommute with P_y), so R phi = Re(M phi) + P_y Im(M phi).
-        """
-        f, lam, grid = self.real_eigenvectors(), self.eigenvalues, self.source.grid
-        mf = self.source.stencil_apply(self.factor if f is None else f)
-        if f is None:
-            return float(np.max(np.abs(mf - self.factor * lam), initial=0.0))
+        """max|R phi - phi diag(lam)|, the eigen-residual of the pairs held,
+        with R = Re M - (Im M) P_y = Re M + P_y Im M (T-symmetry makes Im M
+        anticommute with P_y) applied by M's ``stencil_apply``: R phi =
+        Re(M phi) + P_y Im(M phi)."""
+        f, lam, grid = self.factor, self.eigenvalues, self.source.grid
+        mf = self.source.stencil_apply(f)
         e = mf.real - f * lam
         e.reshape(grid.ny, grid.nx, -1)[::-1] += mf.imag.reshape(
             grid.ny, grid.nx, -1)
         return float(np.max(np.abs(e), initial=0.0))
 
     def orthonormality_defect(self):
-        """max|F* F - I| of the stored factor: U* U = phi^T phi, and
-        parity-block vectors of opposite parity are orthogonal in phi."""
-        a = self.factor
-        g = a.conj().T @ a
-        if self.parity is not None:
-            g *= self.parity[:, None] == self.parity
+        """max|phi^T phi - I|, which is max|U* U - I|."""
+        g = self.factor.T @ self.factor
         g[np.diag_indices(self.dim)] -= 1.0
         return float(np.max(np.abs(g), initial=0.0))
 
 
 def eigendecompose(op: DiscreteOperator, window=None):
-    """Hermitian eigendecomposition, or with ``window=(lo, hi)`` its
-    certified eigenpairs in (lo, hi] (:func:`_windowed`).
-
-    A full solve of a T-symmetric operator (``op.is_t_symmetric()``) runs
-    on its real form and keeps its eigenvectors in that real factor.  When
-    the real form commutes with the flat reversal, its two parity blocks
-    are solved instead, and their vectors are merged into one array of
-    ceil(N/2) rows in ascending eigenvalue order.
-    """
+    """The eigenpairs of op's real form: with ``window=(lo, hi)`` those in
+    (lo, hi], certified (:func:`_windowed`), else all of them from one
+    unsplit solve.  An op that does not commute with T = K P_y is refused
+    (:func:`_check_t_symmetric`)."""
+    _check_t_symmetric(op)
     if window is not None:
         return _windowed(op, *window)
-    entries = _parity_entries(op)
-    if entries is None:
-        return _unsplit(op)
-    n, m = op.dim, op.dim // 2
-    # both blocks are written before either solve: a block written after
-    # the first solve has freed its workspace comes from the heap, not a
-    # fresh mmap (glibc raises its mmap threshold on that free), which
-    # raised lemma7's and lap-probe's max RSS by about 0.9 MB
-    even = _parity_block(op, entries, 1.0)
-    odd = _parity_block(op, entries, -1.0)
-    del entries
-    lam_e, a = _evd(even)
-    del even
-    lam_o, b = _evd(odd)
-    del odd
-    lam = np.concatenate([lam_e, lam_o])
-    order = np.argsort(lam, kind="stable")
-    parity = np.concatenate([np.ones(lam_e.size), -np.ones(lam_o.size)])
-    col = np.empty_like(order)
-    col[order] = np.arange(order.size)
-    # an odd vector has no centre row, so it stays zero there
-    v = np.zeros((n - m, order.size))
-    v[:, col[:lam_e.size]] = a
-    v[:m, col[lam_e.size:]] = b
-    return SpectralDecomposition(lam[order], v, op, parity=parity[order])
+    return _unsplit(op, op.dense(real=True))
 
 
 def weighted_spectrum(op: DiscreteOperator, w):
     """The ascending eigenvalues of a full solve, w @ |U|^2 for a real
     weight vector w on the grid, and the record of the solve
-    (:meth:`SpectralDecomposition.solver_info`), holding no eigenvector.
+    (:meth:`SpectralDecomposition.solver_info`), holding no eigenvector past
+    its reduction.
 
-    On the parity path each block is written, solved and reduced before the
-    next is written, so one block and its ``evd`` workspace are held at a
-    time, and ``factor_bytes`` is 0.  The eigenvalues are those of
-    :func:`eigendecompose`, and the densities its ``weighted_density(w)``
-    to round-off; any other path is exactly those two calls.
+    When the real form commutes with J, each parity block is written,
+    solved and reduced before the next is written, and ``factor_bytes`` is
+    0; else the solve is ``eigendecompose(op)``'s, from the same entry list.
+    Either way the eigenvalues and densities are ``eigendecompose(op)``'s to
+    round-off.  An op that does not commute with T = K P_y is refused.
     """
-    entries = _parity_entries(op)
-    if entries is None:
-        dec = _unsplit(op)
+    _check_t_symmetric(op)
+    half, r = _real_form(op)
+    if half is None:
+        dec = _unsplit(op, r)
         return dec.eigenvalues, dec.weighted_density(w), dec.solver_info()
     n, m = op.dim, op.dim // 2
     w, lams, dens = _folded_weight(w, op.grid, parity=True), [], []
     for sign in (1.0, -1.0):
-        lam, v = _evd(_parity_block(op, entries, sign))
+        lam, v = _evd(_parity_block(op, half, sign))
         lams.append(lam)  # an odd block has no centre row
         dens.append(_row_density(w[:v.shape[0]], v, op.grid.nx))
         del v
@@ -255,12 +177,38 @@ def weighted_spectrum(op: DiscreteOperator, w):
     order = np.argsort(lam, kind="stable")
     return (lam[order], np.concatenate(dens)[order],
             {"path": "real_parity", "blocks": [n - m, m], "n": n, "pairs": n,
-             "factor_bytes": 0, **_evd_bytes("real_parity", n - m)})
+             "factor_bytes": 0, **_evd_bytes(n - m)})
 
 
-def _unsplit(op: DiscreteOperator):
-    """The full solve of M, or of its real form when op is T-symmetric."""
-    return SpectralDecomposition(*_evd(op.dense(real=op.is_t_symmetric())), op)
+def _check_t_symmetric(op: DiscreteOperator):
+    """Refuse, before anything is written, an op that does not commute
+    with T = K P_y (``op.is_t_symmetric()``): it has no real form."""
+    if not op.is_t_symmetric():
+        raise ConfigurationError(
+            "an eigensolve needs an operator that commutes with T = K P_y "
+            "(a potential even in y); this one has no real form")
+
+
+def _real_form(op: DiscreteOperator):
+    """What a full solve reads of op's real form R, from one build of its
+    entry list ``op.coo(real=True)``: (the rows k <= N//2 of the list, None)
+    when R commutes bitwise with the flat reversal J, else (None, R written
+    dense).  J maps the sorted positions onto themselves in reverse order,
+    so it commutes when the values read the same reversed; the rows the
+    parity blocks read are a prefix of the list."""
+    k, c, r = op.coo(real=True)
+    if not np.array_equal(r, r[::-1]):
+        dense = checked_zeros((op.dim,) * 2, order="F")
+        dense[k, c] = r
+        return None, dense
+    cut = int(np.searchsorted(k, op.dim // 2, side="right"))
+    return (k[:cut].copy(), c[:cut].copy(), r[:cut].copy()), None
+
+
+def _unsplit(op: DiscreteOperator, r):
+    """The full solve of op from its dense real form r, which eigh
+    overwrites with phi."""
+    return SpectralDecomposition(*_evd(r), op)
 
 
 def _evd(a):
@@ -268,19 +216,14 @@ def _evd(a):
     return scipy.linalg.eigh(a, overwrite_a=True, driver="evd")
 
 
-def _evd_bytes(path, order):
-    """The bytes of the largest dense array a full solve on ``path`` writes,
-    of the given order, and of LAPACK's ``evd`` workspace for it: work,
-    rwork (complex only) and the 4-byte iwork, from the driver's lwork
-    query."""
+def _evd_bytes(order):
+    """The bytes of a real dense array of the given order and of LAPACK's
+    ``evd`` workspace for it: work and the 4-byte iwork, from the driver's
+    lwork query."""
     from scipy.linalg import lapack
-    if path == "complex":
-        work, iwork, rwork, _ = lapack.zheevd_lwork(order)
-        dense, ws = 16 * order ** 2, 16 * int(work.real) + 8 * int(rwork)
-    else:
-        work, iwork, _ = lapack.dsyevd_lwork(order)
-        dense, ws = 8 * order ** 2, 8 * int(work)
-    return {"dense_bytes": dense, "workspace_bytes": ws + 4 * int(iwork)}
+    work, iwork, _ = lapack.dsyevd_lwork(order)
+    return {"dense_bytes": 8 * order ** 2,
+            "workspace_bytes": 8 * int(work) + 4 * int(iwork)}
 
 
 def _folded_weight(w, grid: GridSpec, parity):
@@ -298,8 +241,7 @@ def _folded_weight(w, grid: GridSpec, parity):
 def _row_density(w, a, nx):
     """w @ |a|^2, the squares taken nx rows at a time, so no temporary has
     as many rows as a.  The squares are C ordered whatever the layout of a,
-    so a column sums in the same order in eigh's Fortran-ordered vectors
-    as in the merged parity-block factor."""
+    so a column sums in the same order in any layout."""
     w = np.asarray(w, dtype=float)
     out = np.zeros(a.shape[1])
     for k in range(0, a.shape[0], nx):
@@ -312,15 +254,15 @@ def _windowed(op: DiscreteOperator, lo, hi):
     c_lo, c_hi at lo and hi.
 
     Above SPARSE_DIM_MIN, a window of at most N/16 pairs is solved by
-    :func:`_shift_invert` on the sparse real form, or M; any other by one
-    eigh of the dense one for the pairs c_lo - 1 to c_hi.  Either way the
-    window must hold c_hi - c_lo eigenvalues, and each bracketing pair that
-    exists must be returned and lie at or below lo or above hi, else
+    :func:`_shift_invert` on the sparse real form; any other by one eigh of
+    the dense one for the pairs c_lo - 1 to c_hi.  Either way the window
+    must hold c_hi - c_lo eigenvalues, and each bracketing pair that exists
+    must be returned and lie at or below lo or above hi, else
     :class:`SpectralWindowError`.
     """
     if not lo < hi:
         raise ConfigurationError(f"window needs lo < hi, got {(lo, hi)}")
-    n, real = op.dim, op.is_t_symmetric()
+    n = op.dim
     try:
         c_lo, c_hi = (int(c) for c in op.inertia_counts((lo, hi)))
     except np.linalg.LinAlgError:  # an end is an eigenvalue of a leading block
@@ -328,10 +270,10 @@ def _windowed(op: DiscreteOperator, lo, hi):
                                   f"{(lo, hi)}; move it off the spectrum") from None
     if n > SPARSE_DIM_MIN and 16 * (c_hi - c_lo) <= n:
         solver = "sparse"
-        lam, v, first, record = _shift_invert(op, real, lo, hi, c_lo, c_hi)
+        lam, v, first, record = _shift_invert(op, lo, hi, c_lo, c_hi)
     else:
         solver, first, record = "dense", max(c_lo - 1, 0), {}
-        lam, v = scipy.linalg.eigh(op.dense(real=real),
+        lam, v = scipy.linalg.eigh(op.dense(real=True),
                                    subset_by_index=(first, min(c_hi, n - 1)),
                                    overwrite_a=True)
     # lam[i] is eigenvalue first + i if the counts hold
@@ -348,12 +290,12 @@ def _windowed(op: DiscreteOperator, lo, hi):
     return SpectralDecomposition(lam[k], v[:, k].copy(), op, certificate=cert)
 
 
-def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
+def _shift_invert(op: DiscreteOperator, lo, hi, c_lo, c_hi):
     """Ascending eigenpairs c_lo - 1 to c_hi (those that exist) of the
-    sparse real form, or of M (``op.csc``), the index ``first`` of the
-    first and the solve's record {sigma, nev, doublings}, from shift-invert
-    Lanczos (ARPACK eigsh) at sigma = (lo + hi)/2, or for c_lo = 0 at max(lo,
-    the Gershgorin floor ``op.gershgorin_bounds()[0]``), below the lowest
+    sparse real form (``op.csc``), the index ``first`` of the first and the
+    solve's record {sigma, nev, doublings}, from shift-invert Lanczos
+    (ARPACK eigsh) at sigma = (lo + hi)/2, or for c_lo = 0 at max(lo, the
+    Gershgorin floor ``op.gershgorin_bounds()[0]``), below the lowest
     eigenvalue.
 
     eigsh returns the k pairs nearest sigma.  k starts at the window and
@@ -366,7 +308,7 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
     :class:`SpectralWindowError`.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-    n, a = op.dim, op.csc(real=real)
+    n, a = op.dim, op.csc(real=True)
     sigma = 0.5 * (lo + hi) if c_lo else max(lo, op.gershgorin_bounds()[0])
     nev, doublings = c_hi - c_lo + 2 + SPARSE_PAD, 0
     while True:
@@ -397,17 +339,6 @@ def _shift_invert(op: DiscreteOperator, real, lo, hi, c_lo, c_hi):
     keep = slice(start, n_below + c_hi - c_lo + 1)
     return (lam[keep], v[:, keep], c_lo - n_below + start,
             {"sigma": sigma, "nev": nev, "doublings": doublings})
-
-
-def _parity_entries(op: DiscreteOperator):
-    """``op.coo(real=True)``, the entry list of the real form, when op is
-    T-symmetric and its real form commutes bitwise with the flat reversal
-    J, else None.  J maps the sorted positions onto themselves in reverse
-    order, so it commutes when the values read the same reversed."""
-    if not op.is_t_symmetric():
-        return None
-    entries = op.coo(real=True)
-    return entries if np.array_equal(entries[2], entries[2][::-1]) else None
 
 
 def _parity_block(op: DiscreteOperator, entries, sign):
@@ -579,17 +510,3 @@ def interior_mask(grid: GridSpec, margin):
     return ((np.abs(xf) <= (1.0 - 2.0 * margin) * grid.lx + 1e-12)
             & (np.abs(yf) <= (1.0 - 2.0 * margin) * grid.ly + 1e-12))
 
-
-def localization_scores(dec: SpectralDecomposition, margin):
-    """Interior-box mass fraction of every eigenvector, in the box of
-    :func:`interior_mask`: wall-hugging truncation artifacts score low,
-    gaussian-decaying physical states score near 1."""
-    return dec.weighted_density(interior_mask(dec.source.grid, margin))
-
-
-def localized_spectrum(dec: SpectralDecomposition, margin=0.05):
-    """Ascending eigenvalues whose eigenvectors carry more than
-    LOCALIZATION_THRESHOLD of their mass in the interior box: the discrete
-    proxy for sigma(Q)."""
-    return dec.eigenvalues[localization_scores(dec, margin)
-                           > LOCALIZATION_THRESHOLD]

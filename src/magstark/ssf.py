@@ -21,8 +21,7 @@ from .errors import (ConfigurationError, GapNotFoundError, GeometryError,
 from .grid import DiscreteOperator, GridSpec
 from .hamiltonian import FieldParams, assemble
 from .potentials import PotentialSpec, eval_potential
-from .spectral import (BumpFunction, SpectralDecomposition, eigendecompose,
-                       localized_spectrum, trace_function,
+from .spectral import (BumpFunction, eigendecompose, trace_function,
                        weighted_trace_function)
 from .traces import column_block_max, resolvent
 
@@ -168,8 +167,9 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
     return TruncationReport(rows, {"h": dech.health_info(), "h_r": infos})
 
 
-def sigma_q_gap_window(decQ: SpectralDecomposition, margin):
-    """Lowest interval keeping >= margin distance to every localized Q level.
+def sigma_q_gap_window(localized, margin):
+    """Lowest interval keeping >= margin distance to every localized Q level,
+    given those levels ascending.
 
     The search runs inside the hull of the localized spectrum and returns the
     first admissible gap (for the free Landau operator that is the window
@@ -177,7 +177,7 @@ def sigma_q_gap_window(decQ: SpectralDecomposition, margin):
     """
     if not margin > 0:
         raise ConfigurationError(f"margin must be positive, got {margin}")
-    vals = localized_spectrum(decQ)
+    vals = np.asarray(localized, dtype=float)
     if vals.size < 2:
         raise GapNotFoundError("fewer than two localized eigenvalues; "
                                "no interior gap exists")

@@ -3,9 +3,10 @@
 No experiment runs these.  They form the plain dense objects of the
 definitions: the first-difference matrix, the kron embedding of an x-axis
 operator, H(B, eps) as a sum of Kronecker products, the d/dx matrix and
-explicit commutators with it, f(M) from the eigenvectors, the mollified
-counting difference, the symmetry checks, real form and parity blocks of a
-dense M, and the windowed eigensolve by value range.  Tests compare the
+explicit commutators with it, the dense complex eigensolve of M, f(M) from
+the eigenvectors, localization scores, the mollified counting difference,
+the symmetry checks, real form and parity blocks of a dense M, and the
+windowed eigensolve by value range.  Tests compare the
 package's stencil writes, per-row products, eigenvalue sums and windows
 with them, and check the exact finite-dimensional identities the trace
 formula rests on.
@@ -18,8 +19,9 @@ from magstark.errors import ConfigurationError
 from magstark.grid import DiscreteOperator, GridSpec, d2_op
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
-from magstark.spectral import (BumpFunction, SpectralDecomposition,
-                               eigendecompose)
+from magstark.spectral import (LOCALIZATION_THRESHOLD, BumpFunction,
+                               SpectralDecomposition, eigendecompose,
+                               interior_mask as box_mask)
 
 
 def d1_op(n, h):
@@ -80,12 +82,17 @@ def commutator_dx(op: DiscreteOperator):
     return d @ m - m @ d
 
 
+def dense_eigh(op: DiscreteOperator):
+    """The eigenvalues and complex eigenvectors U of M itself, from
+    ``np.linalg.eigh`` of the dense M: the reference for every real-form
+    solve, which never sees M."""
+    return np.linalg.eigh(op.dense())
+
+
 def eigenvectors(dec: SpectralDecomposition):
-    """U of a decomposition: a complex factor itself, else built from the
-    real one as u = (phi + i P_y phi)/sqrt(2)."""
-    phi = dec.real_eigenvectors()
-    if phi is None:
-        return dec.factor
+    """U of a decomposition, built from its real factor phi as
+    u = (phi + i P_y phi)/sqrt(2)."""
+    phi = dec.factor
     u = np.empty(phi.shape, dtype=complex)
     np.multiply(phi, np.sqrt(0.5), out=u.real)
     u.imag[:] = u.real[dec.source.flip_y(np.arange(phi.shape[0]))]
@@ -112,6 +119,22 @@ def commutator_trace_zero(grid: GridSpec, fields: FieldParams,
     d = partial_x(grid)
     k = d @ m - m @ d
     return float(np.trace(k).real), float(np.trace(k).imag)
+
+
+def localization_scores(dec: SpectralDecomposition, margin):
+    """Interior-box mass fraction of every eigenvector, in the box of
+    ``magstark.spectral.interior_mask(grid, margin)``: wall-hugging
+    truncation artifacts score low, gaussian-decaying physical states score
+    near 1."""
+    return dec.weighted_density(box_mask(dec.source.grid, margin))
+
+
+def localized_spectrum(dec: SpectralDecomposition, margin=0.05):
+    """Ascending eigenvalues whose eigenvectors carry more than
+    LOCALIZATION_THRESHOLD of their mass in the interior box: the discrete
+    proxy for sigma(Q), from a decomposition that keeps its vectors."""
+    return dec.eigenvalues[localization_scores(dec, margin)
+                           > LOCALIZATION_THRESHOLD]
 
 
 def xi_prime_mollified(decH: SpectralDecomposition, decH0: SpectralDecomposition,
@@ -167,13 +190,10 @@ def parity_blocks(r):
 
 
 def windowed_by_value(op: DiscreteOperator, window):
-    """The eigenpairs of op in (lo, hi] from ``scipy.linalg.eigh`` with
-    ``subset_by_value``, of the real form of a T-symmetric op or else of the
-    dense M: the windowed solve without a count, which allocates an N x N
-    eigenvector array for the value range."""
+    """The eigenpairs of a T-symmetric op in (lo, hi] from
+    ``scipy.linalg.eigh`` of its real form with ``subset_by_value``: the
+    windowed solve without a count, which allocates an N x N eigenvector
+    array for the value range."""
     m = op.dense()
-    if not is_t_symmetric(m, op.grid):
-        lam, u = scipy.linalg.eigh(m, subset_by_value=window)
-        return SpectralDecomposition(lam, u.copy(), op)
     lam, phi = scipy.linalg.eigh(real_form(m, op.grid), subset_by_value=window)
     return SpectralDecomposition(lam, phi.copy(), op)

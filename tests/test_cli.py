@@ -323,8 +323,7 @@ def test_envelopes_are_strict_json(name, nx, ny, tmp_path):
             "decay_certificate": {"convention": "stark_order", "n": 3,
                                   "passed": True, "failed": []},
             "eigensolve": {"q": {"path": "real_parity", "blocks": [264, 263],
-                                 "n": 527, "pairs": 527,
-                                 "factor_bytes": 264 * 527 * 8,
+                                 "n": 527, "pairs": 527, "factor_bytes": 0,
                                  "dense_bytes": 8 * 264 ** 2,
                                  "workspace_bytes": _evd_bytes(264)}}}
         # one windowed solve of H per eps, sparse at N = 527; the window
@@ -340,7 +339,8 @@ def test_lap_probe_solves_h_only_on_its_certified_window(tmp_path):
     from magstark.hamiltonian import FieldParams, assemble
     from magstark.potentials import (PotentialSpec, clamp_amplitude,
                                      eval_potential)
-    from magstark.spectral import eigendecompose
+    from magstark.spectral import (LOCALIZATION_THRESHOLD, interior_mask,
+                                   weighted_spectrum)
     from magstark.ssf import sigma_q_gap_window
     cfg = load_config("lap-probe", None, ["grid.nx=13", "grid.ny=13"])
     code, env = run("lap-probe", cfg, tmp_path)
@@ -349,17 +349,20 @@ def test_lap_probe_solves_h_only_on_its_certified_window(tmp_path):
     assert 0.0 < res["residual_bound"] <= 1e-8
     # the default amplitude 0.3 is clamped to sup|dxV| <= eps/2
     assert res["amplitude"] == 0.3 and 0.0 < res["amplitude_used"] < 0.3
-    # Q (eps = 0) takes the full parity split; H is solved only on the
-    # first admissible gap of localized sigma(Q), with its certificate
+    # Q (eps = 0) takes the streamed parity split, which keeps no factor;
+    # H is solved only on the first admissible gap of localized sigma(Q),
+    # with its certificate
     h, q = res["eigensolve"]["h"], res["eigensolve"]["q"]
     assert q == {"path": "real_parity", "blocks": [85, 84], "n": 169,
-                 "pairs": 169, "factor_bytes": 85 * 169 * 8,
+                 "pairs": 169, "factor_bytes": 0,
                  "dense_bytes": 8 * 85 ** 2, "workspace_bytes": _evd_bytes(85)}
     g = make_grid(**cfg["grid"])
     spec = PotentialSpec("gaussian", amplitude=0.3, width=1.5)
     v = eval_potential(clamp_amplitude(spec, 0.05), g).v
-    window = sigma_q_gap_window(eigendecompose(assemble(g, FieldParams(1.0),
-                                                        v)), margin=0.3)
+    lam, scores, _ = weighted_spectrum(assemble(g, FieldParams(1.0), v),
+                                       interior_mask(g, 0.05))
+    window = sigma_q_gap_window(lam[scores > LOCALIZATION_THRESHOLD],
+                                margin=0.3)
     c_lo, c_hi = h["counts"]
     assert h["window"] == list(window) and h["solver"] == "dense"
     assert h["path"] == "real" and h["pairs"] == c_hi - c_lo > 0
@@ -453,6 +456,39 @@ def test_spectrum_splits_q_into_two_parity_blocks(tmp_path, monkeypatch):
         "q": {"path": "real_parity", "blocks": [841, 840], "n": 1681,
               "pairs": 1681, "factor_bytes": 0, "dense_bytes": 8 * 841 ** 2,
               "workspace_bytes": _evd_bytes(841)}}
+
+
+# Negative controls for the runners whose Q spectrum is streamed: each
+# --set override at a small grid fails exactly its gate, beside a config
+# that passes every gate of the same run
+GATE_CONTROLS = [
+    ("spectrum", 21, 21, "cluster_3.0", ["experiment.cluster_min=2"],
+     ["experiment.cluster_min=3"]),
+    ("lemma7", 41, 21, "slope_window",
+     ["experiment.slope_lo=0.5", "experiment.slope_hi=1.5"],
+     ["experiment.slope_lo=1.0", "experiment.slope_hi=1.5"]),
+    ("lap-probe", 13, 13, "plateau", [], ["experiment.plateau_max=1.0"]),
+]
+
+
+@pytest.mark.parametrize("name,nx,ny,gate,passing,failing", GATE_CONTROLS)
+def test_a_gate_control_fails_only_its_gate(name, nx, ny, gate, passing,
+                                            failing, tmp_path):
+    envs = []
+    for sets, code in ((passing, 0), (failing, 2)):
+        argv = [name, "--out", str(tmp_path)]
+        for item in [f"grid.nx={nx}", f"grid.ny={ny}", *sets]:
+            argv += ["--set", item]
+        assert main(argv) == code
+        envs.append(json.loads((tmp_path / f"{name}.json").read_text(),
+                               parse_constant=_reject_constant))
+    ok, bad = envs
+    assert ok["all_pass"] is True and bad["all_pass"] is False
+    assert all(g["pass"] for g in ok["gates"].values())
+    assert [k for k, g in bad["gates"].items() if not g["pass"]] == [gate]
+    # the same run, judged against another threshold
+    assert bad["results"] == ok["results"]
+    assert bad["gates"][gate]["value"] == ok["gates"][gate]["value"]
 
 
 def test_mourre_empty_window_fails(tmp_path):

@@ -7,7 +7,8 @@ from magstark.grid import make_grid
 from magstark.errors import CapacityError, ConfigurationError
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
-from magstark.spectral import eigendecompose, localized_spectrum
+from magstark.spectral import LOCALIZATION_THRESHOLD, weighted_spectrum
+from magstark.spectral import interior_mask as box_mask
 from magstark.traces import resolvent
 from oracles import commutator_dx, interior_mask, kron_reference, partial_x
 
@@ -128,11 +129,18 @@ def test_h_minus_q_is_stark_term():
     assert np.allclose(np.diag(diff).real, 0.7 * xf, rtol=0, atol=1e-12)
 
 
+def _localized(op):
+    """The localized spectrum, from the streamed full solve the experiments
+    run: the eigenvalues scoring above LOCALIZATION_THRESHOLD in the 0.05
+    interior box."""
+    lam, scores, _ = weighted_spectrum(op, box_mask(op.grid, 0.05))
+    return lam[scores > LOCALIZATION_THRESHOLD]
+
+
 def test_landau_level_small_grid():
     # b=1 free Landau operator: lowest localized cluster sits near 1.0
     g = make_grid(6, 6, 41, 41)
-    dec = eigendecompose(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
-    loc = localized_spectrum(dec, margin=0.05)
+    loc = _localized(assemble(g, FieldParams(b=1.0), np.zeros(g.n_points)))
     assert len(loc) >= 2
     lowest = np.sort(loc)[:2]
     assert np.all(np.abs(lowest - 1.0) < 0.05)
@@ -141,9 +149,8 @@ def test_landau_level_small_grid():
 def test_attractive_gaussian_pulls_below_landau():
     g = make_grid(6, 6, 31, 31)
     well = PotentialSpec("gaussian", amplitude=-0.4, width=2.0)
-    dec = eigendecompose(assemble(g, FieldParams(b=1.0),
-                                  eval_potential(well, g).v))
-    loc = localized_spectrum(dec, margin=0.05)
+    loc = _localized(assemble(g, FieldParams(b=1.0),
+                              eval_potential(well, g).v))
     assert len(loc) >= 1
     assert np.min(loc) < 0.95
 

@@ -10,8 +10,9 @@ from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import (gap_cutoff_norm, gap_cutoff_sweep, lap_probe,
                              mourre_gap_bound)
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
-from magstark.spectral import (BumpFunction, WeightSpec, eigendecompose,
-                               localized_spectrum, weight_dx_s)
+from magstark.spectral import (LOCALIZATION_THRESHOLD, BumpFunction,
+                               WeightSpec, eigendecompose, interior_mask,
+                               weight_dx_s, weighted_spectrum)
 from magstark.traces import RESIDUAL_TOL
 from oracles import embed_x
 
@@ -68,13 +69,19 @@ def test_mourre_empty_projector_sentinel():
 def test_mourre_bound_from_a_full_decomposition_matches_the_window(eps, y_odd,
                                                                     path):
     # a full decomposition is restricted to the pairs in (a, b] before it
-    # is compressed; the windowed one holds exactly those pairs
+    # is compressed; the windowed one holds exactly those pairs.  An eps = 0
+    # Q is solved unsplit here too, and a y-odd term is refused by both
     g = make_grid(6, 6, 21, 21)
     pv = eval_potential(PotentialSpec("gaussian", amplitude=0.3, width=1.5), g)
     fields = FieldParams(b=1.0, eps=eps)
     op = assemble(g, fields, pv.v + y_odd * g.meshes()[1])
+    if path == "complex":
+        for window in (None, (1.6, 2.4)):
+            with pytest.raises(ConfigurationError, match="T = K P_y"):
+                eigendecompose(op, window=window)
+        return
+    assert weighted_spectrum(op, pv.v)[2]["path"] == path
     full = eigendecompose(op)
-    assert full.path == path
     sel = (full.eigenvalues > 1.6) & (full.eigenvalues <= 2.4)
     assert 0 < np.count_nonzero(sel) < full.dim
     a = mourre_gap_bound(full, 1.6, 2.4, fields, pv.dxv)
@@ -83,9 +90,8 @@ def test_mourre_bound_from_a_full_decomposition_matches_the_window(eps, y_odd,
     assert abs(a - b) <= 1e-12 * abs(b)
 
 
-def _gap_slot_chi(dec, lo=1.2, hi=2.8, plateau=0.5):
+def _gap_slot_chi(lam, lo=1.2, hi=2.8, plateau=0.5):
     """Cutoff centered in the widest eigenvalue-free slot of the window."""
-    lam = dec.eigenvalues
     pts = np.concatenate([[lo], lam[(lam > lo) & (lam < hi)], [hi]])
     gaps = np.diff(pts)
     k = int(np.argmax(gaps))
@@ -97,7 +103,8 @@ def test_gap_cutoff_norm_vanishes_on_spectrum_free_cutoff():
     # with supp chi avoiding every eigenvalue, chi(Q0) is exactly zero
     g = make_grid(6, 6, 41, 41)
     v0 = np.zeros(g.n_points)
-    chi = _gap_slot_chi(eigendecompose(assemble(g, FieldParams(b=1.0), v0)))
+    chi = _gap_slot_chi(weighted_spectrum(assemble(g, FieldParams(b=1.0), v0),
+                                          v0)[0])
     dec = eigendecompose(assemble(g, FieldParams(b=1.0, eps=0.0), v0),
                          window=chi.support)
     assert gap_cutoff_norm(dec, chi) <= 1e-6
@@ -148,8 +155,8 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     spec = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     fields = FieldParams(b=1.0, eps=0.1)
     h = assemble(GRID, fields, eval_potential(spec, GRID).v)
-    loc = localized_spectrum(eigendecompose(h), margin=0.05)
-    lam0 = float(loc[0])
+    lam, scores, _ = weighted_spectrum(h, interior_mask(GRID, 0.05))
+    lam0 = float(lam[scores > LOCALIZATION_THRESHOLD][0])
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
     rep = lap_probe(h, lam0, WeightSpec(s=0.75), deltas)
     assert rep.sweep_growth >= 5.0
@@ -194,14 +201,19 @@ def test_lap_probe_matches_direct_solve():
 @pytest.mark.parametrize("eps,y0,path", [
     (0.1, 0.0, "real"), (0.0, 0.0, "real_parity"), (0.1, 0.7, "complex")])
 def test_lap_probe_matches_direct_solve_on_every_factor(eps, y0, path):
-    # the three operators the eigensolve tells apart: eps > 0 (real form),
-    # eps = 0 (parity split), and a V that is not even in y (complex); the
-    # probe factors z - H the same way for each
+    # the three operators the eigensolves tell apart: eps > 0 (real form),
+    # eps = 0 (parity split), and a V that is not even in y, which every
+    # eigensolve refuses; the probe factors the complex z - H the same way
+    # for each
     g = make_grid(6, 6, 17, 15)
     xf, yf = g.meshes()
     v = 0.2 * np.exp(-(xf * xf + (yf - y0) ** 2) / 2.0)
     h = assemble(g, FieldParams(b=1.0, eps=eps), v)
-    assert eigendecompose(h).path == path
+    if path == "complex":
+        with pytest.raises(ConfigurationError, match="T = K P_y"):
+            weighted_spectrum(h, v)
+    else:
+        assert weighted_spectrum(h, v)[2]["path"] == path
     w, deltas = WeightSpec(s=0.75), (0.5, 0.125, 0.03125)
     rep = lap_probe(h, 2.1, w, deltas)
     assert 0.0 < rep.residual_bound <= 1e-10

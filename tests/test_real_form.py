@@ -1,13 +1,16 @@
 """The real-form, parity-split and windowed eigensolves against references.
 
-The reference is a plain complex ``scipy.linalg.eigh`` of the assembled
-matrix, the path every operator took before the K P_y real form existed.
-The parity split of an eps = 0 operator is checked against the unsplit
-order-N eigh of its real form, the divide-and-conquer driver of every full
-solve against the default one, and the densities read from the stored real
-factor against the complex eigenvectors built from it.  A window's inertia
-counts are checked against dense eigenvalue counts, and its pairs against
-the by-value solve of ``oracles.windowed_by_value``.
+The reference is the dense complex eigensolve of the assembled matrix M
+(``oracles.dense_eigh``).  The streamed parity split of an eps = 0 operator
+(``weighted_spectrum``) is checked against the unsplit order-N solve of its
+real form (``eigendecompose(op)``, or below 41 x 41 the certified window and
+the inertia counts), the divide-and-conquer driver of every full solve
+against the default one, and the densities read from the real factor
+against the complex eigenvectors built from it.  A window's inertia counts
+are checked against dense eigenvalue counts, and its pairs against the
+by-value solve of ``oracles.windowed_by_value``.  An operator that does not
+commute with T = K P_y is refused by every eigensolve before anything is
+written.
 """
 
 import os
@@ -30,24 +33,18 @@ from magstark.mourre import gap_cutoff_norm, mourre_gap_bound
 from magstark.potentials import FAMILIES, PotentialSpec, eval_potential
 from magstark.spectral import (SPARSE_DIM_MIN, SPARSE_PAD, BumpFunction,
                                SpectralDecomposition, _parity_block,
-                               _parity_entries, eigendecompose, interior_mask,
-                               localization_scores, localized_spectrum,
+                               _real_form, eigendecompose, interior_mask,
                                trace_function, weighted_spectrum,
                                weighted_trace_function)
 from magstark.ssf import wall_cutoff_weights
 from magstark.traces import operator_norm
-from oracles import (apply_function, commutes_with_reversal, eigenvectors,
+from oracles import (commutes_with_reversal, dense_eigh, eigenvectors,
                      is_t_symmetric, kron_reference, parity_blocks, real_form,
                      windowed_by_value)
 
 GAUSS = PotentialSpec("gaussian", amplitude=0.5, width=2.0)
 FIELDS = FieldParams(b=1.0, eps=0.5)
 F = BumpFunction(2.0, 0.8)
-
-
-def _reference(op):
-    lam, u = scipy.linalg.eigh(op.dense())
-    return SpectralDecomposition(lam, u, op)
 
 
 @pytest.fixture
@@ -78,54 +75,63 @@ def eigh_orders(monkeypatch):
     return seen
 
 
-def _norm(dec):
-    return float(np.max(np.abs(dec.eigenvalues)))
+def _refused(op, window):
+    """Assert that weighted_spectrum, the full eigendecompose and the
+    windowed one each refuse op, which does not commute with T = K P_y,
+    with a peak below one real N x N array."""
+    solves = (lambda: weighted_spectrum(op, np.ones(op.dim)),
+              lambda: eigendecompose(op),
+              lambda: eigendecompose(op, window=window))
+    assert not op.is_t_symmetric()
+    for solve in solves:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="T = K P_y"):
+                solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * op.dim ** 2
 
 
-def _unsplit(op, window=None):
-    """One order-N eigh of the real form Re M - (Im M) P_y, mapped back to M."""
-    nx, ny = op.grid.nx, op.grid.ny
-    py = np.arange(op.dim).reshape(ny, nx)[::-1].ravel()
-    subset = {} if window is None else {"subset_by_value": window}
-    lam, phi = scipy.linalg.eigh(real_form(op.dense(), op.grid), **subset)
-    return SpectralDecomposition(lam, (phi + 1j * phi[py]) / np.sqrt(2.0), op)
+def _simple(lam):
+    """The eigenvalues at least 1e-3 from both neighbours, whose
+    eigenvectors are defined up to a phase."""
+    return np.minimum(np.diff(lam, prepend=-np.inf),
+                      np.diff(lam, append=np.inf)) > 1e-3
 
 
 @pytest.mark.parametrize("n", [31, 41])
 def test_real_form_matches_complex_reference(n, eigh_inputs):
     g = make_grid(6, 6, n, n)
     op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
-    ref = _reference(op)
-    eigh_inputs.clear()
+    lam, u = dense_eigh(op)
+    scale = float(np.max(np.abs(lam)))
     dec = eigendecompose(op)
     assert eigh_inputs == [False]
-    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12 * _norm(ref)
-    lam = ref.eigenvalues
-    gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
-    simple = gap > 1e-3
+    assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12 * scale
+    simple = _simple(lam)
     assert np.count_nonzero(simple) > n * n // 2
     dens = np.abs(eigenvectors(dec)[:, simple]) ** 2
-    ref_dens = np.abs(eigenvectors(ref)[:, simple]) ** 2
-    assert np.max(np.abs(dens - ref_dens)) <= 1e-10
+    assert np.max(np.abs(dens - np.abs(u[:, simple]) ** 2)) <= 1e-10
     assert dec.orthonormality_defect() <= 1e-10
-    assert dec.reconstruction_defect() <= 1e-12 * n * n * _norm(ref)
+    assert dec.reconstruction_defect() <= 1e-12 * n * n * scale
 
 
 @pytest.mark.parametrize("n", [31, 41])
 def test_windowed_traces_match_full_complex(n):
     g = make_grid(6, 6, n, n)
     op = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
-    ref = _reference(op)
+    lam, u = dense_eigh(op)
     dec = eigendecompose(op, window=F.support)
     lo, hi = F.support
     assert np.all((dec.eigenvalues > lo) & (dec.eigenvalues <= hi))
-    assert dec.dim == np.count_nonzero((ref.eigenvalues > lo)
-                                       & (ref.eigenvalues <= hi))
-    assert abs(trace_function(dec, F) - trace_function(ref, F)) <= 1e-11
+    assert dec.dim == np.count_nonzero((lam > lo) & (lam <= hi))
+    assert abs(trace_function(dec, F) - np.sum(F(lam))) <= 1e-11
     for w in (wall_cutoff_weights(g, 2.0), eval_potential(GAUSS, g).dxv):
         assert abs(weighted_trace_function(dec, w, F)
-                   - weighted_trace_function(ref, w, F)) <= 1e-11
-    assert dec.reconstruction_defect() <= 1e-12 * _norm(ref)
+                   - (w @ np.abs(u) ** 2) @ F(lam)) <= 1e-11
+    assert dec.reconstruction_defect() <= 1e-12 * np.max(np.abs(lam))
     assert dec.orthonormality_defect() <= 1e-12
 
 
@@ -140,13 +146,17 @@ Y_ODD_CASES = [pytest.param(31, 0.0, id="31"), pytest.param(41, 0.0, id="41"),
 
 @pytest.mark.parametrize("n,y_odd", Y_ODD_CASES)
 def test_windowed_mourre_bound_matches_full_complex(n, y_odd):
-    # the reference bound is read through the complex U of a full eigh
+    # the reference bound compresses eps + dxV to the complex U of M's
+    # eigenvalues in (1.6, 2.4]; a y-odd term is refused instead
     g = make_grid(6, 6, n, n)
     op = assemble(g, FIELDS, _gauss(g, y_odd))
+    if y_odd:
+        return _refused(op, (1.6, 2.4))
     dxv = eval_potential(GAUSS, g).dxv
-    full = mourre_gap_bound(_reference(op), 1.6, 2.4, FIELDS, dxv)
+    lam, u = dense_eigh(op)
+    u = u[:, (lam > 1.6) & (lam <= 2.4)]
+    full = np.linalg.eigvalsh((u.conj().T * (FIELDS.eps + dxv)) @ u)[0]
     dec = eigendecompose(op, window=(1.6, 2.4))
-    assert dec.path == ("complex" if y_odd else "real")
     win = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv)
     assert abs(win - full) <= 1e-12
 
@@ -155,27 +165,31 @@ def test_windowed_mourre_bound_matches_full_complex(n, y_odd):
 def test_gap_cutoff_norm_matches_full_svd(n, y_odd):
     g = make_grid(6, 6, n, n)
     chi = BumpFunction(2.0, 0.3, plateau=0.5)
-    v = _gauss(g, y_odd)
-    ref = _reference(assemble(g, FIELDS, v))
+    op = assemble(g, FIELDS, _gauss(g, y_odd))
+    if y_odd:
+        return _refused(op, chi.support)
+    lam, u = dense_eigh(op)
     xf, _ = g.meshes()
-    full = operator_norm(apply_function(ref, chi) / (1.0 + xf * xf)[None, :])
+    chi_h = (u * chi(lam)) @ u.conj().T
+    full = operator_norm(chi_h / (1.0 + xf * xf)[None, :])
     assert full > 0.01
-    val = gap_cutoff_norm(eigendecompose(assemble(g, FIELDS, v),
-                                         window=chi.support), chi)
+    val = gap_cutoff_norm(eigendecompose(op, window=chi.support), chi)
     assert abs(val - full) <= 1e-10 * full
 
 
+# the operator kinds: "real_parity" an eps = 0 Q, whose real form commutes
+# with J, "real" an eps > 0 H and "complex" H plus a y-odd term, refused
 @pytest.mark.parametrize("path", ["real_parity", "real", "complex"])
 @pytest.mark.parametrize("windowed", [False, True])
 def test_compress_matches_the_dense_compression(path, windowed):
-    # a window is solved unsplit, so an eps = 0 window takes the real path
     g = make_grid(6, 6, 15, 13)
     eps = 0.0 if path == "real_parity" else 0.5
     op = assemble(g, FieldParams(b=1.0, eps=eps),
                   _gauss(g, 0.3 if path == "complex" else 0.0))
+    if path == "complex":
+        return _refused(op, F.support)
     dec = eigendecompose(op, window=F.support if windowed else None)
-    assert dec.path == ("real" if windowed and path == "real_parity" else path)
-    assert 0 < dec.dim
+    assert dec.solver_info()["path"] == "real" and 0 < dec.dim
     # a weight with no symmetry in y
     w = np.random.default_rng(7).standard_normal(op.dim)
     u = eigenvectors(dec)
@@ -189,10 +203,10 @@ def test_windowed_reconstruction_defect_is_the_eigen_residual():
     dec = eigendecompose(op, window=(0.5, 3.5))
     assert 0 < dec.dim < op.dim
     # a rank-k reconstruction sits ~|M| away from M; the residual does not
-    assert dec.reconstruction_defect() <= 1e-12 * _norm(_reference(op))
-    shifted = SpectralDecomposition(dec.eigenvalues + 1e-3,
-                                    eigenvectors(dec), op)
-    expected = 1e-3 * np.max(np.abs(eigenvectors(dec)))
+    scale = np.max(np.abs(np.linalg.eigvalsh(op.dense())))
+    assert dec.reconstruction_defect() <= 1e-12 * scale
+    shifted = SpectralDecomposition(dec.eigenvalues + 1e-3, dec.factor, op)
+    expected = 1e-3 * np.max(np.abs(dec.factor))
     assert abs(shifted.reconstruction_defect() - expected) <= 1e-10
 
 
@@ -212,18 +226,20 @@ def test_window_must_be_ordered():
                        window=(2.0, 1.0))
 
 
-def test_complex_fallback_for_y_odd_term(eigh_inputs):
+def test_a_y_odd_term_is_refused_before_any_write(eigh_inputs, monkeypatch):
+    # no eigensolve has a complex path: a term odd in y breaks T = K P_y,
+    # and every eigensolve refuses the operator before it writes a matrix,
+    # builds an entry list or counts inertia
     g = make_grid(6, 6, 21, 21)
     h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
     _, yf = g.meshes()
     op = replace(h, diag=h.diag + 0.3 * yf)
-    assert h.is_t_symmetric() and not op.is_t_symmetric()
-    eigh_inputs.clear()
-    dec = eigendecompose(op)
-    assert eigh_inputs == [True]
-    ref = np.linalg.eigvalsh(op.dense())
-    assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert dec.reconstruction_defect() <= 1e-10 * np.max(np.abs(ref))
+    assert h.is_t_symmetric()
+    for name in ("coo", "inertia_counts"):
+        monkeypatch.setattr(DiscreteOperator, name,
+                            lambda *a, _name=name, **k: pytest.fail(_name))
+    _refused(op, F.support)
+    assert eigh_inputs == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,13 +265,18 @@ def test_stencil_checks_and_builders_match_the_dense_oracles(
         return
     r = real_form(m, g)
     assert op.dense(real=True).tobytes() == r.tobytes()
-    entries = _parity_entries(op)
-    assert (entries is not None) == commutes_with_reversal(r)
-    if entries is not None:
-        for sign, ref in zip((1.0, -1.0), parity_blocks(r)):
-            got = _parity_block(op, entries, sign)
-            assert got.flags.f_contiguous
-            assert got.tobytes() == ref.tobytes()
+    # a full solve reads the rows k <= N//2 of the entry list when r
+    # commutes with J, else r itself, written from the same list
+    half, dense = _real_form(op)
+    assert (half is not None) == commutes_with_reversal(r)
+    if half is None:
+        assert dense.flags.f_contiguous and dense.tobytes() == r.tobytes()
+        return
+    assert dense is None and np.all(half[0] <= op.dim // 2)
+    for sign, ref in zip((1.0, -1.0), parity_blocks(r)):
+        got = _parity_block(op, half, sign)
+        assert got.flags.f_contiguous
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["h", "q", "y_odd"])
@@ -316,12 +337,13 @@ def test_dense_paths_leave_scipy_sparse_unimported():
         "import sys\n"
         "from magstark.grid import make_grid\n"
         "from magstark.hamiltonian import FieldParams, assemble\n"
-        "from magstark.spectral import eigendecompose\n"
+        "from magstark.spectral import eigendecompose, weighted_spectrum\n"
         "g = make_grid(6, 6, 11, 11)\n"
         "x, y = g.meshes()\n"
         "assemble(g, FieldParams(b=1.0, eps=0.5), 0.0 * x).dense(1j)\n"
-        "assert eigendecompose(assemble(g, FieldParams(b=1.0), 0.0 * x)"
-        ").path == 'real_parity'\n"
+        "q = assemble(g, FieldParams(b=1.0), 0.0 * x)\n"
+        "eigendecompose(q)\n"
+        "assert weighted_spectrum(q, x)[2]['path'] == 'real_parity'\n"
         "print('scipy.sparse' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ,
@@ -361,37 +383,44 @@ def test_real_form_property(nx, ny, lx, ly, b, eps, family, amplitude, width):
 @pytest.mark.parametrize("n", [31, 41])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_parity_split_matches_unsplit_real_form(n, family, eigh_orders):
+    # checked without an order-N solve: the stencil's inertia counts place
+    # the split spectrum throughout, and the certified window of the
+    # unsplit real form holds the same pairs in supp F
     g = make_grid(6, 6, n, n)
     spec = PotentialSpec(family, amplitude=0.5, width=2.0)
     op = assemble(g, FieldParams(b=1.0), eval_potential(spec, g).v)
-    ref = _unsplit(op)
-    eigh_orders.clear()
-    dec = eigendecompose(op)
+    inside = interior_mask(g, 0.05)
+    lam, scores, info = weighted_spectrum(op, inside)
     halves = [(n * n + 1) // 2, n * n // 2]
     assert eigh_orders == halves
-    assert dec.path == "real_parity"
-    assert dec.solver_info()["blocks"] == halves
-    scale = _norm(ref)
-    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12 * scale
-    lam = ref.eigenvalues
-    gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
-    simple = gap > 1e-3
-    assert np.count_nonzero(simple) > n
-    dens = np.abs(eigenvectors(dec)[:, simple]) ** 2
-    ref_dens = np.abs(eigenvectors(ref)[:, simple]) ** 2
-    assert np.max(np.abs(dens - ref_dens)) <= 1e-10
-    assert dec.orthonormality_defect() <= 1e-10
-    assert dec.reconstruction_defect() <= 1e-12 * n * n * scale
-    # a window is solved unsplit, with its inertia certificate
+    assert info["path"] == "real_parity" and info["blocks"] == halves
+    scale = float(np.max(np.abs(lam)))
+    # 40 or so level spacings spread over the spectrum, each wide enough
+    # that its midpoint has a reliable count
+    wide = np.nonzero(np.diff(lam) > 1e-6 * scale)[0]
+    at = wide[::max(1, wide.size // 40)]
+    shifts = 0.5 * (lam[at] + lam[at + 1])
+    assert op.inertia_counts(shifts).tolist() == (at + 1).tolist()
     win = eigendecompose(op, window=F.support)
-    assert win.path == "real"
-    assert abs(trace_function(win, F) - trace_function(ref, F)) <= 1e-11
-    for w in (wall_cutoff_weights(g, 2.0), eval_potential(spec, g).dxv):
-        assert abs(weighted_trace_function(win, w, F)
-                   - weighted_trace_function(ref, w, F)) <= 1e-11
-    loc, ref_loc = localized_spectrum(dec), localized_spectrum(ref)
-    assert len(loc) == len(ref_loc) > 0
-    assert np.max(np.abs(loc - ref_loc)) <= 1e-12 * scale
+    assert win.solver_info()["path"] == "real"
+    lo, hi = F.support
+    in_f = (lam > lo) & (lam <= hi)
+    assert win.dim == np.count_nonzero(in_f) > 0
+    assert np.max(np.abs(win.eigenvalues - lam[in_f])) <= 1e-12 * scale
+    simple = _simple(lam)[in_f]
+    assert np.max(np.abs(win.weighted_density(inside) - scores[in_f])[simple],
+                  initial=0.0) <= 1e-10
+    assert abs(trace_function(win, F) - np.sum(F(lam))) <= 1e-11
+    assert abs(weighted_trace_function(win, inside, F)
+               - scores @ F(lam)) <= 1e-11
+
+
+def _unsplit_oracle(op):
+    """Eigenvalues and w -> w @ |U|^2 from scipy's eigh of the dense real
+    form oracle, with U = (phi + i P_y phi)/sqrt(2)."""
+    lam, phi = scipy.linalg.eigh(real_form(op.dense(), op.grid))
+    py = op.flip_y(np.arange(op.dim))
+    return lam, lambda w: w @ (0.5 * (phi ** 2 + phi[py] ** 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -405,36 +434,46 @@ def test_parity_split_property(nx, ny, lx, ly, b, family, amplitude, width,
     g = make_grid(lx, ly, nx, ny)
     spec = PotentialSpec(family, amplitude=amplitude, width=width)
     op = assemble(g, FieldParams(b=b), eval_potential(spec, g).v)
-    ref = _unsplit(op)
-    scale = _norm(ref)
-    window = None
+    ref, density = _unsplit_oracle(op)
+    scale = float(np.max(np.abs(ref)))
     if windowed:
-        # window ends in the widest level spacing of each half
-        lam, half = ref.eigenvalues, op.dim // 2
-        i = int(np.argmax(np.diff(lam[:half])))
-        k = half + int(np.argmax(np.diff(lam[half:])))
-        window = (0.5 * (lam[i] + lam[i + 1]), 0.5 * (lam[k] + lam[k + 1]))
-        ref = _unsplit(op, window)
-    dec = eigendecompose(op, window=window)
-    assert dec.path == ("real" if windowed else "real_parity")
-    assert dec.solver_info()["blocks"] == (
-        [op.dim] if windowed else [(op.dim + 1) // 2, op.dim // 2])
-    assert dec.dim == ref.dim
-    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues),
-                  initial=0.0) <= 1e-12 * scale
-    assert dec.orthonormality_defect() <= 1e-12
-    assert dec.reconstruction_defect() <= 1e-12 * op.dim * scale
+        # a window is solved unsplit; its ends sit in the widest level
+        # spacing of each half
+        half = op.dim // 2
+        i = int(np.argmax(np.diff(ref[:half])))
+        k = half + int(np.argmax(np.diff(ref[half:])))
+        lo, hi = 0.5 * (ref[i] + ref[i + 1]), 0.5 * (ref[k] + ref[k + 1])
+        dec = eigendecompose(op, window=(lo, hi))
+        assert dec.solver_info()["blocks"] == [op.dim]
+        inside = ref[(ref > lo) & (ref <= hi)]
+        assert dec.dim == inside.size
+        assert np.max(np.abs(dec.eigenvalues - inside),
+                      initial=0.0) <= 1e-12 * scale
+        assert dec.orthonormality_defect() <= 1e-12
+        assert dec.reconstruction_defect() <= 1e-12 * op.dim * scale
+        return
+    w = np.random.default_rng(op.dim).standard_normal(op.dim)
+    lam, dens, info = weighted_spectrum(op, w)
+    assert info["path"] == "real_parity"
+    assert info["blocks"] == [(op.dim + 1) // 2, op.dim // 2]
+    assert np.max(np.abs(lam - ref)) <= 1e-12 * scale
+    simple = _simple(ref)
+    assert np.max(np.abs(dens - density(w))[simple], initial=0.0) \
+        <= 1e-12 * op.dim * np.max(np.abs(w))
 
 
 def test_parity_split_empty_window():
     g = make_grid(6, 6, 21, 21)
     op = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
     dec = eigendecompose(op, window=(-50.0, -40.0))
-    assert dec.path == "real" and dec.certificate["counts"] == [0, 0]
+    assert dec.solver_info()["path"] == "real"
+    assert dec.certificate["counts"] == [0, 0]
     assert dec.dim == 0 and eigenvectors(dec).shape == (op.dim, 0)
 
 
 def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
+    # a real form that does not commute with J is solved once at order N,
+    # by weighted_spectrum as by eigendecompose
     g = make_grid(6, 6, 21, 21)
     v = eval_potential(GAUSS, g).v
     xf, yf = g.meshes()
@@ -442,14 +481,17 @@ def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
     uneven = replace(q, diag=q.diag + 0.3 * np.exp(0.2 * xf) * yf * yf)
     for op in (assemble(g, FIELDS, v), uneven):
         assert op.is_t_symmetric()
-        ref = _unsplit(op)
+        ref = np.linalg.eigvalsh(op.dense())
+        scale = float(np.max(np.abs(ref)))
         eigh_orders.clear()
         dec = eigendecompose(op)
-        assert eigh_orders == [op.dim]
-        assert dec.path == "real" and dec.solver_info()["blocks"] == [op.dim]
-        assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) \
-            <= 1e-12 * _norm(ref)
-        assert dec.reconstruction_defect() <= 1e-12 * op.dim * _norm(ref)
+        lam, _, info = weighted_spectrum(op, v)
+        assert eigh_orders == [op.dim, op.dim]
+        assert info == dec.solver_info()
+        assert info["path"] == "real" and info["blocks"] == [op.dim]
+        assert lam.tobytes() == dec.eigenvalues.tobytes()
+        assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * scale
+        assert dec.reconstruction_defect() <= 1e-12 * op.dim * scale
 
 
 def _odd_in_y(op):
@@ -488,6 +530,9 @@ def eigsh_calls(monkeypatch):
 
 
 def _ops_by_path(nx, ny, family):
+    """The operator kinds: "real_parity" an eps = 0 Q, whose real form
+    commutes with J, "real" an eps > 0 H, and "complex" H plus a y-odd
+    term, which every eigensolve refuses."""
     g = make_grid(6, 6, nx, ny)
     v = eval_potential(PotentialSpec(family, amplitude=0.5, width=2.0), g).v
     h = assemble(g, FIELDS, v)
@@ -502,27 +547,33 @@ def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
     small = _ops_by_path(21, 21, family)
     spy = scipy.linalg.eigh
     for path, op in _ops_by_path(31, 31, family).items():
+        if path == "complex":
+            _refused(op, F.support)
+            assert eigh_kwargs == [] and eigsh_calls == []
+            continue
         eigh_kwargs.clear()
         dec = eigendecompose(op)
-        assert dec.path == path
-        # every path is solved in a fresh buffer eigh may overwrite
+        w = interior_mask(op.grid, 0.05)
+        lam, dens, info = weighted_spectrum(op, w)
+        assert info["path"] == path
+        # every solve and block is solved in a fresh buffer eigh may
+        # overwrite
         full = {"overwrite_a": True, "driver": "evd"}
-        assert eigh_kwargs == [full] * len(dec.solver_info()["blocks"])
+        assert eigh_kwargs == [full] * (1 + len(info["blocks"]))
         with monkeypatch.context() as m:
             m.setattr(scipy.linalg, "eigh", lambda a, *args, driver=None,
                       **kw: spy(a, *args, **kw))
             ref = eigendecompose(op)
-        scale = _norm(ref)
-        assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) \
-            <= 1e-12 * scale
-        lam = ref.eigenvalues
-        gap = np.minimum(np.diff(lam, prepend=-np.inf),
-                         np.diff(lam, append=np.inf))
-        simple = gap > 1e-3
+            ref_lam, ref_dens, _ = weighted_spectrum(op, w)
+        scale = float(np.max(np.abs(ref.eigenvalues)))
+        for got in (dec.eigenvalues, lam, ref_lam):
+            assert np.max(np.abs(got - ref.eigenvalues)) <= 1e-12 * scale
+        simple = _simple(ref.eigenvalues)
         assert np.count_nonzero(simple) > 31
-        dens = np.abs(eigenvectors(dec)[:, simple]) ** 2
-        ref_dens = np.abs(eigenvectors(ref)[:, simple]) ** 2
-        assert np.max(np.abs(dens - ref_dens)) <= 1e-10
+        dens_u = np.abs(eigenvectors(dec)[:, simple]) ** 2
+        ref_u = np.abs(eigenvectors(ref)[:, simple]) ** 2
+        assert np.max(np.abs(dens_u - ref_u)) <= 1e-10
+        assert np.max(np.abs(dens - ref_dens)[simple]) <= 1e-10
         # at N = 441 a windowed solve keeps the default driver, which has a
         # subset, and asks for the window and its two neighbours by index
         eigh_kwargs.clear()
@@ -557,10 +608,12 @@ def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
     spec = PotentialSpec(family, amplitude=0.5, width=2.0)
     eps = 0.0 if path == "real_parity" else 0.5
     op = assemble(g, FieldParams(b=1.0, eps=eps), eval_potential(spec, g).v)
+    window = (1.0, 4.0) if windowed else None
     if path == "complex":
-        op = _odd_in_y(op)
-    dec = eigendecompose(op, window=(1.0, 4.0) if windowed else None)
-    assert dec.path == ("real" if windowed and path == "real_parity" else path)
+        with pytest.raises(ConfigurationError, match="T = K P_y"):
+            eigendecompose(_odd_in_y(op), window=window)
+        return
+    dec = eigendecompose(op, window=window)
     # weights with no symmetry in x or y
     w = np.random.default_rng(seed).standard_normal(op.dim)
     got, ref = dec.weighted_density(w), w @ np.abs(eigenvectors(dec)) ** 2
@@ -573,43 +626,58 @@ def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
 @pytest.mark.parametrize("path", ["real_parity", "real", "complex"])
 def test_weighted_spectrum_matches_the_decomposition(nx, ny, path):
     # odd N = 169 and even N = 168, 150; the parity path reduces each block
-    # before writing the next, every other path is eigendecompose itself
+    # before writing the next, the unsplit one is eigendecompose's solve
     op = _ops_by_path(nx, ny, "gaussian")[path]
+    if path == "complex":
+        return _refused(op, F.support)
     dec = eigendecompose(op)
-    assert dec.path == path
     rng = np.random.default_rng(nx * ny)
     for w in (interior_mask(op.grid, 0.05), rng.standard_normal(op.dim)):
         lam, dens, info = weighted_spectrum(op, w)
-        assert lam.tobytes() == dec.eigenvalues.tobytes()
+        scale = float(np.max(np.abs(dec.eigenvalues)))
+        assert np.max(np.abs(lam - dec.eigenvalues)) <= 1e-12 * scale
         ref = dec.weighted_density(w)
-        assert np.max(np.abs(dens - ref)) <= 1e-14 * np.max(np.abs(w))
-        held = 0 if path == "real_parity" else dec.factor.nbytes
-        assert info == {**dec.solver_info(), "factor_bytes": held}
+        assert np.max(np.abs(dens - ref)) <= 1e-12 * np.max(np.abs(w))
+        assert info["path"] == path
+        if path == "real":
+            assert lam.tobytes() == dec.eigenvalues.tobytes()
+            assert info == dec.solver_info()
+        else:
+            m = op.dim // 2
+            assert info == {"path": path, "blocks": [op.dim - m, m],
+                            "n": op.dim, "pairs": op.dim, "factor_bytes": 0,
+                            "dense_bytes": 8 * (op.dim - m) ** 2,
+                            "workspace_bytes": _evd_bytes(op.dim - m)}
+
+
+def _evd_bytes(n):
+    """dsyevd's workspace for order n with eigenvectors: 1 + 6n + 2n^2
+    doubles and 3 + 5n 4-byte integers (LAPACK Users' Guide, 3rd ed.)."""
+    return 8 * (1 + 6 * n + 2 * n ** 2) + 4 * (3 + 5 * n)
 
 
 def test_the_streamed_q_spectrum_holds_one_block_and_its_workspace():
-    # at 41 x 41 the blocks have order n_b = 841 and 840: eigendecompose
-    # holds both blocks (or one block and the other's vectors) and evd's
-    # 1 + 6 n + 2 n^2 workspace, about 4 n_b^2 doubles; the streamed path
-    # one block and its workspace, about 3 n_b^2.  It also keeps the entry
-    # list (0.28 MB) through the even solve, for the odd block's write, so
-    # it saves one block less that list, 0.95 of a block
+    # at 41 x 41 the even block has order n_b = 841: the streamed solve
+    # holds it, evd's workspace and the 5802 rows k <= N//2 of the 11599
+    # entry list entries (24 bytes each), which are all the odd block's
+    # write reads, plus at most 64 KiB of vectors of order N.  Holding the
+    # whole list through the even solve would exceed that budget
     g = make_grid(6, 6, 41, 41)
     q = assemble(g, FieldParams(b=1.0), eval_potential(GAUSS, g).v)
     inside = interior_mask(g, 0.05)
     weighted_spectrum(q, inside)  # lazy imports untraced
-    peaks = []
-    for solve in (lambda: eigendecompose(q),
-                  lambda: weighted_spectrum(q, inside)):
-        tracemalloc.start()
-        try:
-            solve()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    block = 8 * 841 ** 2
-    assert peaks[1] <= 3.2 * block
-    assert peaks[0] - peaks[1] >= 0.9 * block
+    tracemalloc.start()
+    try:
+        weighted_spectrum(q, inside)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = q.coo(real=True)[0]
+    half, full = (24 * np.count_nonzero(rows <= q.dim // 2), 24 * rows.size)
+    assert (half, full) == (24 * 5802, 24 * 11599)
+    held = 8 * 841 ** 2 + _evd_bytes(841)
+    budget = held + half + 64 * 1024
+    assert peak <= budget < held + full
 
 
 def test_q_spectrum_holds_no_complex_n_by_n_array():
@@ -619,12 +687,11 @@ def test_q_spectrum_holds_no_complex_n_by_n_array():
     tracemalloc.start()
     try:
         q = assemble(g, FieldParams(b=1.0), v)
-        dec = eigendecompose(q)
-        scores = localization_scores(dec, 0.05)
+        lam, scores, info = weighted_spectrum(q, interior_mask(g, 0.05))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dec.path == "real_parity" and scores.shape == (q.dim,)
+    assert info["path"] == "real_parity" and scores.shape == (q.dim,)
     # 16 N^2 bytes is one complex N x N array
     assert peak < 16 * q.dim ** 2
 
@@ -633,15 +700,15 @@ def test_a_windowed_solve_holds_only_its_pairs():
     # a windowed eigh returns k columns of an N x N work array; the
     # decomposition must not keep that array alive
     g = make_grid(6, 6, 31, 31)
-    h = assemble(g, FIELDS, eval_potential(GAUSS, g).v)
-    for op, path in ((h, "real"), (_odd_in_y(h), "complex")):
+    v = eval_potential(GAUSS, g).v
+    for op in (assemble(g, FIELDS, v), assemble(g, FieldParams(b=1.0), v)):
         tracemalloc.start()
         try:
             dec = eigendecompose(op, window=F.support)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert dec.path == path and 0 < 8 * dec.dim < op.dim
+        assert 0 < 8 * dec.dim < op.dim
         # an N x N real array alone would be 8 N^2 bytes
         assert held < 4 * op.dim ** 2
 
@@ -654,16 +721,12 @@ def test_each_dense_write_checks_its_own_bytes(monkeypatch):
     v = eval_potential(GAUSS, g).v
     h, q = assemble(g, FIELDS, v), assemble(g, FieldParams(b=1.0), v)
     monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 10 ** 6)
-    for build in (h.dense, lambda: h.dense(1j), lambda: eigendecompose(h)):
+    for build in (h.dense, lambda: h.dense(1j), lambda: eigendecompose(h),
+                  lambda: eigendecompose(q), lambda: weighted_spectrum(h, v)):
         with pytest.raises(CapacityError, match="dense limit"):
             build()
-    with pytest.raises(CapacityError, match="dense limit"):
-        weighted_spectrum(h, v)
-    assert eigendecompose(q).path == "real_parity"
     assert weighted_spectrum(q, v)[2]["path"] == "real_parity"
     monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 3 * 10 ** 5)
-    with pytest.raises(CapacityError, match="dense limit"):
-        eigendecompose(q)
     # the streamed path is refused at its first block, before it is written:
     # what it traces is building the entry list, under one 221 x 221 block
     tracemalloc.start()
@@ -717,16 +780,18 @@ def _kind(nx, ny, kind):
                                     (20.0, 1e4)])
 def test_windowed_pairs_match_the_by_value_solve(nx, ny, kind, window):
     op = _kind(nx, ny, kind)
+    if kind == "y_odd":
+        return _refused(op, window)
     ref = windowed_by_value(op, window)
     dec = eigendecompose(op, window=window)
-    assert dec.path == ref.path and dec.dim == ref.dim
+    assert dec.dim == ref.dim
     sparse = op.dim > SPARSE_DIM_MIN and 16 * dec.dim <= op.dim
     assert dec.certificate["solver"] == ("sparse" if sparse else "dense")
     assert sparse == (op.dim > SPARSE_DIM_MIN and window != (20.0, 1e4))
     assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues),
                   initial=0.0) <= 1e-12
     # the projector onto the window does not see a rotation of its basis
-    proj, ref_proj = (d.factor @ d.factor.conj().T for d in (dec, ref))
+    proj, ref_proj = (d.factor @ d.factor.T for d in (dec, ref))
     assert np.max(np.abs(proj - ref_proj)) <= 1e-12
     c_lo, c_hi = dec.certificate["counts"]
     below, above = dec.certificate["bracket"]
@@ -800,14 +865,17 @@ def test_a_sparse_window_peaks_below_one_eighth_of_the_real_form(monkeypatch):
 @pytest.mark.parametrize("off", [(0, 2), (0, -2), (2, 0), (-2, 0), (0, 1)])
 def test_a_wrong_inertia_count_raises_on_the_sparse_path(kind, off,
                                                          monkeypatch):
-    # the in-window count catches a wrong difference c_hi - c_lo
+    # the in-window count catches a wrong difference c_hi - c_lo; a y-odd
+    # operator is refused before its counts are read
     op = _kind(25, 25, kind)
     counts = DiscreteOperator.inertia_counts
-    dec = eigendecompose(op, window=F.support)
-    assert dec.certificate["solver"] == "sparse" and 2 <= dec.dim
+    if kind == "h":
+        dec = eigendecompose(op, window=F.support)
+        assert dec.certificate["solver"] == "sparse" and 2 <= dec.dim
     monkeypatch.setattr(DiscreteOperator, "inertia_counts",
                         lambda op, s: counts(op, s) + np.array(off))
-    with pytest.raises(SpectralWindowError, match="inertia counts"):
+    error = SpectralWindowError if kind == "h" else ConfigurationError
+    with pytest.raises(error, match="inertia counts|T = K P_y"):
         eigendecompose(op, window=F.support)
 
 
@@ -826,22 +894,38 @@ def test_a_count_past_a_spectrum_end_raises_on_the_sparse_path(window, off,
         eigendecompose(op, window=window)
 
 
+def _even_in_y(rows, centre=None):
+    """The diagonal operator whose grid rows are ``rows``, the row
+    ``centre`` if given, and ``rows`` mirrored: it commutes with T = K P_y,
+    each centre value is a simple eigenvalue and each other one a double
+    eigenvalue, which a single-vector Lanczos run finds only once."""
+    rows = np.asarray(rows, dtype=float)
+    mid = np.reshape([] if centre is None else centre, (-1, rows.shape[1]))
+    d = np.concatenate([rows, mid, rows[::-1]])
+    ny, nx = d.shape
+    return DiscreteOperator(d.ravel(), np.zeros((ny, nx - 1), complex), 0.0,
+                            make_grid(1, 1, nx, ny))
+
+
+# six grid rows of 48 values far above the spectrum the tests below read,
+# mirrored about a centre row (N = 624)
+FAR = 100.0 + np.arange(288.0).reshape(6, 48)
+
+
 def test_a_far_neighbour_widens_the_sparse_solve(eigsh_calls):
-    # a diagonal operator (N = 576) with 1.0 alone in (0, 1.9] and the 39
+    # a diagonal operator (N = 624) with 1.0 alone in (0, 1.9] and the 39
     # values 2.0, 2.1, ..., 5.8 all nearer the midpoint 0.95 than the lower
     # neighbour -4.0: k doubles from 5 until that neighbour is returned,
-    # the last step clamped to N/8 = 72
-    d = np.full(576, 100.0) + np.arange(576)
-    d[:41] = np.concatenate([[-4.0, 1.0], 2.0 + 0.1 * np.arange(39)])
-    op = DiscreteOperator(d, np.zeros((24, 23), complex), 0.0,
-                          make_grid(1, 1, 24, 24))
-    dec = eigendecompose(op, window=(0.0, 1.9))
-    assert [k for k, _ in eigsh_calls] == [5, 10, 20, 40, 72]
+    # the last step clamped to N/8 = 78
+    centre = np.concatenate([[-4.0, 1.0], 2.0 + 0.1 * np.arange(39),
+                             1000.0 + np.arange(7)])
+    dec = eigendecompose(_even_in_y(FAR, centre), window=(0.0, 1.9))
+    assert [k for k, _ in eigsh_calls] == [5, 10, 20, 40, 78]
     assert dec.certificate["solver"] == "sparse"
     assert dec.certificate["counts"] == [1, 2]
     # the certificate records the shift, the final k and the doublings
     assert {k: dec.certificate[k] for k in ("sigma", "nev", "doublings")} \
-        == {"sigma": 0.95, "nev": 72, "doublings": 4}
+        == {"sigma": 0.95, "nev": 78, "doublings": 4}
     assert np.max(np.abs(dec.eigenvalues - [1.0])) <= 1e-12
     assert np.max(np.abs(np.subtract(dec.certificate["bracket"],
                                      [-4.0, 2.0]))) <= 1e-12
@@ -860,10 +944,8 @@ def test_no_convergence_raises_on_the_sparse_path(monkeypatch):
 
 def test_a_shift_on_an_eigenvalue_raises_on_the_sparse_path():
     # the midpoint 4.0 of (2.5, 5.5) is an eigenvalue of this diagonal
-    # operator (N = 576), so SuperLU finds D - 4 exactly singular
-    op = DiscreteOperator(np.arange(576, dtype=float),
-                          np.zeros((24, 23), complex), 0.0,
-                          make_grid(1, 1, 24, 24))
+    # operator (N = 624), so SuperLU finds D - 4 exactly singular
+    op = _even_in_y(FAR, np.arange(48.0))
     with pytest.raises(SpectralWindowError, match="no shift-invert"):
         eigendecompose(op, window=(2.5, 5.5))
     dec = eigendecompose(op, window=(2.5, 5.6))
@@ -876,9 +958,8 @@ def test_a_shift_on_an_eigenvalue_raises_on_the_sparse_path():
 def test_a_window_end_on_an_eigenvalue_of_a_leading_block_raises():
     # the first Schur complement D_0 - 3 of this diagonal operator is
     # exactly singular, so 3.0 has no inertia count
-    op = DiscreteOperator(np.arange(64, dtype=float),
-                          np.zeros((8, 7), complex), 0.0, make_grid(1, 1, 8, 8))
+    op = _even_in_y(np.arange(32.0).reshape(4, 8))
     with pytest.raises(SpectralWindowError, match="no inertia count"):
         eigendecompose(op, window=(3.0, 10.5))
     assert eigendecompose(op, window=(3.5, 10.5)).eigenvalues.tolist() == \
-        [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+        np.repeat([4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0], 2).tolist()

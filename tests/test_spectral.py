@@ -8,20 +8,22 @@ from magstark.grid import DiscreteOperator, d2_op, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import (BumpFunction, WeightSpec, decay_weight,
-                               eigendecompose, localization_scores,
-                               localized_spectrum, trace_function, weight_dx_s)
-from oracles import apply_function, embed_x
+                               eigendecompose, trace_function, weight_dx_s,
+                               weighted_spectrum)
+from oracles import (apply_function, embed_x, localization_scores,
+                     localized_spectrum)
 
 GRID = make_grid(4, 4, 17, 17)
 GRID8 = make_grid(1, 1, 8, 8)
 
 
 def _random_stencil(seed, path="complex", nx=8, ny=8):
-    """A stencil operator with random coefficients that takes ``path``.
+    """A stencil operator with random coefficients of the kind ``path``.
 
-    The real paths need conj(M) == P_y M P_y (diag even in y, xhop of row
-    ny-1-j the conjugate of row j); real_parity also needs the real form to
-    commute with P_x P_y (diag and xhop even in x as well).
+    Every eigensolve needs conj(M) == P_y M P_y (diag even in y, xhop of row
+    ny-1-j the conjugate of row j), which a "complex" operator breaks; the
+    parity split of ``weighted_spectrum`` ("real_parity") also needs the
+    real form to commute with P_x P_y (diag and xhop even in x as well).
     """
     rng = np.random.default_rng(seed)
     d = rng.standard_normal((ny, nx))
@@ -36,19 +38,27 @@ def _random_stencil(seed, path="complex", nx=8, ny=8):
 
 
 def test_eigendecompose_diagonal():
+    # a diagonal even in y is its own real form; one that is not is refused
     rng = np.random.default_rng(0)
-    d = rng.standard_normal(64)
+    d = rng.standard_normal((4, 8))
+    d = np.concatenate([d, d[::-1]]).ravel()
     op = DiscreteOperator(d, np.zeros((8, 7), complex), 0.0, GRID8)
     dec = eigendecompose(op)
     assert np.array_equal(dec.eigenvalues, np.sort(d))
+    with pytest.raises(ConfigurationError, match="T = K P_y"):
+        eigendecompose(replace(op, diag=rng.standard_normal(64)))
 
 
 def test_eigendecompose_defects_random():
     for path in ("complex", "real", "real_parity"):
         for nx, ny in ((8, 8), (9, 11)):
             op = _random_stencil(1, path, nx, ny)
+            if path == "complex":
+                with pytest.raises(ConfigurationError, match="T = K P_y"):
+                    eigendecompose(op)
+                continue
+            assert weighted_spectrum(op, np.ones(op.dim))[2]["path"] == path
             dec = eigendecompose(op)
-            assert dec.path == path
             scale = np.max(np.abs(dec.eigenvalues))
             assert dec.reconstruction_defect() <= 1e-13 * op.dim * scale
             assert dec.orthonormality_defect() <= 1e-12
@@ -92,7 +102,7 @@ def test_bump_validation():
 
 
 def test_apply_function_identities():
-    dec = eigendecompose(_random_stencil(2))
+    dec = eigendecompose(_random_stencil(2, "real"))
     f = BumpFunction(0.0, 1.5)
     m = apply_function(dec, f)
     assert np.isclose(trace_function(dec, f), np.trace(m).real, atol=1e-10)
@@ -106,7 +116,7 @@ def test_apply_function_identities():
 
 
 def test_apply_function_algebra_morphism():
-    dec = eigendecompose(_random_stencil(4))
+    dec = eigendecompose(_random_stencil(4, "real"))
     f = BumpFunction(0.0, 2.0)
     g = BumpFunction(0.5, 1.5)
     lhs = apply_function(dec, f) @ apply_function(dec, g)

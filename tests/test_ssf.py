@@ -6,7 +6,9 @@ from magstark.errors import (ConfigurationError, GapNotFoundError,
 from magstark.grid import make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
-from magstark.spectral import BumpFunction, eigendecompose, trace_function
+from magstark.spectral import (LOCALIZATION_THRESHOLD, BumpFunction,
+                               eigendecompose, interior_mask, trace_function,
+                               weighted_spectrum)
 from magstark.ssf import (TruncationSpec, epsilon_scaling,
                           resolvent_expansion_check, sigma_q_gap_window,
                           trace_identity_check, truncation_convergence,
@@ -158,23 +160,31 @@ def test_xi_prime_integral_approximates_trace_difference():
     assert abs(integral - lhs) / abs(lhs) <= 0.15
 
 
+def _localized_q(g, v):
+    """Q's localized spectrum, from the streamed full solve."""
+    lam, scores, _ = weighted_spectrum(assemble(g, FieldParams(1.0), v),
+                                       interior_mask(g, 0.05))
+    return lam[scores > LOCALIZATION_THRESHOLD]
+
+
 def test_gap_window_first_landau_gap():
     g = make_grid(6, 6, 41, 41)
-    decq = eigendecompose(assemble(g, FieldParams(1.0), np.zeros(g.n_points)))
-    a, b = sigma_q_gap_window(decq, margin=0.4)
+    loc = _localized_q(g, np.zeros(g.n_points))
+    a, b = sigma_q_gap_window(loc, margin=0.4)
     assert a <= 1.6 and b >= 2.4
     with pytest.raises(GapNotFoundError, match="margin"):
-        sigma_q_gap_window(decq, margin=1.2)
+        sigma_q_gap_window(loc, margin=1.2)
+    with pytest.raises(GapNotFoundError, match="fewer than two"):
+        sigma_q_gap_window(loc[:1], margin=0.4)
 
 
 def test_gap_window_shrinks_with_attractive_potential():
     g = make_grid(6, 6, 41, 41)
-    decq0 = eigendecompose(assemble(g, FieldParams(1.0), np.zeros(g.n_points)))
-    a0, b0 = sigma_q_gap_window(decq0, margin=0.3)
+    a0, b0 = sigma_q_gap_window(_localized_q(g, np.zeros(g.n_points)),
+                                margin=0.3)
     well = PotentialSpec("gaussian", amplitude=-0.5, width=2.0)
-    decq = eigendecompose(assemble(g, FieldParams(1.0),
-                                   eval_potential(well, g).v))
-    a1, b1 = sigma_q_gap_window(decq, margin=0.3)
+    a1, b1 = sigma_q_gap_window(_localized_q(g, eval_potential(well, g).v),
+                                margin=0.3)
     assert (b1 - a1) < (b0 - a0)
 
 
