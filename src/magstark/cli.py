@@ -43,8 +43,9 @@ from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
 from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, WeightSpec,
                        eigendecompose, interior_mask, weighted_spectrum)
-from .ssf import (TruncationSpec, epsilon_scaling, resolvent_expansion_check,
-                  sigma_q_gap_window, trace_identity_check, truncation_convergence)
+from .ssf import (TruncationSpec, checked_eps, epsilon_scaling,
+                  resolvent_expansion_check, sigma_q_gap_window,
+                  trace_identity_check, truncation_convergence)
 from .traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
 
 # At exit the last cyclic collection would walk the whole numpy/scipy import
@@ -116,14 +117,15 @@ def _run_scaling(grid, fields, spec, f, e):
     rep = epsilon_scaling(grid, fields.b, spec, f,
                           _list("eps_list", e["eps_list"]),
                           wall_cutoff=collar if collar > 0 else None)
-    rows = [("eps", "value")] + [(eps, v) for eps, v in rep.samples]
+    rows = [("eps", "value")] + list(zip(rep.params, rep.norms))
+    underflow = rep.slope is None  # no fit through a sample below 1e-13
     results = {"slope": rep.slope, "intercept": rep.intercept, "r2": rep.r2,
-               "underflow": rep.underflow, "target": rep.target,
+               "underflow": underflow, "target": float(spec.decay_n - 2),
                "decay_certificate": _stark_certificate(spec, grid),
                "eigensolve": {"h": list(rep.eigensolve)}}
-    if rep.underflow and spec.family == "zero":
-        gates = {"underflow_flagged": (1.0, 1.0, rep.underflow)}
-    elif rep.slope is None:
+    if underflow and spec.family == "zero":
+        gates = {"underflow_flagged": (1.0, 1.0, True)}
+    elif underflow:
         gates = {"slope_defined": (0.0, 1.0, False)}
     else:
         ok = (e["slope_lo"] <= rep.slope <= e["slope_hi"]
@@ -202,7 +204,9 @@ def _run_lap_probe(grid, fields, spec, f, e):
 
 
 def _run_lemma7(grid, fields, spec, f, e):
-    # eps comes from eps_list, so fields is Q's FieldParams(b)
+    # eps comes from eps_list, so fields is Q's FieldParams(b); the list is
+    # checked before Q is solved
+    eps_list = checked_eps(_list("eps_list", e["eps_list"]))
     v = eval_potential(spec, grid).v
     lam, loc, solve = _q_spectrum(grid, fields.b, v)
     # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
@@ -210,8 +214,7 @@ def _run_lemma7(grid, fields, spec, f, e):
     center, width = _widest_slot(lam, f.center - 0.25, f.center + 0.25)
     chi = BumpFunction(center, min(f.halfwidth, 0.45 * width),
                        plateau=f.plateau if f.plateau > 0 else 0.5)
-    rep = gap_cutoff_sweep(grid, fields.b, v, chi,
-                           _list("eps_list", e["eps_list"]), q_localized=loc,
+    rep = gap_cutoff_sweep(grid, fields.b, v, chi, eps_list, q_localized=loc,
                            margin=e["sigma_margin"])
     ok = (rep.slope is not None
           and e["slope_lo"] <= rep.slope <= e["slope_hi"])
@@ -224,20 +227,21 @@ def _run_lemma7(grid, fields, spec, f, e):
 
 
 def _run_prop2(grid, fields, spec, f, e):
+    # the probe is checked at Re z = 0 before H is solved
+    probe = ProbeSpec(0.5j, complex(0.0, e["im_zp"]),
+                      _list("delta_list", e["delta_list"]))
     v = eval_potential(spec, grid).v
     h = assemble(grid, fields, v)
     # pin the probe at the most V-coupled level in the bulk window,
     # where the uniform bound is under the most pressure
-    lam, weights, _ = weighted_spectrum(h, v)
+    lam, weights, solve = weighted_spectrum(h, v)
     win = (lam > 1.2) & (lam < 2.8)
     re_z = float(lam[win][int(np.argmax(weights[win]))])
-    probe = ProbeSpec(z=complex(re_z, 0.5),
-                      z_prime=complex(re_z, e["im_zp"]),
-                      delta_list=_list("delta_list", e["delta_list"]))
-    rep = tracebound_sweep(h, v, probe)
-    rows = [("delta", "product")] + list(zip(rep.deltas, rep.products))
-    results = {"re_z": re_z, "products": list(rep.products),
-               "spread": rep.spread}
+    rep = tracebound_sweep(h, v, ProbeSpec(probe.z + re_z, probe.z_prime + re_z,
+                                           probe.delta_list))
+    rows = [("delta", "product")] + list(zip(rep.params, rep.norms))
+    results = {"re_z": re_z, "products": list(rep.norms),
+               "spread": rep.spread, "eigensolve": {"h": solve}}
     # the spread is +inf when a product is 0 beside a nonzero one
     if not np.isfinite(rep.spread):
         results["reason"] = "zero_product"

@@ -8,46 +8,26 @@ Dirichlet corner terms carry the compensating negative weight.  The
 multiplication form is the quantity the positivity statement actually
 controls.
 
-The limiting-absorption probe needs no eigendecomposition of H: each
-delta's weighted-resolvent norm comes from one sparse LU of z - H and a
-Lanczos top eigenvalue, every solve certified by its stencil residual.
+The gap-cutoff norms are one :func:`~magstark.ssf.eps_sweep`.  The
+limiting-absorption probe needs no eigendecomposition of H: each delta's
+weighted-resolvent norm comes from one sparse LU of z - H and a Lanczos top
+eigenvalue, every solve certified by its stencil residual.  Both sweeps
+return a :class:`~magstark.traces.ProbeReport`.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import (ConfigurationError, MagstarkError, NearSingularityError,
                      SpectralWindowError)
 from .grid import DiscreteOperator, GridSpec, apply_x
-from .hamiltonian import FieldParams, assemble
+from .hamiltonian import FieldParams
 from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
-                       eigendecompose, weight_dx_s)
-from .ssf import fit_loglog
-from .traces import RESIDUAL_TOL, operator_norm
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Parameter sweep with measured norms and derived ratios."""
-
-    params: tuple
-    norms: tuple
-    slope: float | None = None
-    r2: float | None = None
-    residual_bound: float | None = None  # largest certified solve bound
-    eigensolve: tuple = ()  # health_info() of each windowed solve
-
-    @property
-    def plateau_ratio(self):
-        """norm at the smallest parameter over norm at twice that parameter."""
-        return self.norms[-1] / self.norms[-2]
-
-    @property
-    def sweep_growth(self):
-        """Total growth of the norm across the sweep."""
-        return self.norms[-1] / self.norms[0]
+                       weight_dx_s)
+from .ssf import eps_sweep
+from .traces import RESIDUAL_TOL, ProbeReport, checked_sweep, operator_norm
 
 
 def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
@@ -86,8 +66,8 @@ def gap_cutoff_norm(dec: SpectralDecomposition, chi: BumpFunction):
 
 def gap_cutoff_sweep(grid: GridSpec, b, v, chi: BumpFunction, eps_list,
                      q_localized, margin=0.2) -> ProbeReport:
-    """gap_cutoff_norm over an eps sweep, for a cutoff clear of localized
-    sigma(Q) by margin; no log-log slope or r2 at a zero norm."""
+    """gap_cutoff_norm over an eps sweep (:func:`~magstark.ssf.eps_sweep`),
+    for a cutoff clear of localized sigma(Q) by margin."""
     lo, hi = chi.support
     q_localized = np.asarray(q_localized, dtype=float)
     inside = (q_localized > lo - margin) & (q_localized < hi + margin)
@@ -95,18 +75,8 @@ def gap_cutoff_sweep(grid: GridSpec, b, v, chi: BumpFunction, eps_list,
         raise SpectralWindowError(
             f"cutoff support [{lo:.4g}, {hi:.4g}] is within {margin} of "
             f"localized Q eigenvalue(s) {q_localized[inside][:4]}")
-    eps_list = tuple(float(e) for e in eps_list)
-    norms, infos = [], []
-    for e in eps_list:
-        dec = eigendecompose(assemble(grid, FieldParams(b=b, eps=e), v),
-                             window=chi.support)
-        norms.append(gap_cutoff_norm(dec, chi))
-        infos.append(dec.health_info())
-    norms, infos = tuple(norms), tuple(infos)
-    if min(norms) == 0.0:
-        return ProbeReport(eps_list, norms, eigensolve=infos)
-    slope, _, r2 = fit_loglog(eps_list, norms)
-    return ProbeReport(eps_list, norms, slope=slope, r2=r2, eigensolve=infos)
+    return eps_sweep(grid, b, v, chi.support, eps_list,
+                     lambda eps, dec: gap_cutoff_norm(dec, chi))
 
 
 def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
@@ -121,7 +91,7 @@ def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
 
     H is Hermitian, so ||(z - H)^-1|| <= 1/delta, and a solve y is within
     ||r|| / (delta ||y||) of the exact one relative to ||y||, r its residual
-    applied by ``stencil_apply``.  A delta under 4 eps_mach ||z - H|| /
+    applied by ``stencil_apply``.  A delta at or under 4 eps_mach ||z - H|| /
     RESIDUAL_TOL (||z - H|| by Gershgorin) is a :class:`ConfigurationError`;
     a bound over RESIDUAL_TOL, a NaN bound or a singular factor raises
     :class:`NearSingularityError`; the report keeps the largest bound as
@@ -130,15 +100,11 @@ def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
     """
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh, splu)
-    deltas = tuple(float(d) for d in delta_list)
     # Gershgorin: sigma(H) lies in [lo, hi], so ||H - lam|| <= g
     lo, hi = h.gershgorin_bounds()
     g = max(lam - lo, hi - lam)
-    floor = 4 * np.finfo(float).eps * (g + max((0, *deltas))) / RESIDUAL_TOL
-    if len(deltas) < 2 or deltas[-1] < floor or any(
-            not a > b for a, b in zip(deltas, deltas[1:])):
-        raise ConfigurationError(f"delta_list must hold at least two values, "
-                                 f"decreasing and >= {floor:.3g}, got {deltas}")
+    floor = 4 * np.finfo(float).eps * (g + max((0, *delta_list))) / RESIDUAL_TOL
+    deltas = checked_sweep("delta_list", delta_list, 2, floor)
     grid, n, w1d = h.grid, h.dim, weight_dx_s(h.grid, w)
     w2 = w1d @ w1d
     norms, bounds = [], []

@@ -4,12 +4,14 @@ The central identity equates the trace difference tr(f(H) - f(H0)) with the
 commutator-side trace -(1/eps) tr(dxV f(H)).  Both sides are computed from
 eigenvalue sums (never from perturbation determinants): the identity check
 compares them, and the eps-scaling sweep samples the commutator side, which
-needs one eigensolve per eps and has unipolar weights.  On a truncated
-domain the raw trace difference also samples wall states whose contributions
-do not pair between H and H0; the optional wall cutoff reweights the traces
-with a plateau function vanishing in a collar at the walls, which is the
-discrete counterpart of the compactly supported commutator localizer used to
-prove the identity and removes exactly the Dirichlet-wall corner terms.
+needs one eigensolve per eps and has unipolar weights.  Every eps sweep,
+this one and ``lemma7``'s gap-cutoff norms, is one :func:`eps_sweep`.  On a
+truncated domain the raw trace difference also samples wall states whose
+contributions do not pair between H and H0; the optional wall cutoff
+reweights the traces with a plateau function vanishing in a collar at the
+walls, which is the discrete counterpart of the compactly supported
+commutator localizer used to prove the identity and removes exactly the
+Dirichlet-wall corner terms.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .hamiltonian import FieldParams, assemble
 from .potentials import PotentialSpec, eval_potential
 from .spectral import (BumpFunction, eigendecompose, trace_function,
                        weighted_trace_function)
-from .traces import column_block_max, resolvent
+from .traces import ProbeReport, checked_sweep, column_block_max, resolvent
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,6 @@ class TraceFormulaReport:
 
 
 @dataclass(frozen=True)
-class ScalingReport:
-    """Log-log fit of |<xi', f>| against the electric strength sweep."""
-
-    samples: tuple              # (eps, value) pairs, eps decreasing
-    slope: float | None
-    intercept: float | None
-    r2: float | None
-    underflow: bool
-    target: float
-    eigensolve: tuple  # health_info() of each windowed solve, in sweep order
-
-
-@dataclass(frozen=True)
 class TruncationReport:
     """(radius, |tr f(H_R) - tr f(H)|, weighted difference) rows of the
     cutoff-radius study, and the windowed solves behind them."""
@@ -70,10 +59,8 @@ class TruncationSpec:
     radii: tuple
 
     def __post_init__(self):
-        r = tuple(float(v) for v in self.radii)
-        if any(v <= 0 for v in r) or any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
-            raise ConfigurationError(f"radii must be positive increasing, got {r}")
-        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "radii", checked_sweep(
+            "radii", self.radii, 2, increasing=True))
 
     def profile(self, radius):
         """Radial plateau profile for one cutoff radius."""
@@ -191,39 +178,45 @@ def sigma_q_gap_window(localized, margin):
     return float(vals[k] + margin), float(vals[k + 1] - margin)
 
 
+def checked_eps(eps_list):
+    """eps_list as three or more positive decreasing floats: a log-log fit
+    through two points has r2 = 1 whatever they are."""
+    return checked_sweep("eps_list", eps_list, 3)
+
+
+def eps_sweep(grid: GridSpec, b, v, support, eps_list, value) -> ProbeReport:
+    """|value(eps, dec)| over a sweep of H(b, eps) with potential v, dec the
+    solve on the window ``support``, and its log-log fit against eps.
+
+    eps_list passes :func:`checked_eps`.  No fit is made when some value is
+    below 1e-13; slope, intercept and r2 are None then.
+    """
+    eps_list = checked_eps(eps_list)
+    norms, infos = [], []
+    for eps in eps_list:
+        dec = eigendecompose(assemble(grid, FieldParams(b=b, eps=eps), v),
+                             window=support)
+        norms.append(abs(value(eps, dec)))
+        infos.append(dec.health_info())
+    fit = ((None,) * 3 if any(n < 1e-13 for n in norms)
+           else fit_loglog(eps_list, norms))
+    return ProbeReport(eps_list, tuple(norms), *fit, eigensolve=tuple(infos))
+
+
 def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
-                    eps_list, wall_cutoff=None) -> ScalingReport:
-    """Sample |<xi', f>| over an eps sweep and fit the log-log slope.
+                    eps_list, wall_cutoff=None) -> ProbeReport:
+    """|<xi', f>| over an eps sweep and its log-log fit (:func:`eps_sweep`).
 
     Each sample is the commutator side ``-(1/eps) tr(dxV f(H))`` of the
     identity, which the identity proves equal to the trace difference (the
     definition; :func:`trace_identity_check` computes both) and which is far
     less sensitive to the discrete level sampling.
     """
-    eps_list = tuple(float(e) for e in eps_list)
-    if any(e <= 0 for e in eps_list) or any(
-            eps_list[i] <= eps_list[i + 1] for i in range(len(eps_list) - 1)):
-        raise ConfigurationError(
-            f"eps_list must be positive decreasing, got {eps_list}")
     fieldsV = eval_potential(spec, grid)
-    chi = (np.ones(grid.n_points) if wall_cutoff is None
-           else wall_cutoff_weights(grid, wall_cutoff))
-    samples, infos = [], []
-    for eps in eps_list:
-        dech = eigendecompose(assemble(grid, FieldParams(b=b, eps=eps),
-                                       fieldsV.v), window=f.support)
-        val = -(1.0 / eps) * weighted_trace_function(
-            dech, chi * fieldsV.dxv, f)
-        samples.append((eps, abs(val)))
-        infos.append(dech.health_info())
-    target = float(spec.decay_n - 2)
-    if any(v < 1e-13 for _, v in samples):
-        return ScalingReport(tuple(samples), None, None, None, True, target,
-                             tuple(infos))
-    slope, intercept, r2 = fit_loglog([e for e, _ in samples],
-                                      [v for _, v in samples])
-    return ScalingReport(tuple(samples), slope, intercept, r2, False, target,
-                         tuple(infos))
+    w = fieldsV.dxv if wall_cutoff is None else (
+        wall_cutoff_weights(grid, wall_cutoff) * fieldsV.dxv)
+    return eps_sweep(grid, b, fieldsV.v, f.support, eps_list, lambda eps, dec:
+                     -(1.0 / eps) * weighted_trace_function(dec, w, f))
 
 
 def fit_loglog(xs, ys):

@@ -1,4 +1,5 @@
-"""Trace/nuclear/Frobenius norms, shifted resolvents, and norm-bound probes.
+"""Trace/nuclear/Frobenius norms, shifted resolvents, norm-bound probes, and
+:class:`ProbeReport`, the one report of every eps or delta sweep.
 
 Nuclear norms are full singular value decompositions (numpy's, so every
 dense kernel here runs on numpy's one OpenBLAS thread pool), since they
@@ -84,6 +85,21 @@ def resolvent(op: DiscreteOperator, z):
     return r
 
 
+def checked_sweep(name, values, least, floor=0.0, increasing=False):
+    """values as floats, refused unless there are at least ``least`` of them,
+    each positive and above ``floor`` (a NaN floor refuses none), strictly
+    decreasing (or increasing)."""
+    v = tuple(float(x) for x in values)
+    s = v[::-1] if increasing else v
+    if (len(v) < least or not all(a > b for a, b in zip(s, s[1:]))
+            or not all(x > 0 and not x <= floor for x in v)):
+        raise ConfigurationError(
+            f"{name} must hold at least {({2: 'two', 3: 'three'})[least]} "
+            f"values, {'in' if increasing else 'de'}creasing and above "
+            f"{floor:.3g}, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Complex probe points; delta_list is the Im-halving sweep applied to z.
@@ -91,7 +107,8 @@ class ProbeSpec:
     The second point z' stays fixed through the sweep, keeping one resolvent
     in the level-counting regime so the scaled product stays flat; sweeping
     both imaginary parts at desk-scale level spacing drives the product
-    through a transition region instead.
+    through a transition region instead.  The spread of one product is 1
+    whatever it is, so the sweep needs two deltas or more.
     """
 
     z: complex
@@ -101,31 +118,44 @@ class ProbeSpec:
     def __post_init__(self):
         if self.z.imag == 0.0 or self.z_prime.imag == 0.0:
             raise ConfigurationError("probe points must have nonzero imaginary part")
-        d = self.delta_list
-        if any(not x > 0 for x in d) or any(d[i] <= d[i + 1] for i in range(len(d) - 1)):
-            raise ConfigurationError(
-                f"delta_list must be decreasing and positive, got {d}")
+        checked_sweep("delta_list", self.delta_list, 2)
 
 
 @dataclass(frozen=True)
-class TraceBoundReport:
-    """|Im z||Im z'| * ||(z-H)^-1 V (z'-H)^-1||_tr along the halving sweep."""
+class ProbeReport:
+    """Norms measured along a parameter sweep, the log-log fit of norm
+    against parameter where one was made, and the solves behind them."""
 
-    deltas: tuple
-    products: tuple
+    params: tuple
+    norms: tuple
+    slope: float | None = None
+    intercept: float | None = None
+    r2: float | None = None
+    residual_bound: float | None = None  # largest certified solve bound
+    eigensolve: tuple = ()  # health_info() of each windowed solve
+
+    @property
+    def plateau_ratio(self):
+        """norm at the smallest parameter over norm at twice that parameter."""
+        return self.norms[-1] / self.norms[-2]
+
+    @property
+    def sweep_growth(self):
+        """Total growth of the norm across the sweep."""
+        return self.norms[-1] / self.norms[0]
 
     @property
     def spread(self):
-        """max/min of the scaled products; bounded spread is the pass signal."""
-        lo = min(self.products)
+        """max/min of the norms; bounded spread is the pass signal."""
+        lo = min(self.norms)
         if lo == 0.0:
-            return float("inf") if max(self.products) > 0 else 1.0
-        return max(self.products) / lo
+            return float("inf") if max(self.norms) > 0 else 1.0
+        return max(self.norms) / lo
 
 
 def tracebound_sweep(h: DiscreteOperator, v_diag, probe: ProbeSpec):
-    """Scaled trace norms of the sandwiched resolvent along the Im-halving
-    sweep; no resolvent outlives the product it enters."""
+    """|Im z||Im z'| ||(z-H)^-1 V (z'-H)^-1||_tr along the Im-halving sweep;
+    no resolvent outlives the product it enters."""
     products = []
     for d in probe.delta_list:
         z = complex(probe.z.real, d * np.sign(probe.z.imag))
@@ -134,7 +164,7 @@ def tracebound_sweep(h: DiscreteOperator, v_diag, probe: ProbeSpec):
         rv = rv @ resolvent(h, probe.z_prime)
         products.append(abs(z.imag) * abs(probe.z_prime.imag)
                         * nuclear_norm(rv))
-    return TraceBoundReport(tuple(probe.delta_list), tuple(products))
+    return ProbeReport(tuple(probe.delta_list), tuple(products))
 
 
 def weighted_resolvent_norms(h0: DiscreteOperator, w: WeightSpec):

@@ -162,7 +162,7 @@ def test_criterion_7_tracebound_sweep():
     rep = tracebound_sweep(h, v, probe)
     ok = rep.spread <= 2.0
     assert _verdict(7, ok, f"|Im z||Im z'| * trace-norm spread {rep.spread:.3f} "
-                           f"over Im z in {rep.deltas} (gate <= 2)")
+                           f"over Im z in {rep.params} (gate <= 2)")
 
 
 def test_criterion_8_lap_plateau_and_negative_control():

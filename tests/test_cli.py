@@ -160,11 +160,24 @@ def test_spectrum_runner_small(tmp_path):
 @pytest.mark.parametrize("argv,entry", [
     (["scaling", "--set", "experiment.eps_list=0.4,abc"], "eps_list"),
     (["expansion-check", "--set", "experiment.orders=1,x"], "orders"),
-    (["convergence", "--of", "prop4", "--levels", "9,x,11"], "--levels")])
-def test_malformed_list_entry_exits_1(argv, entry, tmp_path, capsys):
+    (["convergence", "--of", "prop4", "--levels", "9,x,11"], "--levels"),
+    # sweeps too short for their gate to fail: a log-log fit through one or
+    # two points has r2 = 1, and one product or radius has nothing to compare
+    (["scaling", "--set", "experiment.eps_list=0.2"], "eps_list"),
+    (["lemma7", "--set", "experiment.eps_list=0.1"], "eps_list"),
+    (["prop2", "--set", "experiment.delta_list=0.5"], "delta_list"),
+    (["truncation", "--set", "experiment.radii=3.0"], "radii")])
+def test_malformed_list_entry_exits_1(argv, entry, tmp_path, capsys,
+                                      monkeypatch):
+    # each is refused before any operator is counted or written
+    from magstark.grid import DiscreteOperator
+    for name in ("coo", "inertia_counts"):
+        monkeypatch.setattr(DiscreteOperator, name, lambda *a, **k:
+                            pytest.fail("an operator was solved"))
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and entry in err
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_rejects_a_target_without_a_tolerance(tmp_path, capsys):
@@ -458,9 +471,8 @@ def test_spectrum_splits_q_into_two_parity_blocks(tmp_path, monkeypatch):
               "workspace_bytes": _evd_bytes(841)}}
 
 
-# Negative controls for the runners whose Q spectrum is streamed: each
-# --set override at a small grid fails exactly its gate, beside a config
-# that passes every gate of the same run
+# Negative controls: each --set override at a small grid fails exactly its
+# gate, beside a config that passes every gate of the same run
 GATE_CONTROLS = [
     ("spectrum", 21, 21, "cluster_3.0", ["experiment.cluster_min=2"],
      ["experiment.cluster_min=3"]),
@@ -468,7 +480,17 @@ GATE_CONTROLS = [
      ["experiment.slope_lo=0.5", "experiment.slope_hi=1.5"],
      ["experiment.slope_lo=1.0", "experiment.slope_hi=1.5"]),
     ("lap-probe", 13, 13, "plateau", [], ["experiment.plateau_max=1.0"]),
+    # scaling at 61 x 13 reads slope 0.540, r2 0.618
+    ("scaling", 61, 13, "r2", ["experiment.r2_min=0.5"],
+     ["experiment.r2_min=0.7"]),
+    ("scaling", 61, 13, "slope_window", ["experiment.r2_min=0.5"],
+     ["experiment.r2_min=0.5", "experiment.slope_lo=0.6"]),
+    # prop2 at 13 x 13 reads spread 1.490
+    ("prop2", 13, 13, "spread", [], ["experiment.spread_max=1.4"]),
 ]
+# gates that a control fails beside its own: scaling's slope_window also
+# requires r2 >= r2_min
+COUPLED = {("scaling", "r2"): {"slope_window"}}
 
 
 @pytest.mark.parametrize("name,nx,ny,gate,passing,failing", GATE_CONTROLS)
@@ -485,7 +507,8 @@ def test_a_gate_control_fails_only_its_gate(name, nx, ny, gate, passing,
     ok, bad = envs
     assert ok["all_pass"] is True and bad["all_pass"] is False
     assert all(g["pass"] for g in ok["gates"].values())
-    assert [k for k, g in bad["gates"].items() if not g["pass"]] == [gate]
+    assert ({k for k, g in bad["gates"].items() if not g["pass"]}
+            == {gate} | COUPLED.get((name, gate), set()))
     # the same run, judged against another threshold
     assert bad["results"] == ok["results"]
     assert bad["gates"][gate]["value"] == ok["gates"][gate]["value"]
@@ -506,11 +529,22 @@ def test_mourre_empty_window_fails(tmp_path):
         "value": None, "threshold": pytest.approx(0.24), "pass": False}
 
 
+def test_prop2_records_its_eigensolve(tmp_path):
+    # H (eps = 0.5) does not commute with J, so the full solve that picks
+    # re_z is the unsplit real one, and it holds the factor
+    _, env = run("prop2", load_config("prop2", None, ["grid.nx=9",
+                                                      "grid.ny=9"]), tmp_path)
+    assert env["results"]["eigensolve"] == {
+        "h": {"path": "real", "blocks": [81], "n": 81, "pairs": 81,
+              "factor_bytes": 8 * 81 ** 2, "dense_bytes": 8 * 81 ** 2,
+              "workspace_bytes": _evd_bytes(81)}}
+
+
 def test_prop2_unbounded_spread_fails(tmp_path, monkeypatch):
     import magstark.cli as cli
-    from magstark.traces import TraceBoundReport
+    from magstark.traces import ProbeReport
     monkeypatch.setattr(cli, "tracebound_sweep", lambda h, v, probe:
-                        TraceBoundReport(probe.delta_list, (0.0, 1.0, 1.0)))
+                        ProbeReport(probe.delta_list, (0.0, 1.0, 1.0)))
     code, env = run("prop2",
                     load_config("prop2", None, ["grid.nx=9", "grid.ny=9"]),
                     tmp_path)

@@ -191,7 +191,7 @@ def test_gap_window_shrinks_with_attractive_potential():
 def test_epsilon_scaling_zero_potential_underflow():
     g = make_grid(6, 6, 21, 21)
     rep = epsilon_scaling(g, 1.0, ZERO, F, (0.4, 0.2, 0.1))
-    assert rep.underflow and rep.slope is None
+    assert rep.slope is None and rep.intercept is None and rep.r2 is None
 
 
 def test_epsilon_scaling_slope_invariant_under_f_rescale():
@@ -208,7 +208,10 @@ def test_epsilon_scaling_slope_invariant_under_f_rescale():
 def test_epsilon_scaling_validation():
     g = make_grid(6, 6, 21, 21)
     with pytest.raises(ConfigurationError, match="decreasing"):
-        epsilon_scaling(g, 1.0, GAUSS, F, (0.1, 0.2))
+        epsilon_scaling(g, 1.0, GAUSS, F, (0.2, 0.1, 0.15))
+    # a log-log fit through two points has r2 = 1 whatever they are
+    with pytest.raises(ConfigurationError, match="at least three"):
+        epsilon_scaling(g, 1.0, GAUSS, F, (0.2, 0.1))
 
 
 def test_resolvent_expansion_exact():

@@ -2,8 +2,9 @@
 
 Every public function or method under ``src/magstark`` must be read (as a
 name or an attribute, not an import or a docstring) somewhere in the
-package, and every dataclass field as an attribute; reference
-implementations that only tests use live in ``tests/oracles.py``.
+package, every dataclass field as an attribute, and every imported name in
+the module that imports it; reference implementations that only tests use
+live in ``tests/oracles.py``.
 """
 
 import ast
@@ -67,6 +68,25 @@ def test_every_dataclass_field_has_a_reader_in_src():
     unread = {qual for tree in trees for qual, name in _dataclass_fields(tree)
               if name not in attrs}
     assert unread == set()
+
+
+def test_every_import_has_a_reader():
+    # each name a module imports is loaded somewhere in that module;
+    # __init__ only re-exports
+    stale = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        stale |= {f"{path.stem}.{alias.asname or alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names
+                  if (alias.asname or alias.name).split(".")[0] not in loaded}
+    assert stale == set()
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

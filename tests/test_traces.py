@@ -158,7 +158,7 @@ def test_tracebound_sweep_zero_potential():
     h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
     probe = ProbeSpec(z=2.0 + 0.5j, z_prime=2.0 + 0.25j)
     rep = tracebound_sweep(h, np.zeros(GRID.n_points), probe)
-    assert all(p == 0.0 for p in rep.products)
+    assert all(p == 0.0 for p in rep.norms)
 
 
 def test_sandwich_norm_adjoint_symmetry():
@@ -166,9 +166,10 @@ def test_sandwich_norm_adjoint_symmetry():
     h = assemble(GRID, FIELDS, eval_potential(SEP3, GRID).v)
     v = eval_potential(SEP3, GRID).v
     z, zp = 1.8 + 0.4j, 2.2 + 0.3j
-    a = tracebound_sweep(h, v, ProbeSpec(z, zp, (z.imag,)))
-    b = tracebound_sweep(h, v, ProbeSpec(np.conj(zp), np.conj(z), (zp.imag,)))
-    assert np.isclose(a.products[0], b.products[0], rtol=1e-8)
+    a = tracebound_sweep(h, v, ProbeSpec(z, zp, (z.imag, z.imag / 2)))
+    b = tracebound_sweep(h, v, ProbeSpec(np.conj(zp), np.conj(z),
+                                         (zp.imag, zp.imag / 2)))
+    assert np.isclose(a.norms[0], b.norms[0], rtol=1e-8)
 
 
 def test_tracebound_sweep_deterministic():
@@ -177,7 +178,7 @@ def test_tracebound_sweep_deterministic():
     probe = ProbeSpec(z=2.0 + 0.5j, z_prime=2.0 + 0.25j)
     r1 = tracebound_sweep(h, v, probe)
     r2 = tracebound_sweep(h, v, probe)
-    assert r1.products == r2.products
+    assert r1.norms == r2.norms
 
 
 def test_probe_spec_validation():
@@ -185,6 +186,9 @@ def test_probe_spec_validation():
         ProbeSpec(z=2.0 + 0j, z_prime=1.0 + 0.5j)
     with pytest.raises(ConfigurationError, match="decreasing"):
         ProbeSpec(z=2j, z_prime=1j, delta_list=(0.25, 0.5))
+    # the spread of one product is 1 whatever it is
+    with pytest.raises(ConfigurationError, match="at least two"):
+        ProbeSpec(z=2j, z_prime=1j, delta_list=(0.5,))
 
 
 def test_weighted_resolvent_norms_monotone_in_delta():
