@@ -13,8 +13,8 @@ from .grid import DiscreteOperator, GridSpec, d2_op, make_grid
 from .hamiltonian import FieldParams, assemble
 from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
-from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
-                       eigendecompose, weight_dx_s)
+from .spectral import (BumpFunction, SpectralDecomposition, eigendecompose,
+                       weight_dx_s)
 from .traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm, nuclear_norm,
                      operator_norm, tracebound_sweep, resolvent_chain_tracenorm, resolvent)
 

@@ -38,15 +38,16 @@ from . import __version__
 from .errors import ConfigurationError, MagstarkError
 from .grid import make_grid
 from .hamiltonian import FieldParams, assemble
-from .mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
+from .mourre import checked_s, lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
-from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, WeightSpec,
-                       eigendecompose, interior_mask, weighted_spectrum)
+from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, eigendecompose,
+                       interior_mask, weighted_spectrum)
 from .ssf import (TruncationSpec, checked_eps, epsilon_scaling,
                   resolvent_expansion_check, sigma_q_gap_window,
                   trace_identity_check, truncation_convergence)
-from .traces import ProbeSpec, weighted_resolvent_norms, tracebound_sweep, resolvent_chain_tracenorm
+from .traces import (ProbeSpec, checked_sweep, weighted_resolvent_norms,
+                     tracebound_sweep, resolvent_chain_tracenorm)
 
 # At exit the last cyclic collection would walk the whole numpy/scipy import
 # heap; frozen, it is skipped.  Outputs are closed before main() returns.
@@ -113,10 +114,8 @@ def _run_verify_theorem1(grid, fields, spec, f, e):
 
 
 def _run_scaling(grid, fields, spec, f, e):
-    collar = e["wall_collar"]
     rep = epsilon_scaling(grid, fields.b, spec, f,
-                          _list("eps_list", e["eps_list"]),
-                          wall_cutoff=collar if collar > 0 else None)
+                          _list("eps_list", e["eps_list"]))
     rows = [("eps", "value")] + list(zip(rep.params, rep.norms))
     underflow = rep.slope is None  # no fit through a sample below 1e-13
     results = {"slope": rep.slope, "intercept": rep.intercept, "r2": rep.r2,
@@ -180,6 +179,10 @@ def _q_spectrum(grid, b, v):
 
 
 def _run_lap_probe(grid, fields, spec, f, e):
+    # s and the delta list are checked before Q is solved
+    s = checked_s(e["s"])
+    deltas = checked_sweep("delta_list", [2.0 ** (-k) for k in range(
+        int(e["delta_max_exp"]), int(e["delta_min_exp"]) + 1)], 2)
     used = clamp_amplitude(spec, fields.eps / 2.0)
     v = eval_potential(used, grid).v
     h = assemble(grid, fields, v)
@@ -189,9 +192,7 @@ def _run_lap_probe(grid, fields, spec, f, e):
     lo, hi = sigma_q_gap_window(loc, margin=0.3)
     dec = eigendecompose(h, window=(lo, hi))
     lam, _ = _widest_slot(dec.eigenvalues, lo, hi)
-    deltas = tuple(2.0 ** (-k) for k in
-                   range(int(e["delta_max_exp"]), int(e["delta_min_exp"]) + 1))
-    rep = lap_probe(h, lam, WeightSpec(s=e["s"], delta=0.5), deltas)
+    rep = lap_probe(h, lam, s, deltas)
     ok = rep.plateau_ratio <= e["plateau_max"]
     rows = [("delta", "norm")] + list(zip(rep.params, rep.norms))
     results = {"lambda": lam, "plateau_ratio": rep.plateau_ratio,
@@ -212,8 +213,7 @@ def _run_lemma7(grid, fields, spec, f, e):
     # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
     # chi(Q) vanishes exactly at eps = 0
     center, width = _widest_slot(lam, f.center - 0.25, f.center + 0.25)
-    chi = BumpFunction(center, min(f.halfwidth, 0.45 * width),
-                       plateau=f.plateau if f.plateau > 0 else 0.5)
+    chi = BumpFunction(center, min(f.halfwidth, 0.45 * width), f.plateau)
     rep = gap_cutoff_sweep(grid, fields.b, v, chi, eps_list, q_localized=loc,
                            margin=e["sigma_margin"])
     ok = (rep.slope is not None
@@ -252,9 +252,8 @@ def _run_prop2(grid, fields, spec, f, e):
 def _run_prop4(grid, fields, spec, f, e):
     pv = eval_potential(spec, grid)
     q = assemble(grid, fields, pv.v)
-    w = WeightSpec(s=e["s"], delta=e["delta"])
-    val = resolvent_chain_tracenorm(q, pv.dxv, int(e["order"]), w,
-                                    complex(e["re_z"], e["im_z"]))
+    val = resolvent_chain_tracenorm(q, pv.dxv, int(e["order"]), e["s"],
+                                    e["delta"], complex(e["re_z"], e["im_z"]))
     rows = [("order", "trace_norm"), (int(e["order"]), val)]
     # run() fails a non-finite gate value
     return rows, {"trace_norm": val}, {"finite": (val, None, True)}
@@ -262,7 +261,7 @@ def _run_prop4(grid, fields, spec, f, e):
 
 def _run_appendix(grid, fields, spec, f, e):
     h0 = assemble(grid, fields, np.zeros(grid.n_points))
-    res = weighted_resolvent_norms(h0, WeightSpec(s=e["s"], delta=e["delta"]))
+    res = weighted_resolvent_norms(h0, e["delta"])
     rows = [("hs1", "tr2"), (res["hs1"], res["tr2"])]
     # run() fails a non-finite gate value
     return rows, res, {"finite": ((res["hs1"], res["tr2"]), None, True)}
@@ -339,8 +338,7 @@ EXPERIMENTS = {
                        "decay_n": 3},
          "function": {"center": 2.0, "halfwidth": 0.5, "plateau": 0.0},
          "experiment": {"eps_list": "0.4,0.283,0.2,0.141,0.1",
-                        "slope_lo": 0.5, "slope_hi": 1.5, "r2_min": 0.9,
-                        "wall_collar": 0.0}},
+                        "slope_lo": 0.5, "slope_hi": 1.5, "r2_min": 0.9}},
         _run_scaling),
     "mourre": Experiment(
         {"experiment": {"window_lo": 1.6, "window_hi": 2.4, "rel_slack": 0.02},
@@ -381,7 +379,7 @@ EXPERIMENTS = {
         {"grid": {"nx": 31, "ny": 31},
          "fields": {"eps": 0.5},
          "potential": None,
-         "experiment": {"s": 0.6, "delta": 0.5}},
+         "experiment": {"delta": 0.5}},
         _run_appendix, "hs1"),
     "spectrum": Experiment(
         {"grid": {"nx": 61, "ny": 61},

@@ -24,8 +24,7 @@ from .errors import (ConfigurationError, MagstarkError, NearSingularityError,
                      SpectralWindowError)
 from .grid import DiscreteOperator, GridSpec, apply_x
 from .hamiltonian import FieldParams
-from .spectral import (BumpFunction, SpectralDecomposition, WeightSpec,
-                       weight_dx_s)
+from .spectral import BumpFunction, SpectralDecomposition, weight_dx_s
 from .ssf import eps_sweep
 from .traces import RESIDUAL_TOL, ProbeReport, checked_sweep, operator_norm
 
@@ -79,9 +78,16 @@ def gap_cutoff_sweep(grid: GridSpec, b, v, chi: BumpFunction, eps_list,
                      lambda eps, dec: gap_cutoff_norm(dec, chi))
 
 
-def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
-              delta_list) -> ProbeReport:
-    """Norms ||<Dx>^-s (H - lam - i delta)^-1 <Dx>^-s|| along a delta sweep.
+def checked_s(s):
+    """s, refused unless 1/2 < s < 1 as the weight <Dx>^-s needs."""
+    if not 0.5 < s < 1.0:
+        raise ConfigurationError(f"s must lie in (1/2, 1), got {s}")
+    return s
+
+
+def lap_probe(h: DiscreteOperator, lam, s, delta_list) -> ProbeReport:
+    """Norms ||<Dx>^-s (H - lam - i delta)^-1 <Dx>^-s|| along a delta sweep,
+    s passing :func:`checked_s`.
 
     Per delta, z - H (z = lam + i delta) is factored once by SuperLU
     (``splu`` of :meth:`~magstark.grid.DiscreteOperator.csc`), and the norm
@@ -105,7 +111,7 @@ def lap_probe(h: DiscreteOperator, lam, w: WeightSpec,
     g = max(lam - lo, hi - lam)
     floor = 4 * np.finfo(float).eps * (g + max((0, *delta_list))) / RESIDUAL_TOL
     deltas = checked_sweep("delta_list", delta_list, 2, floor)
-    grid, n, w1d = h.grid, h.dim, weight_dx_s(h.grid, w)
+    grid, n, w1d = h.grid, h.dim, weight_dx_s(h.grid, -checked_s(s))
     w2 = w1d @ w1d
     norms, bounds = [], []
     for delta in deltas:

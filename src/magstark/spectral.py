@@ -460,39 +460,19 @@ def weighted_trace_function(dec: SpectralDecomposition, weights, f):
     return float(dec.weighted_density(weights) @ fvals)
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Exponents for the <Dx>^-s and power-decay k_j weights."""
-
-    s: float = 0.75
-    delta: float = 0.5
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
-
-
-def weight_dx_s(grid: GridSpec, w: WeightSpec, power=None):
+def weight_dx_s(grid: GridSpec, power):
     """The nx x nx factor (1 + Dx^2)^(power/2), from the 1D Dirichlet Dx^2
-    eigenbasis.
-
-    The 2D weight is kron(I_ny, factor); apply it with
-    :func:`~magstark.grid.apply_x`.  Default power is -w.s (the smoothing
-    weight of the resolvent probes, requiring s in (1/2, 1)); an explicit
-    power builds the matching growing weight used by the trace-class
-    experiments.
-    """
-    if power is None:
-        if not 0.5 < w.s < 1.0:
-            raise ConfigurationError(
-                f"s must lie in (1/2, 1) for resolvent weights, got {w.s}")
-        power = -w.s
+    eigenbasis; :func:`~magstark.grid.apply_x` applies the 2D weight
+    kron(I_ny, factor).  Callers check their own s: power -s smooths the
+    limiting-absorption probe, power s grows the trace-class chain."""
     lam, u = np.linalg.eigh(d2_op(grid.nx, grid.hx))
     return (u * (1.0 + lam) ** (power / 2.0)) @ u.T
 
 
 def decay_weight(grid: GridSpec, j, delta):
-    """Diagonal k_j = <x>^(-j(1+delta)) <y>^(-j(1/2+delta)) of the norm bounds."""
+    """Diagonal k_j = <x>^(-j(1+delta)) <y>^(-j(1/2+delta)), delta > 0."""
+    if not delta > 0:
+        raise ConfigurationError(f"delta must be positive, got {delta}")
     xf, yf = grid.meshes()
     return ((1.0 + xf * xf) ** (-j * (1.0 + delta) / 2.0)
             * (1.0 + yf * yf) ** (-j * (0.5 + delta) / 2.0))

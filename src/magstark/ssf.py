@@ -204,7 +204,7 @@ def eps_sweep(grid: GridSpec, b, v, support, eps_list, value) -> ProbeReport:
 
 
 def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
-                    eps_list, wall_cutoff=None) -> ProbeReport:
+                    eps_list) -> ProbeReport:
     """|<xi', f>| over an eps sweep and its log-log fit (:func:`eps_sweep`).
 
     Each sample is the commutator side ``-(1/eps) tr(dxV f(H))`` of the
@@ -213,10 +213,8 @@ def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
     less sensitive to the discrete level sampling.
     """
     fieldsV = eval_potential(spec, grid)
-    w = fieldsV.dxv if wall_cutoff is None else (
-        wall_cutoff_weights(grid, wall_cutoff) * fieldsV.dxv)
     return eps_sweep(grid, b, fieldsV.v, f.support, eps_list, lambda eps, dec:
-                     -(1.0 / eps) * weighted_trace_function(dec, w, f))
+                     -(1.0 / eps) * weighted_trace_function(dec, fieldsV.dxv, f))
 
 
 def fit_loglog(xs, ys):

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, NearSingularityError
 from .grid import DiscreteOperator, apply_x
-from .spectral import WeightSpec, decay_weight, weight_dx_s
+from .spectral import decay_weight, weight_dx_s
 
 RESIDUAL_TOL = 1e-8
 
@@ -167,21 +167,22 @@ def tracebound_sweep(h: DiscreteOperator, v_diag, probe: ProbeSpec):
     return ProbeReport(tuple(probe.delta_list), tuple(products))
 
 
-def weighted_resolvent_norms(h0: DiscreteOperator, w: WeightSpec):
+def weighted_resolvent_norms(h0: DiscreteOperator, delta):
     """Weighted resolvent norms: hs1 = ||k1 (H0+i)^-1||_HS, tr2 = ||k2 (H0+i)^-2||_tr.
 
-    (-i - H0)^-1 = -(H0+i)^-1, and neither norm sees the sign.
+    k_j = decay_weight(grid, j, delta), built first: delta <= 0 is refused
+    unsolved.  (-i - H0)^-1 = -(H0+i)^-1, and neither norm sees the sign.
     """
+    k1 = decay_weight(h0.grid, 1, delta)
+    k2 = decay_weight(h0.grid, 2, delta)
     r = resolvent(h0, -1j)
-    k1 = decay_weight(h0.grid, 1, w.delta)
-    k2 = decay_weight(h0.grid, 2, w.delta)
     hs1 = frobenius_norm(k1[:, None] * r)
     r = r @ r
     r *= k2[:, None]
     return {"hs1": hs1, "tr2": nuclear_norm(r)}
 
 
-def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, w: WeightSpec, z):
+def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, s, delta, z):
     """Trace norm of <Dx>^s dxV [(z-Q)^-1 X]^n <Dx>^s.
 
     Requires n >= 2 and 1/2 < s < min(1/2 + delta/4, 1); z must keep a gap to
@@ -190,11 +191,11 @@ def resolvent_chain_tracenorm(q: DiscreteOperator, dxv_diag, n, w: WeightSpec, z
     """
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
-    s_hi = min(0.5 + w.delta / 4.0, 1.0)
-    if not 0.5 < w.s < s_hi:
-        raise ConfigurationError(
-            f"s must lie in (1/2, {s_hi}) for delta={w.delta}, got {w.s}")
-    ws = weight_dx_s(q.grid, w, power=w.s)
+    s_hi = min(0.5 + delta / 4.0, 1.0)
+    if not 0.5 < s < s_hi:
+        raise ConfigurationError(f"s must lie in (1/2, min(1/2 + delta/4, 1))"
+                                 f" with delta > 0, got s={s}, delta={delta}")
+    ws = weight_dx_s(q.grid, s)
     m = resolvent(q, z)
     m *= q.grid.meshes()[0]  # (z-Q)^-1 X
     m = np.linalg.matrix_power(m, n)

@@ -20,7 +20,7 @@ from magstark.hamiltonian import FieldParams, assemble
 from magstark.mourre import lap_probe, gap_cutoff_sweep, mourre_gap_bound
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (LOCALIZATION_THRESHOLD, BumpFunction,
-                               WeightSpec, eigendecompose, interior_mask,
+                               eigendecompose, interior_mask,
                                weighted_spectrum)
 from magstark.ssf import (epsilon_scaling, resolvent_expansion_check,
                           sigma_q_gap_window, trace_identity_check)
@@ -180,13 +180,12 @@ def test_criterion_8_lap_plateau_and_negative_control():
     k = int(np.argmax(gaps))
     lam0 = 0.5 * (pts[k] + pts[k + 1])
     deltas = tuple(2.0 ** (-j) for j in range(1, 9))
-    w = WeightSpec(s=0.75, delta=0.5)
-    rep = lap_probe(h, lam0, w, deltas)
+    rep = lap_probe(h, lam0, 0.75, deltas)
     # negative control: deep attractive well with a localized level
     well = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     h_neg = assemble(g, FieldParams(1.0, eps), eval_potential(well, g).v)
     lam_neg = float(_localized(h_neg)[0])
-    rep_neg = lap_probe(h_neg, lam_neg, w, deltas)
+    rep_neg = lap_probe(h_neg, lam_neg, 0.75, deltas)
     ok = rep.plateau_ratio <= 1.15 and rep_neg.sweep_growth >= 5.0
     assert _verdict(8, ok, f"gap plateau ratio {rep.plateau_ratio:.4f} at "
                            f"lambda={lam0:.3f} (<=1.15); localized-eigenvalue "
@@ -212,17 +211,16 @@ def test_criterion_9_mourre_gap_bound():
 
 def test_criterion_10_weighted_norm_stability():
     fields = FieldParams(1.0, 0.5)
-    w = WeightSpec(s=0.6, delta=0.5)
     hs1, tr2, p4 = [], [], []
     for nx in (31, 41, 61):
         g = make_grid(6, 6, nx, nx)
         h0 = assemble(g, fields, np.zeros(g.n_points))
-        res = weighted_resolvent_norms(h0, w)
+        res = weighted_resolvent_norms(h0, 0.5)
         hs1.append(res["hs1"])
         tr2.append(res["tr2"])
         pv = eval_potential(SEP3, g)
         q = assemble(g, FieldParams(1.0), pv.v)
-        p4.append(resolvent_chain_tracenorm(q, pv.dxv, 2, w, 2.0 + 1.0j))
+        p4.append(resolvent_chain_tracenorm(q, pv.dxv, 2, 0.6, 0.5, 2.0 + 1.0j))
     dh = abs(hs1[-1] - hs1[-2]) / hs1[-2]
     dt = abs(tr2[-1] - tr2[-2]) / tr2[-2]
     dp = abs(p4[-1] - p4[-2]) / p4[-2]

@@ -166,7 +166,12 @@ def test_spectrum_runner_small(tmp_path):
     (["scaling", "--set", "experiment.eps_list=0.2"], "eps_list"),
     (["lemma7", "--set", "experiment.eps_list=0.1"], "eps_list"),
     (["prop2", "--set", "experiment.delta_list=0.5"], "delta_list"),
-    (["truncation", "--set", "experiment.radii=3.0"], "radii")])
+    (["truncation", "--set", "experiment.radii=3.0"], "radii"),
+    # lap-probe's delta list and s, refused before Q is solved at the
+    # shipped 41 x 41 grid
+    (["lap-probe", "--set", "experiment.delta_max_exp=5",
+      "--set", "experiment.delta_min_exp=5"], "delta_list"),
+    (["lap-probe", "--set", "experiment.s=0.4"], "s must lie")])
 def test_malformed_list_entry_exits_1(argv, entry, tmp_path, capsys,
                                       monkeypatch):
     # each is refused before any operator is counted or written
@@ -256,7 +261,10 @@ def test_set_default_round_trips_with_default_types(name):
     ("lap-probe", "experiment.lambda"), ("prop2", "experiment.re_z"),
     ("prop2", "function.center"), ("spectrum", "fields.eps"),
     ("scaling", "fields.eps"), ("lemma7", "fields.eps"),
-    ("prop4", "fields.eps"), ("appendix-norms", "potential.family")])
+    ("prop4", "fields.eps"), ("appendix-norms", "potential.family"),
+    # appendix-norms reads only delta; scaling's one collar value, 0, meant
+    # no cutoff
+    ("appendix-norms", "experiment.s"), ("scaling", "experiment.wall_collar")])
 def test_removed_entries_are_unknown(name, dotted):
     with pytest.raises(ConfigurationError, match="unknown config entry"):
         load_config(name, None, [f"{dotted}=1"])
@@ -487,6 +495,19 @@ GATE_CONTROLS = [
      ["experiment.r2_min=0.5", "experiment.slope_lo=0.6"]),
     # prop2 at 13 x 13 reads spread 1.490
     ("prop2", 13, 13, "spread", [], ["experiment.spread_max=1.4"]),
+    # verify-theorem1 at 21 x 21 reads relative residual 0.2415
+    ("verify-theorem1", 21, 21, "relative_residual", [],
+     ["experiment.rel_tol=0.2"]),
+    # mourre at 15 x 15 reads bound 0.4522; rel_slack -0.5 lifts the
+    # threshold from 0.24 to 0.5
+    ("mourre", 15, 15, "bound_above_half_eps", [],
+     ["experiment.rel_slack=-0.5"]),
+    # and bound 0.49999999999999845 = eps to round-off with V = 0
+    ("mourre", 15, 15, "bound_equals_eps", ["potential.family=zero"],
+     ["potential.family=zero", "experiment.rel_slack=-0.01"]),
+    # expansion-check at 9 x 9 reads residual 5.07e-15
+    ("expansion-check", 9, 9, "residual", [],
+     ["experiment.residual_max=1e-16"]),
 ]
 # gates that a control fails beside its own: scaling's slope_window also
 # requires r2 >= r2_min

@@ -11,8 +11,8 @@ from magstark.mourre import (gap_cutoff_norm, gap_cutoff_sweep, lap_probe,
                              mourre_gap_bound)
 from magstark.potentials import PotentialSpec, clamp_amplitude, eval_potential
 from magstark.spectral import (LOCALIZATION_THRESHOLD, BumpFunction,
-                               WeightSpec, eigendecompose, interior_mask,
-                               weight_dx_s, weighted_spectrum)
+                               eigendecompose, interior_mask, weight_dx_s,
+                               weighted_spectrum)
 from magstark.traces import RESIDUAL_TOL
 from oracles import embed_x
 
@@ -121,7 +121,11 @@ def test_gap_cutoff_support_overlap_error():
 def test_lap_probe_validation():
     h = assemble(GRID, FIELDS, NO_V)
     with pytest.raises(ConfigurationError, match="delta_list"):
-        lap_probe(h, 2.0, WeightSpec(s=0.75), (0.1, 0.2))
+        lap_probe(h, 2.0, 0.75, (0.1, 0.2))
+    # <Dx>^-s smooths only for 1/2 < s < 1
+    for s in (0.4, 0.5, 1.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="s must lie"):
+            lap_probe(h, 2.0, s, (0.5, 0.25))
 
 
 @pytest.mark.parametrize("target", [10.0, 40.0, 100.0])
@@ -139,13 +143,13 @@ def test_lap_probe_delta_floor_follows_the_operator(target, monkeypatch):
     g = np.max(np.abs(lam - h.diag) + radii) + 0.5
     assert g >= np.max(np.abs(ev - lam)) + 0.5
     floor = 4 * np.finfo(float).eps * g / RESIDUAL_TOL
-    rep = lap_probe(h, lam, WeightSpec(s=0.75), (0.5, 1.001 * floor))
+    rep = lap_probe(h, lam, 0.75, (0.5, 1.001 * floor))
     assert 0.0 < rep.residual_bound <= RESIDUAL_TOL
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda a: pytest.fail("factored"))
     for low in (0.999 * floor, 1e-6):
         with pytest.raises(ConfigurationError, match="delta_list"):
-            lap_probe(h, lam, WeightSpec(s=0.75), (0.5, low))
+            lap_probe(h, lam, 0.75, (0.5, low))
 
 
 def test_lap_probe_blows_up_at_localized_eigenvalue():
@@ -158,7 +162,7 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     lam, scores, _ = weighted_spectrum(h, interior_mask(GRID, 0.05))
     lam0 = float(lam[scores > LOCALIZATION_THRESHOLD][0])
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
-    rep = lap_probe(h, lam0, WeightSpec(s=0.75), deltas)
+    rep = lap_probe(h, lam0, 0.75, deltas)
     assert rep.sweep_growth >= 5.0
     assert rep.norms[-1] / rep.norms[-2] >= 1.8
 
@@ -172,15 +176,15 @@ def test_lap_probe_plateau_off_spectrum():
     k = int(np.argmax(gaps))
     lam0 = 0.5 * (pts[k] + pts[k + 1])
     deltas = tuple(2.0 ** (-j) for j in range(1, 9))
-    rep = lap_probe(h, lam0, WeightSpec(s=0.75), deltas)
+    rep = lap_probe(h, lam0, 0.75, deltas)
     assert rep.plateau_ratio <= 1.15
 
 
-def _direct_norms(h, lam, w, deltas):
+def _direct_norms(h, lam, s, deltas):
     """||W (z - H)^-1 W|| from one dense solve against W, without the
     residual-checked resolvent, and a dense 2-norm."""
     g = h.grid
-    wmat = embed_x(g, weight_dx_s(g, w))
+    wmat = embed_x(g, weight_dx_s(g, -s))
     eye = np.eye(g.n_points)
     return [np.linalg.norm(wmat @ np.linalg.solve(
         (lam + 1j * d) * eye - h.dense(), wmat.astype(complex)), 2)
@@ -192,9 +196,9 @@ def test_lap_probe_matches_direct_solve():
                            0.05)
     g = make_grid(6, 6, 21, 21)
     h = assemble(g, FieldParams(b=1.0, eps=0.1), eval_potential(spec, g).v)
-    w, deltas = WeightSpec(s=0.75), (0.5, 0.125, 0.03125)
-    rep = lap_probe(h, 2.1, w, deltas)
-    for norm, expected in zip(rep.norms, _direct_norms(h, 2.1, w, deltas)):
+    deltas = (0.5, 0.125, 0.03125)
+    rep = lap_probe(h, 2.1, 0.75, deltas)
+    for norm, expected in zip(rep.norms, _direct_norms(h, 2.1, 0.75, deltas)):
         assert abs(norm - expected) <= 1e-12 * expected
 
 
@@ -214,10 +218,10 @@ def test_lap_probe_matches_direct_solve_on_every_factor(eps, y0, path):
             weighted_spectrum(h, v)
     else:
         assert weighted_spectrum(h, v)[2]["path"] == path
-    w, deltas = WeightSpec(s=0.75), (0.5, 0.125, 0.03125)
-    rep = lap_probe(h, 2.1, w, deltas)
+    deltas = (0.5, 0.125, 0.03125)
+    rep = lap_probe(h, 2.1, 0.75, deltas)
     assert 0.0 < rep.residual_bound <= 1e-10
-    for norm, expected in zip(rep.norms, _direct_norms(h, 2.1, w, deltas)):
+    for norm, expected in zip(rep.norms, _direct_norms(h, 2.1, 0.75, deltas)):
         assert abs(norm - expected) <= 1e-12 * expected
 
 
@@ -234,10 +238,10 @@ def test_lap_probe_peak_allocation():
                            0.05)
     h = assemble(g, FieldParams(b=1.0, eps=0.1), eval_potential(spec, g).v)
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
-    lap_probe(h, 2.1, WeightSpec(s=0.75), deltas[:2])  # imports untraced
+    lap_probe(h, 2.1, 0.75, deltas[:2])  # imports untraced
     tracemalloc.start()
     try:
-        lap_probe(h, 2.1, WeightSpec(s=0.75), deltas)
+        lap_probe(h, 2.1, 0.75, deltas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,7 +264,7 @@ def _probe_with_defect(defect, monkeypatch):
     splu = scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda a: _Defective(splu(a), defect))
-    return lap_probe(assemble(GRID, FIELDS, NO_V), 2.0, WeightSpec(s=0.75),
+    return lap_probe(assemble(GRID, FIELDS, NO_V), 2.0, 0.75,
                      (0.5, 0.25))
 
 
@@ -284,7 +288,7 @@ def test_lap_probe_rejects_a_singular_factor():
     diag = h.diag.copy()
     diag[3] = np.nan
     with pytest.raises(NearSingularityError, match="singular"):
-        lap_probe(replace(h, diag=diag), 2.0, WeightSpec(s=0.75), (0.5, 0.25))
+        lap_probe(replace(h, diag=diag), 2.0, 0.75, (0.5, 0.25))
 
 
 def test_lap_probe_rejects_a_wrong_ritz_value(monkeypatch):
@@ -297,5 +301,5 @@ def test_lap_probe_rejects_a_wrong_ritz_value(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", off)
     with pytest.raises(MagstarkError, match="Ritz residual"):
-        lap_probe(assemble(GRID, FIELDS, NO_V), 2.0, WeightSpec(s=0.75),
+        lap_probe(assemble(GRID, FIELDS, NO_V), 2.0, 0.75,
                   (0.5, 0.25))

@@ -7,7 +7,7 @@ from magstark.errors import ConfigurationError
 from magstark.grid import DiscreteOperator, d2_op, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
-from magstark.spectral import (BumpFunction, WeightSpec, decay_weight,
+from magstark.spectral import (BumpFunction, decay_weight,
                                eigendecompose, trace_function, weight_dx_s,
                                weighted_spectrum)
 from oracles import (apply_function, embed_x, localization_scores,
@@ -125,29 +125,28 @@ def test_apply_function_algebra_morphism():
 
 
 def test_weight_dx_s_bounds():
-    w = WeightSpec(s=0.75)
-    m = embed_x(GRID, weight_dx_s(GRID, w))
+    m = embed_x(GRID, weight_dx_s(GRID, -0.75))
     sv = np.linalg.svd(m, compute_uv=False)
     lam_max = np.linalg.eigvalsh(d2_op(GRID.nx, GRID.hx))[-1]
     assert sv[0] <= 1.0 + 1e-12
     assert sv[-1] >= (1.0 + lam_max) ** (-0.75 / 2.0) - 1e-12
     # power=0 gives the identity
-    ident = embed_x(GRID, weight_dx_s(GRID, w, power=0.0))
+    ident = embed_x(GRID, weight_dx_s(GRID, 0.0))
     assert np.max(np.abs(ident - np.eye(GRID.n_points))) <= 1e-12
 
 
 def test_weight_dx_s_commutes_with_y_multiplication():
-    w = WeightSpec(s=0.6)
-    m = embed_x(GRID, weight_dx_s(GRID, w))
+    m = embed_x(GRID, weight_dx_s(GRID, -0.6))
     _, yf = GRID.meshes()
     ymul = np.diag(np.cos(yf))
     comm = m @ ymul - ymul @ m
     assert np.max(np.abs(comm)) <= 1e-10
 
 
-def test_weight_dx_s_range_check():
-    with pytest.raises(ConfigurationError, match="s must lie"):
-        weight_dx_s(GRID, WeightSpec(s=0.4))
+@pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
+def test_decay_weight_refuses_a_nonpositive_delta(delta):
+    with pytest.raises(ConfigurationError, match="delta must be positive"):
+        decay_weight(GRID, 1, delta)
 
 
 def test_position_and_decay_weights():

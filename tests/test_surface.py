@@ -4,12 +4,18 @@ Every public function or method under ``src/magstark`` must be read (as a
 name or an attribute, not an import or a docstring) somewhere in the
 package, every dataclass field as an attribute, and every imported name in
 the module that imports it; reference implementations that only tests use
-live in ``tests/oracles.py``.
+live in ``tests/oracles.py``.  Each experiment's runner reads every entry of
+its ``[experiment]`` section.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+import pytest
+
+from magstark.cli import EXPERIMENTS, default_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "magstark"
@@ -87,6 +93,19 @@ def test_every_import_has_a_reader():
                   for alias in node.names
                   if (alias.asname or alias.name).split(".")[0] not in loaded}
     assert stale == set()
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_experiment_entry_is_read_by_its_runner(name):
+    # an entry that the runner does not read as e["key"] selects nothing
+    run = EXPERIMENTS[name].run
+    tree = ast.parse(inspect.getsource(run))
+    e = tree.body[0].args.args[-1].arg
+    reads = {node.slice.value for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Name) and node.value.id == e
+             and isinstance(node.slice, ast.Constant)}
+    assert reads == set(default_config(name)["experiment"])
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

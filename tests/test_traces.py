@@ -10,7 +10,6 @@ from magstark.errors import ConfigurationError, NearSingularityError
 from magstark.grid import DiscreteOperator, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
-from magstark.spectral import WeightSpec
 from magstark.ssf import resolvent_expansion_check
 from magstark.traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm,
                              nuclear_norm, operator_norm, tracebound_sweep,
@@ -193,8 +192,8 @@ def test_probe_spec_validation():
 
 def test_weighted_resolvent_norms_monotone_in_delta():
     h0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
-    r1 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=0.5))
-    r2 = weighted_resolvent_norms(h0, WeightSpec(s=0.6, delta=1.0))
+    r1 = weighted_resolvent_norms(h0, 0.5)
+    r2 = weighted_resolvent_norms(h0, 1.0)
     assert r2["hs1"] < r1["hs1"]
     assert r2["tr2"] < r1["tr2"]
 
@@ -203,10 +202,9 @@ def test_weighted_norm_hs1_frobenius_identity():
     # hs1^2 = tr((H0 - i)^-1 k1^2 (H0 + i)^-1)
     from magstark.spectral import decay_weight
     h0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
-    w = WeightSpec(s=0.6, delta=0.5)
-    res = weighted_resolvent_norms(h0, w)
+    res = weighted_resolvent_norms(h0, 0.5)
     n = GRID.n_points
-    k1 = decay_weight(GRID, 1, w.delta)
+    k1 = decay_weight(GRID, 1, 0.5)
     rplus = np.linalg.solve(h0.dense() + 1j * np.eye(n), np.eye(n, dtype=complex))
     rminus = np.linalg.solve(h0.dense() - 1j * np.eye(n), np.eye(n, dtype=complex))
     tr = np.trace(rminus @ np.diag(k1 ** 2) @ rplus)
@@ -215,8 +213,8 @@ def test_weighted_norm_hs1_frobenius_identity():
 
 def test_chain_tracenorm_zero_derivative():
     q = assemble(GRID, FieldParams(b=1.0), eval_potential(SEP3, GRID).v)
-    w = WeightSpec(s=0.6, delta=0.5)
-    val = resolvent_chain_tracenorm(q, np.zeros(GRID.n_points), 2, w, 2.0 + 1.0j)
+    val = resolvent_chain_tracenorm(q, np.zeros(GRID.n_points), 2, 0.6, 0.5,
+                                    2.0 + 1.0j)
     assert val == 0.0
 
 
@@ -224,17 +222,19 @@ def test_chain_tracenorm_validation():
     q = assemble(GRID, FieldParams(b=1.0), eval_potential(SEP3, GRID).v)
     dxv = eval_potential(SEP3, GRID).dxv
     with pytest.raises(ConfigurationError, match="n must be"):
-        resolvent_chain_tracenorm(q, dxv, 1, WeightSpec(s=0.6, delta=0.5), 2.0 + 1.0j)
+        resolvent_chain_tracenorm(q, dxv, 1, 0.6, 0.5, 2.0 + 1.0j)
     with pytest.raises(ConfigurationError, match="s must lie"):
-        resolvent_chain_tracenorm(q, dxv, 2, WeightSpec(s=0.9, delta=0.5), 2.0 + 1.0j)
+        resolvent_chain_tracenorm(q, dxv, 2, 0.9, 0.5, 2.0 + 1.0j)
+    # delta <= 0 leaves (1/2, min(1/2 + delta/4, 1)) empty
+    with pytest.raises(ConfigurationError, match="s must lie"):
+        resolvent_chain_tracenorm(q, dxv, 2, 0.6, 0.0, 2.0 + 1.0j)
 
 
 def test_chain_tracenorm_continuity_in_z():
     q = assemble(GRID, FieldParams(b=1.0), eval_potential(SEP3, GRID).v)
     dxv = eval_potential(SEP3, GRID).dxv
-    w = WeightSpec(s=0.6, delta=0.5)
-    a = resolvent_chain_tracenorm(q, dxv, 2, w, 2.0 + 1.0j)
-    b = resolvent_chain_tracenorm(q, dxv, 2, w, 2.0 + 1.01j)
+    a = resolvent_chain_tracenorm(q, dxv, 2, 0.6, 0.5, 2.0 + 1.0j)
+    b = resolvent_chain_tracenorm(q, dxv, 2, 0.6, 0.5, 2.0 + 1.01j)
     assert np.isfinite(a) and a > 0
     assert abs(a - b) / a <= 0.2
 
@@ -290,7 +290,6 @@ _PV = eval_potential(SEP3, GRID)
 _H = assemble(GRID, FIELDS, _PV.v)
 _Q = assemble(GRID, FieldParams(b=1.0), _PV.v)
 _H0 = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
-_W = WeightSpec(s=0.6, delta=0.5)
 
 # (traced call, bound); the parent code held 5.0, 6.0, 6.2, 5.0 and 8.0
 BUDGETS = {
@@ -301,8 +300,8 @@ BUDGETS = {
         _H, _PV.v, ProbeSpec(2.0 + 0.5j, 2.0 + 0.25j)), 3.1),
     # the chain, and the copy its SVD takes
     "resolvent_chain_tracenorm": (lambda: resolvent_chain_tracenorm(
-        _Q, _PV.dxv, 2, _W, 2.0 + 1.0j), 2.2),
-    "weighted_resolvent_norms": (lambda: weighted_resolvent_norms(_H0, _W),
+        _Q, _PV.dxv, 2, 0.6, 0.5, 2.0 + 1.0j), 2.2),
+    "weighted_resolvent_norms": (lambda: weighted_resolvent_norms(_H0, 0.5),
                                  2.2),
     # (z-H)^-1, (z-Q)^-1 X, the partial sum, its next term, the tail and
     # the product that advances one of the last two
