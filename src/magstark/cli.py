@@ -43,9 +43,9 @@ from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
 from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, eigendecompose,
                        interior_mask, weighted_spectrum)
-from .ssf import (TruncationSpec, checked_eps, epsilon_scaling,
-                  resolvent_expansion_check, sigma_q_gap_window,
-                  trace_identity_check, truncation_convergence)
+from .ssf import (epsilon_scaling, resolvent_expansion_check,
+                  sigma_q_gap_window, trace_identity_check,
+                  truncation_convergence)
 from .traces import (ProbeSpec, checked_sweep, weighted_resolvent_norms,
                      tracebound_sweep, resolvent_chain_tracenorm)
 
@@ -95,9 +95,9 @@ def _stark_certificate(spec, grid):
 
 
 def _run_verify_theorem1(grid, fields, spec, f, e):
-    collar = e["wall_collar"]
+    # a collar of 0 means the plain traces; any other is checked
     rep = trace_identity_check(grid, fields, spec, f,
-                         wall_cutoff=collar if collar > 0 else None)
+                               wall_cutoff=e["wall_collar"] or None)
     if spec.family == "zero":
         gates = {"zero_residual": (abs(rep.residual), 1e-12 * grid.n_points,
                                    abs(rep.residual) <= 1e-12 * grid.n_points)}
@@ -140,8 +140,7 @@ def _run_mourre(grid, fields, spec, f, e):
     pv = eval_potential(used, grid)
     dec = eigendecompose(assemble(grid, fields, pv.v),
                          window=(e["window_lo"], e["window_hi"]))
-    bound = mourre_gap_bound(dec, e["window_lo"], e["window_hi"], fields,
-                             pv.dxv)
+    bound = mourre_gap_bound(dec, fields, pv.dxv)
     slack = e["rel_slack"] * fields.eps
     if spec.family == "zero":
         name, thr = "bound_equals_eps", fields.eps
@@ -207,7 +206,7 @@ def _run_lap_probe(grid, fields, spec, f, e):
 def _run_lemma7(grid, fields, spec, f, e):
     # eps comes from eps_list, so fields is Q's FieldParams(b); the list is
     # checked before Q is solved
-    eps_list = checked_eps(_list("eps_list", e["eps_list"]))
+    eps_list = checked_sweep("eps_list", _list("eps_list", e["eps_list"]), 3)
     v = eval_potential(spec, grid).v
     lam, loc, solve = _q_spectrum(grid, fields.b, v)
     # recenter the cutoff in the widest Q-spectrum-free slot nearby, so
@@ -298,7 +297,7 @@ def _run_spectrum(grid, fields, spec, f, e):
 
 def _run_truncation(grid, fields, spec, f, e):
     rep = truncation_convergence(grid, fields, spec, f,
-                                 TruncationSpec(_list("radii", e["radii"])))
+                                 _list("radii", e["radii"]))
     table = rep.rows
     rows = [("radius", "trace_diff", "weighted_diff")] + table
     c1 = [r[1] for r in table]

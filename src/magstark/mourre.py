@@ -16,7 +16,6 @@ return a :class:`~magstark.traces.ProbeReport`.
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,23 +28,19 @@ from .ssf import eps_sweep
 from .traces import RESIDUAL_TOL, ProbeReport, checked_sweep, operator_norm
 
 
-def mourre_gap_bound(dec: SpectralDecomposition, a, b, fields: FieldParams,
-                     dxv):
-    """Smallest eigenvalue of the commutator compressed to the [a, b] states.
+def mourre_gap_bound(dec: SpectralDecomposition, fields: FieldParams, dxv):
+    """Smallest eigenvalue of the commutator compressed to the pairs of
+    ``dec``, the solve of H on its spectral window.
 
     The compression uses the multiplication operator eps + dxV; for V = 0 the
     bound equals eps exactly, and a potential clamped to sup|dxV| <= eps/2
     keeps it above eps/2.
     """
-    if not a < b:
-        raise ConfigurationError(f"need a < b, got a={a}, b={b}")
-    sel = (dec.eigenvalues > a) & (dec.eigenvalues <= b)
-    if not np.any(sel):
-        warnings.warn(f"no eigenvalues in ({a}, {b}]; returning +inf sentinel")
+    if dec.dim == 0:
+        lo, hi = dec.certificate["window"]
+        warnings.warn(f"no eigenvalues in ({lo}, {hi}]; returning +inf "
+                      f"sentinel")
         return float("inf")
-    if not sel.all():  # compress only the selected pairs
-        dec = replace(dec, eigenvalues=dec.eigenvalues[sel],
-                      factor=dec.factor[:, sel])
     compressed = dec.compress(fields.eps + np.asarray(dxv, dtype=float))
     return float(np.linalg.eigvalsh(compressed)[0])
 

@@ -215,11 +215,10 @@ def certify_decay(spec: PotentialSpec, grid: GridSpec, convention="stark_order",
 
 @dataclass(frozen=True)
 class PotentialFields:
-    """Sampled V and dxV on the flat grid plus the admission certificate."""
+    """Sampled V and dxV on the flat grid, short-range certified."""
 
     v: np.ndarray
     dxv: np.ndarray
-    certificate: CertificateReport
 
 
 def eval_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialFields:
@@ -232,7 +231,7 @@ def eval_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialFields:
             f"decay certificate violated for derivative order(s) "
             f"{list(cert.failed)}; worst grid point {cert.worst_points[bad]}, "
             f"observed {cert.ratios[bad]:.6g} > declared {cert.bounds[bad]:.6g}")
-    return PotentialFields(evaluate(spec, xf, yf), d_x(spec, xf, yf), cert)
+    return PotentialFields(evaluate(spec, xf, yf), d_x(spec, xf, yf))
 
 
 def sup_dx(spec: PotentialSpec):

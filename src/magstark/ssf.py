@@ -52,21 +52,6 @@ class TruncationReport:
     eigensolve: dict  # health_info() of the solve of H, and of each H_R
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Increasing cutoff radii; each chi_R is 1 on r <= R and 0 outside 2R."""
-
-    radii: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "radii", checked_sweep(
-            "radii", self.radii, 2, increasing=True))
-
-    def profile(self, radius):
-        """Radial plateau profile for one cutoff radius."""
-        return BumpFunction(0.0, 2.0 * radius, plateau=0.5)
-
-
 def wall_cutoff_weights(grid: GridSpec, collar):
     """Separable plateau weights: 1 on the bulk, 0 within ~`collar` of a wall."""
     if not 0.0 < collar < min(grid.lx, grid.ly):
@@ -79,15 +64,12 @@ def wall_cutoff_weights(grid: GridSpec, collar):
     return cx(xf) * cy(yf)
 
 
-def resolved_window(grid: GridSpec):
-    """Energy range the mesh can represent: oscillations up to ~sqrt(2)/h."""
-    h = max(grid.hx, grid.hy)
-    return 2.0 / (h * h)
-
-
 def _check_window(grid, f: BumpFunction):
+    """Refuse an f supported above the energy range the mesh can represent,
+    oscillations up to ~sqrt(2)/h: 2/h^2."""
     lo, hi = f.support
-    cap = resolved_window(grid)
+    h = max(grid.hx, grid.hy)
+    cap = 2.0 / (h * h)
     if hi > cap:
         raise SpectralWindowError(
             f"test function support [{lo:.3g}, {hi:.3g}] exceeds the resolved "
@@ -105,14 +87,14 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
     if not fields.eps > 0:
         raise ConfigurationError("trace-formula experiments require eps > 0")
     _check_window(grid, f)
-    fieldsV = eval_potential(spec, grid)
-    dech = eigendecompose(assemble(grid, fields, fieldsV.v), window=f.support)
-    dech0 = eigendecompose(assemble(grid, fields, np.zeros(grid.n_points)),
-                           window=f.support)
     if wall_cutoff is None:
         chi = np.ones(grid.n_points)
     else:
         chi = wall_cutoff_weights(grid, wall_cutoff)
+    fieldsV = eval_potential(spec, grid)
+    dech = eigendecompose(assemble(grid, fields, fieldsV.v), window=f.support)
+    dech0 = eigendecompose(assemble(grid, fields, np.zeros(grid.n_points)),
+                           window=f.support)
     lhs = (weighted_trace_function(dech, chi, f)
            - weighted_trace_function(dech0, chi, f))
     rhs = -(1.0 / fields.eps) * weighted_trace_function(
@@ -124,9 +106,12 @@ def trace_identity_check(grid: GridSpec, fields: FieldParams, spec: PotentialSpe
 
 def truncation_convergence(grid: GridSpec, fields: FieldParams,
                            spec: PotentialSpec, f: BumpFunction,
-                           trunc: TruncationSpec) -> TruncationReport:
-    """Cutoff-radius study of tr f(H_R) -> tr f(H) and the weighted analogue."""
-    rmax = trunc.radii[-1]
+                           radii) -> TruncationReport:
+    """Cutoff-radius study of tr f(H_R) -> tr f(H) and the weighted analogue,
+    over two or more increasing radii R; each chi_R is 1 on r <= R and 0
+    outside 2R."""
+    radii = checked_sweep("radii", radii, 2, increasing=True)
+    rmax = radii[-1]
     if rmax > min(grid.lx, grid.ly) / 2.0:
         raise GeometryError(
             f"largest radius {rmax} exceeds min(lx, ly)/2 = "
@@ -138,8 +123,8 @@ def truncation_convergence(grid: GridSpec, fields: FieldParams,
     tr_full = trace_function(dech, f)
     w_full = weighted_trace_function(dech, fieldsV.dxv, f)
     rows, infos = [], []
-    for radius in trunc.radii:
-        prof = trunc.profile(radius)
+    for radius in radii:
+        prof = BumpFunction(0.0, 2.0 * radius, plateau=0.5)
         chi_r = prof(r)
         dchi_r = np.zeros_like(chi_r)
         pos = r > 0
@@ -178,20 +163,16 @@ def sigma_q_gap_window(localized, margin):
     return float(vals[k] + margin), float(vals[k + 1] - margin)
 
 
-def checked_eps(eps_list):
-    """eps_list as three or more positive decreasing floats: a log-log fit
-    through two points has r2 = 1 whatever they are."""
-    return checked_sweep("eps_list", eps_list, 3)
-
-
 def eps_sweep(grid: GridSpec, b, v, support, eps_list, value) -> ProbeReport:
     """|value(eps, dec)| over a sweep of H(b, eps) with potential v, dec the
     solve on the window ``support``, and its log-log fit against eps.
 
-    eps_list passes :func:`checked_eps`.  No fit is made when some value is
+    eps_list must hold three or more positive, strictly decreasing values
+    (:func:`~magstark.traces.checked_sweep`): a log-log fit through two
+    points has r2 = 1 whatever they are.  No fit is made when some value is
     below 1e-13; slope, intercept and r2 are None then.
     """
-    eps_list = checked_eps(eps_list)
+    eps_list = checked_sweep("eps_list", eps_list, 3)
     norms, infos = [], []
     for eps in eps_list:
         dec = eigendecompose(assemble(grid, FieldParams(b=b, eps=eps), v),

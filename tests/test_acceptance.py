@@ -196,13 +196,14 @@ def test_criterion_8_lap_plateau_and_negative_control():
 def test_criterion_9_mourre_gap_bound():
     g = make_grid(6, 6, 31, 31)
     fields = FieldParams(1.0, 0.5)
-    dec0 = eigendecompose(assemble(g, fields, np.zeros(g.n_points)))
-    b0 = mourre_gap_bound(dec0, 1.6, 2.4, fields, np.zeros(g.n_points))
+    dec0 = eigendecompose(assemble(g, fields, np.zeros(g.n_points)),
+                          window=(1.6, 2.4))
+    b0 = mourre_gap_bound(dec0, fields, np.zeros(g.n_points))
     spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.4, width=1.5),
                            fields.eps / 2.0)
-    dec1 = eigendecompose(assemble(g, fields, eval_potential(spec, g).v))
-    b1 = mourre_gap_bound(dec1, 1.6, 2.4, fields,
-                          eval_potential(spec, g).dxv)
+    dec1 = eigendecompose(assemble(g, fields, eval_potential(spec, g).v),
+                          window=(1.6, 2.4))
+    b1 = mourre_gap_bound(dec1, fields, eval_potential(spec, g).dxv)
     ok = (abs(b0 - fields.eps) <= 0.02 * fields.eps
           and b1 >= fields.eps / 2.0 - 0.02 * fields.eps)
     assert _verdict(9, ok, f"V=0 bound {b0:.6f} (eps {fields.eps}); clamped "

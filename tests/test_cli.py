@@ -1,5 +1,9 @@
+import ast
+import inspect
 import json
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +175,12 @@ def test_spectrum_runner_small(tmp_path):
     # shipped 41 x 41 grid
     (["lap-probe", "--set", "experiment.delta_max_exp=5",
       "--set", "experiment.delta_min_exp=5"], "delta_list"),
-    (["lap-probe", "--set", "experiment.s=0.4"], "s must lie")])
+    (["lap-probe", "--set", "experiment.s=0.4"], "s must lie"),
+    # a wall collar outside (0, min(lx, ly)); 0 means the plain traces
+    (["verify-theorem1", "--set", "experiment.wall_collar=-1.0"],
+     "collar must lie"),
+    (["verify-theorem1", "--set", "experiment.wall_collar=6.0"],
+     "collar must lie")])
 def test_malformed_list_entry_exits_1(argv, entry, tmp_path, capsys,
                                       monkeypatch):
     # each is refused before any operator is counted or written
@@ -514,11 +523,14 @@ GATE_CONTROLS = [
 COUPLED = {("scaling", "r2"): {"slope_window"}}
 
 
-@pytest.mark.parametrize("name,nx,ny,gate,passing,failing", GATE_CONTROLS)
-def test_a_gate_control_fails_only_its_gate(name, nx, ny, gate, passing,
-                                            failing, tmp_path):
+def _control_envelopes(name, nx, ny, passing, failing, tmp_path,
+                       patch=lambda: None):
+    """The strict-JSON envelopes of a passing run (exit 0) and of a failing
+    one (exit 2), the latter after ``patch()``."""
     envs = []
     for sets, code in ((passing, 0), (failing, 2)):
+        if code == 2:
+            patch()
         argv = [name, "--out", str(tmp_path)]
         for item in [f"grid.nx={nx}", f"grid.ny={ny}", *sets]:
             argv += ["--set", item]
@@ -528,11 +540,54 @@ def test_a_gate_control_fails_only_its_gate(name, nx, ny, gate, passing,
     ok, bad = envs
     assert ok["all_pass"] is True and bad["all_pass"] is False
     assert all(g["pass"] for g in ok["gates"].values())
+    return ok, bad
+
+
+@pytest.mark.parametrize("name,nx,ny,gate,passing,failing", GATE_CONTROLS)
+def test_a_gate_control_fails_only_its_gate(name, nx, ny, gate, passing,
+                                            failing, tmp_path):
+    ok, bad = _control_envelopes(name, nx, ny, passing, failing, tmp_path)
     assert ({k for k, g in bad["gates"].items() if not g["pass"]}
             == {gate} | COUPLED.get((name, gate), set()))
     # the same run, judged against another threshold
     assert bad["results"] == ok["results"]
     assert bad["gates"][gate]["value"] == ok["gates"][gate]["value"]
+
+
+# Negative controls on another run, for gates whose threshold no config
+# moves: truncation's has none, and verify-theorem1's zero_residual is
+# 1e-12 N while V = 0 makes both traces 0 exactly, so its failing run
+# rewrites the library's report (``patch``: a cli name and a rewrite of
+# its return)
+RUN_CONTROLS = [
+    # truncation at 21 x 21 reads weighted differences 0.00138 at R = 2.0
+    # and 0.00216 at R = 2.1
+    ("truncation", 21, 21, "monotone_decreasing", [],
+     ["experiment.radii=2.0,2.1"], None),
+    ("verify-theorem1", 21, 21, "zero_residual", ["potential.family=zero"],
+     ["potential.family=zero"],
+     ("trace_identity_check", lambda rep: replace(rep, residual=1e-6))),
+]
+
+
+@pytest.mark.parametrize("name,nx,ny,gate,passing,failing,patch",
+                         RUN_CONTROLS)
+def test_a_run_control_fails_only_its_gate(name, nx, ny, gate, passing,
+                                           failing, patch, tmp_path,
+                                           monkeypatch):
+    import magstark.cli as cli
+
+    def rewrite():
+        if patch is not None:
+            target, change = patch
+            real = getattr(cli, target)
+            monkeypatch.setattr(cli, target,
+                                lambda *a, **k: change(real(*a, **k)))
+
+    ok, bad = _control_envelopes(name, nx, ny, passing, failing, tmp_path,
+                                 rewrite)
+    assert set(bad["gates"]) == set(ok["gates"])
+    assert {k for k, g in bad["gates"].items() if not g["pass"]} == {gate}
 
 
 def test_mourre_empty_window_fails(tmp_path):
@@ -577,11 +632,15 @@ def test_prop2_unbounded_spread_fails(tmp_path, monkeypatch):
     assert data["gates"]["spread"]["pass"] is False
 
 
-@pytest.mark.parametrize("name,target,value", [
+# each runner's library return replaced by a non-finite value
+NON_FINITE_CONTROLS = [
     ("prop4", "resolvent_chain_tracenorm", float("inf")),
     ("appendix-norms", "weighted_resolvent_norms",
      {"hs1": float("inf"), "tr2": float("nan")}),
-])
+]
+
+
+@pytest.mark.parametrize("name,target,value", NON_FINITE_CONTROLS)
 def test_a_non_finite_gate_value_fails(name, target, value, tmp_path,
                                        monkeypatch, capsys):
     import magstark.cli as cli
@@ -617,6 +676,73 @@ def test_a_non_finite_trace_norm_fails_its_gate(bad, tmp_path, monkeypatch):
     assert code == 2 and env["results"]["reason"] == "non_finite"
     assert env["gates"]["finite"] == {"value": None, "threshold": None,
                                       "pass": False}
+
+
+# gates that no control can flip, and why
+UNFLIPPABLE = {
+    ("scaling", "underflow_flagged"): "emitted only for V = 0 with a sample "
+                                      "under 1e-13, and then it passes",
+    ("scaling", "slope_defined"): "emitted only for a sample under 1e-13, "
+                                  "which leaves no fit, and then it fails",
+}
+# controls outside the tables: a run that fails its gate with a reason
+REASON_CONTROLS = {("mourre", "bound_above_half_eps"):
+                   test_mourre_empty_window_fails,
+                   ("prop2", "spread"): test_prop2_unbounded_spread_fails}
+
+
+def _emitted_gates(runner):
+    """A pattern for each gate name the runner can emit: the keys of every
+    gate dict it returns (third element), a key held in a local resolved
+    through the constants assigned to it, and an f-string key matching any
+    text in each field."""
+    tree = ast.parse(inspect.getsource(runner))
+    consts, dicts = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Constant):
+                        consts.setdefault(t.id, []).append(v)
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Dict):
+                        dicts.setdefault(t.id, []).extend(v.keys)
+                    if isinstance(t, ast.Subscript):  # gates[key] = ...
+                        dicts.setdefault(t.value.id, []).append(t.slice)
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Return):
+            gates = node.value.elts[2]
+            keys += (gates.keys if isinstance(gates, ast.Dict)
+                     else dicts[gates.id])
+    patterns = set()
+    for key in keys:
+        for k in consts[key.id] if isinstance(key, ast.Name) else [key]:
+            parts = k.values if isinstance(k, ast.JoinedStr) else [k]
+            patterns.add("".join(re.escape(p.value) if isinstance(
+                p, ast.Constant) else ".+" for p in parts))
+    return patterns
+
+
+def test_every_emitted_gate_has_a_control():
+    controlled = ({(c[0], c[3]) for c in GATE_CONTROLS + RUN_CONTROLS}
+                  | {(c[0], "finite") for c in NON_FINITE_CONTROLS}
+                  | set(REASON_CONTROLS))
+    missing, unflippable = set(), set()
+    for name, exp in EXPERIMENTS.items():
+        patterns = _emitted_gates(exp.run)
+        assert patterns, name
+        for pattern in patterns:
+            if (name, pattern) in UNFLIPPABLE:
+                unflippable.add((name, pattern))
+            elif not any(n == name and re.fullmatch(pattern, gate)
+                         for n, gate in controlled):
+                missing.add((name, pattern))
+    assert missing == set()
+    assert unflippable == set(UNFLIPPABLE)
 
 
 def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):

@@ -22,16 +22,16 @@ FIELDS = FieldParams(b=1.0, eps=0.5)
 
 
 def test_mourre_bound_zero_potential_equals_eps():
-    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
-    bound = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, np.zeros(GRID.n_points))
+    dec = eigendecompose(assemble(GRID, FIELDS, NO_V), window=(1.6, 2.4))
+    bound = mourre_gap_bound(dec, FIELDS, np.zeros(GRID.n_points))
     assert abs(bound - FIELDS.eps) <= 1e-12
 
 
 def test_mourre_bound_shift_by_constant():
-    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
+    dec = eigendecompose(assemble(GRID, FIELDS, NO_V), window=(1.6, 2.4))
     dxv = np.zeros(GRID.n_points)
-    b0 = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv)
-    b1 = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv + 0.3)
+    b0 = mourre_gap_bound(dec, FIELDS, dxv)
+    b1 = mourre_gap_bound(dec, FIELDS, dxv + 0.3)
     assert np.isclose(b1 - b0, 0.3, atol=1e-12)
 
 
@@ -39,8 +39,8 @@ def test_mourre_bound_clamped_potential():
     spec = clamp_amplitude(PotentialSpec("gaussian", amplitude=0.4, width=1.5),
                            FIELDS.eps / 2.0)
     pv = eval_potential(spec, GRID)
-    dec = eigendecompose(assemble(GRID, FIELDS, pv.v))
-    bound = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, pv.dxv)
+    dec = eigendecompose(assemble(GRID, FIELDS, pv.v), window=(1.6, 2.4))
+    bound = mourre_gap_bound(dec, FIELDS, pv.dxv)
     assert bound >= FIELDS.eps / 2.0 - 0.02 * FIELDS.eps
 
 
@@ -48,46 +48,24 @@ def test_mourre_bound_can_go_negative_for_strong_potential():
     spec = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     pv = eval_potential(spec, GRID)
     fields = FieldParams(b=1.0, eps=0.1)
-    dec = eigendecompose(assemble(GRID, fields, pv.v))
-    bound = mourre_gap_bound(dec, 0.5, 1.5, fields, pv.dxv)
+    dec = eigendecompose(assemble(GRID, fields, pv.v), window=(0.5, 1.5))
+    bound = mourre_gap_bound(dec, fields, pv.dxv)
     assert np.isfinite(bound)
     assert bound < fields.eps  # recorded, not asserted positive
 
 
 def test_mourre_empty_projector_sentinel():
-    dec = eigendecompose(assemble(GRID, FIELDS, NO_V))
-    lo = float(dec.eigenvalues[0])
-    with pytest.warns(UserWarning, match="no eigenvalues"):
-        bound = mourre_gap_bound(dec, lo - 5.0, lo - 4.0, FIELDS,
-                                 np.zeros(GRID.n_points))
-    assert bound == float("inf")
-
-
-@pytest.mark.parametrize("eps,y_odd,path", [(0.0, 0.0, "real_parity"),
-                                             (0.5, 0.0, "real"),
-                                             (0.5, 0.3, "complex")])
-def test_mourre_bound_from_a_full_decomposition_matches_the_window(eps, y_odd,
-                                                                    path):
-    # a full decomposition is restricted to the pairs in (a, b] before it
-    # is compressed; the windowed one holds exactly those pairs.  An eps = 0
-    # Q is solved unsplit here too, and a y-odd term is refused by both
-    g = make_grid(6, 6, 21, 21)
-    pv = eval_potential(PotentialSpec("gaussian", amplitude=0.3, width=1.5), g)
-    fields = FieldParams(b=1.0, eps=eps)
-    op = assemble(g, fields, pv.v + y_odd * g.meshes()[1])
-    if path == "complex":
-        for window in (None, (1.6, 2.4)):
-            with pytest.raises(ConfigurationError, match="T = K P_y"):
-                eigendecompose(op, window=window)
-        return
-    assert weighted_spectrum(op, pv.v)[2]["path"] == path
-    full = eigendecompose(op)
-    sel = (full.eigenvalues > 1.6) & (full.eigenvalues <= 2.4)
-    assert 0 < np.count_nonzero(sel) < full.dim
-    a = mourre_gap_bound(full, 1.6, 2.4, fields, pv.dxv)
-    b = mourre_gap_bound(eigendecompose(op, window=(1.6, 2.4)), 1.6, 2.4,
-                         fields, pv.dxv)
-    assert abs(a - b) <= 1e-12 * abs(b)
+    # below the spectrum both window paths hold no pair: dense at 21 x 21
+    # (N = 441), sparse at 31 x 31 (N = 961)
+    for n, solver in ((21, "dense"), (31, "sparse")):
+        g = make_grid(6, 6, n, n)
+        op = assemble(g, FIELDS, np.zeros(g.n_points))
+        lo = op.gershgorin_bounds()[0]
+        dec = eigendecompose(op, window=(lo - 5.0, lo - 4.0))
+        assert dec.dim == 0 and dec.certificate["solver"] == solver
+        with pytest.warns(UserWarning, match="no eigenvalues in"):
+            bound = mourre_gap_bound(dec, FIELDS, np.zeros(g.n_points))
+        assert bound == float("inf")
 
 
 def _gap_slot_chi(lam, lo=1.2, hi=2.8, plateau=0.5):

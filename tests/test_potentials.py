@@ -17,7 +17,6 @@ def test_zero_family():
     spec = PotentialSpec("zero")
     fields = eval_potential(spec, GRID)
     assert not fields.v.any() and not fields.dxv.any()
-    assert fields.certificate.passed
 
 
 def test_separable_power_normalization():
@@ -107,7 +106,8 @@ def test_subnormal_amplitude_is_certified_like_amplitude_one():
     # a subnormal amplitude used to fail the short-range certificate on
     # rounding alone ("observed 4.44659e-323 > declared 2.47033e-323")
     tiny = PotentialSpec("separable_power", amplitude=5e-324)
-    assert eval_potential(tiny, make_grid(1, 1, 8, 8)).certificate.passed
+    # eval_potential raises DecayCertificateError unless it passes
+    eval_potential(tiny, make_grid(1, 1, 8, 8))
     for family in FAMILIES:
         unit = PotentialSpec(family, amplitude=1.0, decay_n=3, width=2.0)
         for n in (None, 5):

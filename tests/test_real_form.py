@@ -157,7 +157,7 @@ def test_windowed_mourre_bound_matches_full_complex(n, y_odd):
     u = u[:, (lam > 1.6) & (lam <= 2.4)]
     full = np.linalg.eigvalsh((u.conj().T * (FIELDS.eps + dxv)) @ u)[0]
     dec = eigendecompose(op, window=(1.6, 2.4))
-    win = mourre_gap_bound(dec, 1.6, 2.4, FIELDS, dxv)
+    win = mourre_gap_bound(dec, FIELDS, dxv)
     assert abs(win - full) <= 1e-12
 
 

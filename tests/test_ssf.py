@@ -9,10 +9,9 @@ from magstark.potentials import PotentialSpec, eval_potential
 from magstark.spectral import (LOCALIZATION_THRESHOLD, BumpFunction,
                                eigendecompose, interior_mask, trace_function,
                                weighted_spectrum)
-from magstark.ssf import (TruncationSpec, epsilon_scaling,
-                          resolvent_expansion_check, sigma_q_gap_window,
-                          trace_identity_check, truncation_convergence,
-                          wall_cutoff_weights)
+from magstark.ssf import (epsilon_scaling, resolvent_expansion_check,
+                          sigma_q_gap_window, trace_identity_check,
+                          truncation_convergence, wall_cutoff_weights)
 from oracles import commutator_trace_zero, xi_prime_mollified
 
 ZERO = PotentialSpec("zero")
@@ -93,7 +92,7 @@ def test_truncation_compact_support_collapses():
     g = make_grid(12, 12, 33, 33)
     bump = PotentialSpec("compact_bump", amplitude=0.5, width=2.5)
     tab = truncation_convergence(g, FieldParams(1.0, 0.5), bump, F,
-                                 TruncationSpec((3.0, 4.5, 6.0))).rows
+                                 (3.0, 4.5, 6.0)).rows
     for _, c1, c2 in tab:
         assert c1 <= 1e-10 and c2 <= 1e-10
 
@@ -101,7 +100,7 @@ def test_truncation_compact_support_collapses():
 def test_truncation_zero_potential():
     g = make_grid(12, 12, 33, 33)
     tab = truncation_convergence(g, FieldParams(1.0, 0.5), ZERO, F,
-                                 TruncationSpec((3.0, 4.5, 6.0))).rows
+                                 (3.0, 4.5, 6.0)).rows
     for _, c1, c2 in tab:
         assert c1 == 0.0 and c2 == 0.0
 
@@ -109,7 +108,7 @@ def test_truncation_zero_potential():
 def test_truncation_gaussian_monotone():
     g = make_grid(12, 12, 41, 41)
     tab = truncation_convergence(g, FieldParams(1.0, 0.5), GAUSS, F,
-                                 TruncationSpec((3.0, 4.5, 6.0))).rows
+                                 (3.0, 4.5, 6.0)).rows
     c1 = [row[1] for row in tab]
     c2 = [row[2] for row in tab]
     assert c1[0] > c1[1] > c1[2]
@@ -120,7 +119,7 @@ def test_truncation_geometry_error():
     g = make_grid(8, 8, 21, 21)
     with pytest.raises(GeometryError, match="radius"):
         truncation_convergence(g, FieldParams(1.0, 0.5), GAUSS, F,
-                               TruncationSpec((3.0, 6.0)))
+                               (3.0, 6.0))
 
 
 def test_xi_prime_zero_potential():
