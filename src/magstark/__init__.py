@@ -15,7 +15,7 @@ from .potentials import (PotentialSpec, certify_decay, clamp_amplitude,
                          eval_potential)
 from .spectral import (BumpFunction, SpectralDecomposition, eigendecompose,
                        weight_dx_s)
-from .traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm, nuclear_norm,
+from .traces import (weighted_resolvent_norms, frobenius_norm, nuclear_norm,
                      operator_norm, tracebound_sweep, resolvent_chain_tracenorm, resolvent)
 
 __version__ = "0.1.0"

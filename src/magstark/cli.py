@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigurationError, MagstarkError
+from .errors import ConfigurationError, MagstarkError, SpectralWindowError
 from .grid import make_grid
 from .hamiltonian import FieldParams, assemble
 from .mourre import checked_s, lap_probe, gap_cutoff_sweep, mourre_gap_bound
@@ -46,7 +46,7 @@ from .spectral import (LOCALIZATION_THRESHOLD, BumpFunction, eigendecompose,
 from .ssf import (epsilon_scaling, resolvent_expansion_check,
                   sigma_q_gap_window, trace_identity_check,
                   truncation_convergence)
-from .traces import (ProbeSpec, checked_sweep, weighted_resolvent_norms,
+from .traces import (checked_probe, checked_sweep, weighted_resolvent_norms,
                      tracebound_sweep, resolvent_chain_tracenorm)
 
 # At exit the last cyclic collection would walk the whole numpy/scipy import
@@ -226,21 +226,21 @@ def _run_lemma7(grid, fields, spec, f, e):
 
 
 def _run_prop2(grid, fields, spec, f, e):
-    # the probe is checked at Re z = 0 before H is solved
-    probe = ProbeSpec(0.5j, complex(0.0, e["im_zp"]),
-                      _list("delta_list", e["delta_list"]))
+    # the probe is checked before H is solved
+    im_zp, deltas = checked_probe(e["im_zp"],
+                                  _list("delta_list", e["delta_list"]))
     v = eval_potential(spec, grid).v
     h = assemble(grid, fields, v)
     # pin the probe at the most V-coupled level in the bulk window,
     # where the uniform bound is under the most pressure
-    lam, weights, solve = weighted_spectrum(h, v)
-    win = (lam > 1.2) & (lam < 2.8)
-    re_z = float(lam[win][int(np.argmax(weights[win]))])
-    rep = tracebound_sweep(h, v, ProbeSpec(probe.z + re_z, probe.z_prime + re_z,
-                                           probe.delta_list))
+    dec = eigendecompose(h, window=(1.2, 2.8))
+    if not dec.dim:
+        raise SpectralWindowError("H has no eigenvalue in (1.2, 2.8] to probe")
+    re_z = float(dec.eigenvalues[int(np.argmax(dec.weighted_density(v)))])
+    rep = tracebound_sweep(h, v, re_z, im_zp, deltas)
     rows = [("delta", "product")] + list(zip(rep.params, rep.norms))
     results = {"re_z": re_z, "products": list(rep.norms),
-               "spread": rep.spread, "eigensolve": {"h": solve}}
+               "spread": rep.spread, "eigensolve": {"h": dec.health_info()}}
     # the spread is +inf when a product is 0 beside a nonzero one
     if not np.isfinite(rep.spread):
         results["reason"] = "zero_product"

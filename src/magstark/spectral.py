@@ -20,18 +20,20 @@ anything is written.  Resolvents and the limiting-absorption probe, which
 factor z - M, are not eigensolves and stay complex.  The two solve shapes:
 
 * Full.  :func:`weighted_spectrum` returns the eigenvalues and one weighted
-  density, and keeps no eigenvector.  When R also commutes bitwise with the
-  flat reversal J = P_x P_y, as it does for every eps = 0 operator with a
-  potential even in x and y, R is block diagonal in the +-1 eigenspaces of
-  J.  On the first N//2 indices the even block is R11 + R12 J and the odd
-  block R11 - R12 J (the even one bordered by the centre row and column,
-  scaled by sqrt(2), when N is odd), so two eigensolves of order about N/2
-  replace one of order N at about a quarter of the flops.  Each block is
-  written, solved and reduced before the next is written, so one block,
-  its ``evd`` workspace (3 n_b^2 doubles for a block of order n_b) and the
-  rows of R's entry list that the blocks read are held.  This is the only
-  place the parity split appears:
-  ``eigendecompose(op)`` is the unsplit solve of R, the dense reference.
+  density, and keeps no eigenvector.  It serves only operators whose R
+  also commutes bitwise with the flat reversal J = P_x P_y, as every eps =
+  0 operator with a potential even in x and y does; any other is refused
+  with :class:`ConfigurationError` before a block is written.  R is block
+  diagonal in the +-1 eigenspaces of J: on the first N//2 indices the even
+  block is R11 + R12 J and the odd block R11 - R12 J (the even one
+  bordered by the centre row and column, scaled by sqrt(2), when N is
+  odd), so two eigensolves of order about N/2 replace one of order N at
+  about a quarter of the flops.  Each block is written, solved and reduced
+  before the next is written, so one block, its ``evd`` workspace (3 n_b^2
+  doubles for a block of order n_b) and the rows of R's entry list that
+  the blocks read are held.  This is the only place the parity split
+  appears: ``eigendecompose(op)`` is the unsplit solve of R, the dense
+  reference.
 * Window.  ``eigendecompose(op, window=(lo, hi))`` computes only the k
   eigenpairs in (lo, hi].  A function supported in [lo, hi] vanishes on
   every other eigenvalue, so its f(M) and (weighted) traces are unchanged.
@@ -39,9 +41,9 @@ factor z - M, are not eigensolves and stay complex.  The two solve shapes:
   two paths solves, chosen from N and the counts alone.  Above N = 512 a
   window of at most N/16 pairs takes shift-invert Lanczos (ARPACK ``eigsh``)
   on the sparse R, at most 7 entries per row, and holds no N x N array.  Any
-  other window takes one index-subset eigh of the dense R: 8 N^2 bytes plus
-  8 N (k + 2) for eigenvectors.  The certificate names the path as
-  ``solver``.
+  other window, or one whose sparse pairs the counts reject, takes one
+  index-subset eigh of the dense R: 8 N^2 bytes plus 8 N (k + 2) for
+  eigenvectors.  The certificate names the path as ``solver``.
 
 R or its blocks are written from R's entry list, built once per solve.  A
 full solve uses LAPACK's ``evd``; a dense window the default driver ``evr``,
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, SpectralWindowError
+from .errors import CapacityError, ConfigurationError, SpectralWindowError
 from .grid import DiscreteOperator, GridSpec, checked_zeros, d2_op
 
 # A window of at most N/16 pairs is solved sparse above this order.  On 2
@@ -146,26 +148,19 @@ def eigendecompose(op: DiscreteOperator, window=None):
     _check_t_symmetric(op)
     if window is not None:
         return _windowed(op, *window)
-    return _unsplit(op, op.dense(real=True))
+    return SpectralDecomposition(*_evd(op.dense(real=True)), op)
 
 
 def weighted_spectrum(op: DiscreteOperator, w):
     """The ascending eigenvalues of a full solve, w @ |U|^2 for a real
-    weight vector w on the grid, and the record of the solve
-    (:meth:`SpectralDecomposition.solver_info`), holding no eigenvector past
-    its reduction.
-
-    When the real form commutes with J, each parity block is written,
-    solved and reduced before the next is written, and ``factor_bytes`` is
-    0; else the solve is ``eigendecompose(op)``'s, from the same entry list.
-    Either way the eigenvalues and densities are ``eigendecompose(op)``'s to
-    round-off.  An op that does not commute with T = K P_y is refused.
+    weight vector w on the grid, and the record of the solve, holding no
+    eigenvector past its reduction: each parity block is written, solved
+    and reduced before the next is written.  The eigenvalues and densities
+    are ``eigendecompose(op)``'s to round-off.  An op that does not commute
+    with T = K P_y, or whose real form does not commute with J, is refused.
     """
     _check_t_symmetric(op)
-    half, r = _real_form(op)
-    if half is None:
-        dec = _unsplit(op, r)
-        return dec.eigenvalues, dec.weighted_density(w), dec.solver_info()
+    half = _real_form(op)
     n, m = op.dim, op.dim // 2
     w, lams, dens = _folded_weight(w, op.grid, parity=True), [], []
     for sign in (1.0, -1.0):
@@ -190,25 +185,18 @@ def _check_t_symmetric(op: DiscreteOperator):
 
 
 def _real_form(op: DiscreteOperator):
-    """What a full solve reads of op's real form R, from one build of its
-    entry list ``op.coo(real=True)``: (the rows k <= N//2 of the list, None)
-    when R commutes bitwise with the flat reversal J, else (None, R written
-    dense).  J maps the sorted positions onto themselves in reverse order,
-    so it commutes when the values read the same reversed; the rows the
-    parity blocks read are a prefix of the list."""
+    """The rows k <= N//2 of op's real form entry list ``op.coo(real=True)``,
+    which are all the parity blocks read, or :class:`ConfigurationError`
+    when R does not commute bitwise with the flat reversal J.  J maps the
+    sorted positions onto themselves in reverse order, so it commutes when
+    the values read the same reversed."""
     k, c, r = op.coo(real=True)
     if not np.array_equal(r, r[::-1]):
-        dense = checked_zeros((op.dim,) * 2, order="F")
-        dense[k, c] = r
-        return None, dense
+        raise ConfigurationError(
+            "a full solve needs a real form that commutes with J = P_x P_y "
+            "(eps = 0 and a potential even in x and y)")
     cut = int(np.searchsorted(k, op.dim // 2, side="right"))
-    return (k[:cut].copy(), c[:cut].copy(), r[:cut].copy()), None
-
-
-def _unsplit(op: DiscreteOperator, r):
-    """The full solve of op from its dense real form r, which eigh
-    overwrites with phi."""
-    return SpectralDecomposition(*_evd(r), op)
+    return k[:cut].copy(), c[:cut].copy(), r[:cut].copy()
 
 
 def _evd(a):
@@ -258,7 +246,9 @@ def _windowed(op: DiscreteOperator, lo, hi):
     the dense one for the pairs c_lo - 1 to c_hi.  Either way the window
     must hold c_hi - c_lo eigenvalues, and each bracketing pair that exists
     must be returned and lie at or below lo or above hi, else
-    :class:`SpectralWindowError`.
+    :class:`SpectralWindowError`.  Lanczos from one start vector finds an
+    exactly multiple eigenvalue only once, so sparse pairs the counts
+    reject are solved again dense, when the dense real form fits.
     """
     if not lo < hi:
         raise ConfigurationError(f"window needs lo < hi, got {(lo, hi)}")
@@ -268,26 +258,39 @@ def _windowed(op: DiscreteOperator, lo, hi):
     except np.linalg.LinAlgError:  # an end is an eigenvalue of a leading block
         raise SpectralWindowError(f"no inertia count at a window end of "
                                   f"{(lo, hi)}; move it off the spectrum") from None
-    if n > SPARSE_DIM_MIN and 16 * (c_hi - c_lo) <= n:
-        solver = "sparse"
-        lam, v, first, record = _shift_invert(op, lo, hi, c_lo, c_hi)
-    else:
-        solver, first, record = "dense", max(c_lo - 1, 0), {}
-        lam, v = scipy.linalg.eigh(op.dense(real=True),
-                                   subset_by_index=(first, min(c_hi, n - 1)),
-                                   overwrite_a=True)
-    # lam[i] is eigenvalue first + i if the counts hold
-    below, above = lam[:c_lo - first], lam[c_hi - first:]
-    if (first < 0 or below.size != (c_lo > 0) or above.size != (c_hi < n)
-            or np.count_nonzero((lam > lo) & (lam <= hi)) != c_hi - c_lo
-            or np.any(below > lo) or np.any(above <= hi)):
-        raise SpectralWindowError(f"inertia counts {c_lo}, {c_hi} at {lo}, "
-                                  f"{hi} disagree with the eigenvalues {lam}")
-    k = slice(c_lo - first, c_hi - first)
-    cert = {"window": [lo, hi], "counts": [c_lo, c_hi],
-            "bracket": [float(b[0]) if b.size else None for b in (below, above)],
-            "solver": solver, **record}
-    return SpectralDecomposition(lam[k], v[:, k].copy(), op, certificate=cert)
+
+    def certified(solver, lam, v, first, record):
+        # lam[i] is eigenvalue first + i if the counts hold
+        below, above = lam[:c_lo - first], lam[c_hi - first:]
+        if (first < 0 or below.size != (c_lo > 0) or above.size != (c_hi < n)
+                or np.count_nonzero((lam > lo) & (lam <= hi)) != c_hi - c_lo
+                or np.any(below > lo) or np.any(above <= hi)):
+            raise SpectralWindowError(
+                f"inertia counts {c_lo}, {c_hi} at {lo}, {hi} disagree with "
+                f"the eigenvalues {lam}")
+        k = slice(c_lo - first, c_hi - first)
+        cert = {"window": [lo, hi], "counts": [c_lo, c_hi],
+                "bracket": [float(b[0]) if b.size else None
+                            for b in (below, above)],
+                "solver": solver, **record}
+        return SpectralDecomposition(lam[k], v[:, k].copy(), op, cert)
+
+    def dense():
+        first = max(c_lo - 1, 0)
+        return certified("dense", *scipy.linalg.eigh(
+            op.dense(real=True), subset_by_index=(first, min(c_hi, n - 1)),
+            overwrite_a=True), first, {})
+
+    if not (n > SPARSE_DIM_MIN and 16 * (c_hi - c_lo) <= n):
+        return dense()
+    pairs = _shift_invert(op, lo, hi, c_lo, c_hi)
+    try:
+        return certified("sparse", *pairs)
+    except SpectralWindowError as rejected:
+        try:
+            return dense()
+        except CapacityError:
+            raise rejected from None
 
 
 def _shift_invert(op: DiscreteOperator, lo, hi, c_lo, c_hi):

@@ -191,8 +191,10 @@ def epsilon_scaling(grid: GridSpec, b, spec: PotentialSpec, f: BumpFunction,
     Each sample is the commutator side ``-(1/eps) tr(dxV f(H))`` of the
     identity, which the identity proves equal to the trace difference (the
     definition; :func:`trace_identity_check` computes both) and which is far
-    less sensitive to the discrete level sampling.
+    less sensitive to the discrete level sampling.  An f supported above
+    the energy range the mesh resolves is refused before any solve.
     """
+    _check_window(grid, f)
     fieldsV = eval_potential(spec, grid)
     return eps_sweep(grid, b, fieldsV.v, f.support, eps_list, lambda eps, dec:
                      -(1.0 / eps) * weighted_trace_function(dec, fieldsV.dxv, f))

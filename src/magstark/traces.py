@@ -101,27 +101,6 @@ def checked_sweep(name, values, least, floor=0.0, increasing=False):
 
 
 @dataclass(frozen=True)
-class ProbeSpec:
-    """Complex probe points; delta_list is the Im-halving sweep applied to z.
-
-    The second point z' stays fixed through the sweep, keeping one resolvent
-    in the level-counting regime so the scaled product stays flat; sweeping
-    both imaginary parts at desk-scale level spacing drives the product
-    through a transition region instead.  The spread of one product is 1
-    whatever it is, so the sweep needs two deltas or more.
-    """
-
-    z: complex
-    z_prime: complex
-    delta_list: tuple = (0.5, 0.25, 0.125)
-
-    def __post_init__(self):
-        if self.z.imag == 0.0 or self.z_prime.imag == 0.0:
-            raise ConfigurationError("probe points must have nonzero imaginary part")
-        checked_sweep("delta_list", self.delta_list, 2)
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     """Norms measured along a parameter sweep, the log-log fit of norm
     against parameter where one was made, and the solves behind them."""
@@ -153,18 +132,33 @@ class ProbeReport:
         return max(self.norms) / lo
 
 
-def tracebound_sweep(h: DiscreteOperator, v_diag, probe: ProbeSpec):
-    """|Im z||Im z'| ||(z-H)^-1 V (z'-H)^-1||_tr along the Im-halving sweep;
-    no resolvent outlives the product it enters."""
+def checked_probe(im_zp, deltas):
+    """im_zp and the sweep ``deltas`` of :func:`tracebound_sweep`, refused
+    unless im_zp is nonzero and deltas holds two or more positive, strictly
+    decreasing values: the spread of one product is 1 whatever it is."""
+    if im_zp == 0.0:
+        raise ConfigurationError(f"im_zp must be nonzero, got {im_zp}")
+    return float(im_zp), checked_sweep("delta_list", deltas, 2)
+
+
+def tracebound_sweep(h: DiscreteOperator, v_diag, re_z, im_zp, deltas):
+    """|Im z||Im z'| ||(z-H)^-1 V (z'-H)^-1||_tr at z = re_z + i delta for
+    each delta of the Im-halving sweep, checked first (:func:`checked_probe`);
+    no resolvent outlives the product it enters.
+
+    The second point z' = re_z + i im_zp stays fixed through the sweep,
+    keeping one resolvent in the level-counting regime so the scaled
+    product stays flat; sweeping both imaginary parts at desk-scale level
+    spacing drives the product through a transition region instead.
+    """
+    im_zp, deltas = checked_probe(im_zp, deltas)
     products = []
-    for d in probe.delta_list:
-        z = complex(probe.z.real, d * np.sign(probe.z.imag))
-        rv = resolvent(h, z)
+    for d in deltas:
+        rv = resolvent(h, complex(re_z, d))
         rv *= v_diag  # (z-H)^-1 V
-        rv = rv @ resolvent(h, probe.z_prime)
-        products.append(abs(z.imag) * abs(probe.z_prime.imag)
-                        * nuclear_norm(rv))
-    return ProbeReport(tuple(probe.delta_list), tuple(products))
+        rv = rv @ resolvent(h, complex(re_z, im_zp))
+        products.append(d * abs(im_zp) * nuclear_norm(rv))
+    return ProbeReport(deltas, tuple(products))
 
 
 def weighted_resolvent_norms(h0: DiscreteOperator, delta):

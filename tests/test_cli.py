@@ -180,7 +180,13 @@ def test_spectrum_runner_small(tmp_path):
     (["verify-theorem1", "--set", "experiment.wall_collar=-1.0"],
      "collar must lie"),
     (["verify-theorem1", "--set", "experiment.wall_collar=6.0"],
-     "collar must lie")])
+     "collar must lie"),
+    # z' = re_z + i im_zp must leave the real axis
+    (["prop2", "--set", "experiment.im_zp=0"], "im_zp must be nonzero"),
+    # scaling's mesh at 9 x 9, h = 3, resolves energies up to 2/h^2 = 0.22,
+    # below f's support
+    (["scaling", "--set", "grid.nx=9", "--set", "grid.ny=9"],
+     "resolved spectral window")])
 def test_malformed_list_entry_exits_1(argv, entry, tmp_path, capsys,
                                       monkeypatch):
     # each is refused before any operator is counted or written
@@ -606,21 +612,61 @@ def test_mourre_empty_window_fails(tmp_path):
 
 
 def test_prop2_records_its_eigensolve(tmp_path):
-    # H (eps = 0.5) does not commute with J, so the full solve that picks
-    # re_z is the unsplit real one, and it holds the factor
+    # re_z is picked from H's certified window (1.2, 2.8], which at 9 x 9
+    # is one dense index-subset solve of the real form
     _, env = run("prop2", load_config("prop2", None, ["grid.nx=9",
                                                       "grid.ny=9"]), tmp_path)
-    assert env["results"]["eigensolve"] == {
-        "h": {"path": "real", "blocks": [81], "n": 81, "pairs": 81,
-              "factor_bytes": 8 * 81 ** 2, "dense_bytes": 8 * 81 ** 2,
-              "workspace_bytes": _evd_bytes(81)}}
+    h = env["results"]["eigensolve"]["h"]
+    c_lo, c_hi = h["counts"]
+    assert h["window"] == [1.2, 2.8] and h["solver"] == "dense"
+    assert h["path"] == "real" and h["n"] == 81
+    assert h["pairs"] == c_hi - c_lo > 0 and c_lo > 0
+    assert h["factor_bytes"] == 8 * 81 * h["pairs"]
+    assert 0 <= h["reconstruction_defect"] <= 1e-12
+    assert 0 <= h["orthonormality_defect"] <= 1e-12
+    assert 1.2 < env["results"]["re_z"] <= 2.8
+
+
+@pytest.mark.parametrize("n", [13, 25])
+def test_prop2_window_pick_matches_the_full_spectrum_pick(n, tmp_path):
+    # the dense reference: the most V-weighted level in (1.2, 2.8) of the
+    # unsplit full solve, and the products at it
+    from magstark.grid import make_grid
+    from magstark.hamiltonian import FieldParams, assemble
+    from magstark.potentials import PotentialSpec, eval_potential
+    from magstark.spectral import eigendecompose
+    from magstark.traces import tracebound_sweep
+    cfg = load_config("prop2", None, [f"grid.nx={n}", f"grid.ny={n}"])
+    _, env = run("prop2", cfg, tmp_path)
+    g = make_grid(**cfg["grid"])
+    v = eval_potential(PotentialSpec(**cfg["potential"]), g).v
+    h = assemble(g, FieldParams(**cfg["fields"]), v)
+    dec = eigendecompose(h)
+    lam = dec.eigenvalues
+    win = (lam > 1.2) & (lam < 2.8)
+    re_z = float(lam[win][int(np.argmax(dec.weighted_density(v)[win]))])
+    res = env["results"]
+    assert res["eigensolve"]["h"]["pairs"] == np.count_nonzero(win)
+    assert abs(res["re_z"] - re_z) <= 1e-12
+    ref = tracebound_sweep(h, v, re_z, 0.25, (0.5, 0.25, 0.125)).norms
+    assert np.max(np.abs(np.subtract(res["products"], ref)) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [8.0, 20.0, 50.0])
+def test_prop2_exits_1_on_an_empty_pick_window(b, tmp_path, capsys):
+    # a strong field leaves no level of H in (1.2, 2.8] at 21 x 21
+    code = main(["prop2", "--set", "grid.nx=21", "--set", "grid.ny=21",
+                 "--set", f"fields.b={b}", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "(1.2, 2.8]" in err
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
 
 
 def test_prop2_unbounded_spread_fails(tmp_path, monkeypatch):
     import magstark.cli as cli
     from magstark.traces import ProbeReport
-    monkeypatch.setattr(cli, "tracebound_sweep", lambda h, v, probe:
-                        ProbeReport(probe.delta_list, (0.0, 1.0, 1.0)))
+    monkeypatch.setattr(cli, "tracebound_sweep", lambda h, v, re_z, im_zp,
+                        deltas: ProbeReport(deltas, (0.0, 1.0, 1.0)))
     code, env = run("prop2",
                     load_config("prop2", None, ["grid.nx=9", "grid.ny=9"]),
                     tmp_path)

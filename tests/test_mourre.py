@@ -137,7 +137,9 @@ def test_lap_probe_blows_up_at_localized_eigenvalue():
     spec = PotentialSpec("gaussian", amplitude=-2.0, width=1.5)
     fields = FieldParams(b=1.0, eps=0.1)
     h = assemble(GRID, fields, eval_potential(spec, GRID).v)
-    lam, scores, _ = weighted_spectrum(h, interior_mask(GRID, 0.05))
+    dec = eigendecompose(h)  # eps > 0: the unsplit full solve
+    lam = dec.eigenvalues
+    scores = dec.weighted_density(interior_mask(GRID, 0.05))
     lam0 = float(lam[scores > LOCALIZATION_THRESHOLD][0])
     deltas = tuple(2.0 ** (-k) for k in range(1, 9))
     rep = lap_probe(h, lam0, 0.75, deltas)
@@ -183,19 +185,20 @@ def test_lap_probe_matches_direct_solve():
 @pytest.mark.parametrize("eps,y0,path", [
     (0.1, 0.0, "real"), (0.0, 0.0, "real_parity"), (0.1, 0.7, "complex")])
 def test_lap_probe_matches_direct_solve_on_every_factor(eps, y0, path):
-    # the three operators the eigensolves tell apart: eps > 0 (real form),
-    # eps = 0 (parity split), and a V that is not even in y, which every
-    # eigensolve refuses; the probe factors the complex z - H the same way
-    # for each
+    # the three operators the eigensolves tell apart: eps > 0 (real form,
+    # which the streamed full solve refuses), eps = 0 (parity split), and a
+    # V that is not even in y, which every eigensolve refuses; the probe
+    # factors the complex z - H the same way for each
     g = make_grid(6, 6, 17, 15)
     xf, yf = g.meshes()
     v = 0.2 * np.exp(-(xf * xf + (yf - y0) ** 2) / 2.0)
     h = assemble(g, FieldParams(b=1.0, eps=eps), v)
-    if path == "complex":
-        with pytest.raises(ConfigurationError, match="T = K P_y"):
-            weighted_spectrum(h, v)
-    else:
+    if path == "real_parity":
         assert weighted_spectrum(h, v)[2]["path"] == path
+    else:
+        refusal = "J = P_x P_y" if path == "real" else "T = K P_y"
+        with pytest.raises(ConfigurationError, match=refusal):
+            weighted_spectrum(h, v)
     deltas = (0.5, 0.125, 0.03125)
     rep = lap_probe(h, 2.1, 0.75, deltas)
     assert 0.0 < rep.residual_bound <= 1e-10

@@ -265,14 +265,14 @@ def test_stencil_checks_and_builders_match_the_dense_oracles(
         return
     r = real_form(m, g)
     assert op.dense(real=True).tobytes() == r.tobytes()
-    # a full solve reads the rows k <= N//2 of the entry list when r
-    # commutes with J, else r itself, written from the same list
-    half, dense = _real_form(op)
-    assert (half is not None) == commutes_with_reversal(r)
-    if half is None:
-        assert dense.flags.f_contiguous and dense.tobytes() == r.tobytes()
+    # a streamed full solve reads the rows k <= N//2 of the entry list when
+    # r commutes with J, and refuses op otherwise
+    if not commutes_with_reversal(r):
+        with pytest.raises(ConfigurationError, match="J = P_x P_y"):
+            _real_form(op)
         return
-    assert dense is None and np.all(half[0] <= op.dim // 2)
+    half = _real_form(op)
+    assert np.all(half[0] <= op.dim // 2)
     for sign, ref in zip((1.0, -1.0), parity_blocks(r)):
         got = _parity_block(op, half, sign)
         assert got.flags.f_contiguous
@@ -471,9 +471,12 @@ def test_parity_split_empty_window():
     assert dec.dim == 0 and eigenvectors(dec).shape == (op.dim, 0)
 
 
-def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
-    # a real form that does not commute with J is solved once at order N,
-    # by weighted_spectrum as by eigendecompose
+def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders, monkeypatch):
+    # a real form that does not commute with J is refused by
+    # weighted_spectrum from its entry list, before a block is written or
+    # eigh is called, and solved once at order N by eigendecompose, the
+    # unsplit dense reference
+    import magstark.spectral
     g = make_grid(6, 6, 21, 21)
     v = eval_potential(GAUSS, g).v
     xf, yf = g.meshes()
@@ -484,12 +487,16 @@ def test_unsplit_for_eps_and_for_a_term_odd_in_x(eigh_orders):
         ref = np.linalg.eigvalsh(op.dense())
         scale = float(np.max(np.abs(ref)))
         eigh_orders.clear()
+        with monkeypatch.context() as m:
+            m.setattr(magstark.spectral, "checked_zeros",
+                      lambda *a, **k: pytest.fail("a block was written"))
+            with pytest.raises(ConfigurationError, match="J = P_x P_y"):
+                weighted_spectrum(op, v)
+        assert eigh_orders == []
         dec = eigendecompose(op)
-        lam, _, info = weighted_spectrum(op, v)
-        assert eigh_orders == [op.dim, op.dim]
-        assert info == dec.solver_info()
+        assert eigh_orders == [op.dim]
+        info = dec.solver_info()
         assert info["path"] == "real" and info["blocks"] == [op.dim]
-        assert lam.tobytes() == dec.eigenvalues.tobytes()
         assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * scale
         assert dec.reconstruction_defect() <= 1e-12 * op.dim * scale
 
@@ -554,26 +561,33 @@ def test_full_solves_use_evd_and_match_the_default_driver(family, eigh_kwargs,
         eigh_kwargs.clear()
         dec = eigendecompose(op)
         w = interior_mask(op.grid, 0.05)
-        lam, dens, info = weighted_spectrum(op, w)
-        assert info["path"] == path
+        split = path == "real_parity"
+        if split:
+            lam, dens, info = weighted_spectrum(op, w)
+            assert info["path"] == path and len(info["blocks"]) == 2
+        else:  # an eps > 0 H has no parity split to stream
+            with pytest.raises(ConfigurationError, match="J = P_x P_y"):
+                weighted_spectrum(op, w)
         # every solve and block is solved in a fresh buffer eigh may
         # overwrite
         full = {"overwrite_a": True, "driver": "evd"}
-        assert eigh_kwargs == [full] * (1 + len(info["blocks"]))
+        assert eigh_kwargs == [full] * (3 if split else 1)
         with monkeypatch.context() as m:
             m.setattr(scipy.linalg, "eigh", lambda a, *args, driver=None,
                       **kw: spy(a, *args, **kw))
             ref = eigendecompose(op)
-            ref_lam, ref_dens, _ = weighted_spectrum(op, w)
+            if split:
+                ref_lam, ref_dens, _ = weighted_spectrum(op, w)
         scale = float(np.max(np.abs(ref.eigenvalues)))
-        for got in (dec.eigenvalues, lam, ref_lam):
+        for got in [dec.eigenvalues] + ([lam, ref_lam] if split else []):
             assert np.max(np.abs(got - ref.eigenvalues)) <= 1e-12 * scale
         simple = _simple(ref.eigenvalues)
         assert np.count_nonzero(simple) > 31
         dens_u = np.abs(eigenvectors(dec)[:, simple]) ** 2
         ref_u = np.abs(eigenvectors(ref)[:, simple]) ** 2
         assert np.max(np.abs(dens_u - ref_u)) <= 1e-10
-        assert np.max(np.abs(dens - ref_dens)[simple]) <= 1e-10
+        if split:
+            assert np.max(np.abs(dens - ref_dens)[simple]) <= 1e-10
         # at N = 441 a windowed solve keeps the default driver, which has a
         # subset, and asks for the window and its two neighbours by index
         eigh_kwargs.clear()
@@ -626,10 +640,14 @@ def test_weighted_density_matches_the_dense_density(nx, ny, path, family,
 @pytest.mark.parametrize("path", ["real_parity", "real", "complex"])
 def test_weighted_spectrum_matches_the_decomposition(nx, ny, path):
     # odd N = 169 and even N = 168, 150; the parity path reduces each block
-    # before writing the next, the unsplit one is eigendecompose's solve
+    # before writing the next, and an eps > 0 H, which has none, is refused
     op = _ops_by_path(nx, ny, "gaussian")[path]
     if path == "complex":
         return _refused(op, F.support)
+    if path == "real":
+        with pytest.raises(ConfigurationError, match="J = P_x P_y"):
+            weighted_spectrum(op, np.ones(op.dim))
+        return
     dec = eigendecompose(op)
     rng = np.random.default_rng(nx * ny)
     for w in (interior_mask(op.grid, 0.05), rng.standard_normal(op.dim)):
@@ -638,16 +656,11 @@ def test_weighted_spectrum_matches_the_decomposition(nx, ny, path):
         assert np.max(np.abs(lam - dec.eigenvalues)) <= 1e-12 * scale
         ref = dec.weighted_density(w)
         assert np.max(np.abs(dens - ref)) <= 1e-12 * np.max(np.abs(w))
-        assert info["path"] == path
-        if path == "real":
-            assert lam.tobytes() == dec.eigenvalues.tobytes()
-            assert info == dec.solver_info()
-        else:
-            m = op.dim // 2
-            assert info == {"path": path, "blocks": [op.dim - m, m],
-                            "n": op.dim, "pairs": op.dim, "factor_bytes": 0,
-                            "dense_bytes": 8 * (op.dim - m) ** 2,
-                            "workspace_bytes": _evd_bytes(op.dim - m)}
+        m = op.dim // 2
+        assert info == {"path": path, "blocks": [op.dim - m, m],
+                        "n": op.dim, "pairs": op.dim, "factor_bytes": 0,
+                        "dense_bytes": 8 * (op.dim - m) ** 2,
+                        "workspace_bytes": _evd_bytes(op.dim - m)}
 
 
 def _evd_bytes(n):
@@ -722,9 +735,12 @@ def test_each_dense_write_checks_its_own_bytes(monkeypatch):
     h, q = assemble(g, FIELDS, v), assemble(g, FieldParams(b=1.0), v)
     monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 10 ** 6)
     for build in (h.dense, lambda: h.dense(1j), lambda: eigendecompose(h),
-                  lambda: eigendecompose(q), lambda: weighted_spectrum(h, v)):
+                  lambda: eigendecompose(q)):
         with pytest.raises(CapacityError, match="dense limit"):
             build()
+    # H has no parity split: refused before any write is sized
+    with pytest.raises(ConfigurationError, match="J = P_x P_y"):
+        weighted_spectrum(h, v)
     assert weighted_spectrum(q, v)[2]["path"] == "real_parity"
     monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 3 * 10 ** 5)
     # the streamed path is refused at its first block, before it is written:
@@ -953,6 +969,30 @@ def test_a_shift_on_an_eigenvalue_raises_on_the_sparse_path():
     assert np.max(np.abs(dec.eigenvalues - [3.0, 4.0, 5.0])) <= 1e-12
     assert np.max(np.abs(np.subtract(dec.certificate["bracket"],
                                      [2.0, 6.0]))) <= 1e-12
+
+
+def test_a_sparse_window_over_double_eigenvalues_is_solved_dense(
+        eigsh_calls, eigh_kwargs, monkeypatch):
+    # every value of this diagonal operator (N = 576) is a double
+    # eigenvalue, which one Lanczos run finds once: the counts 6, 12 at 2.5
+    # and 5.6 reject the sparse pairs, and one dense index-subset eigh of
+    # pairs 5 to 12 gives them, named in the certificate
+    import magstark.grid
+    op = _even_in_y(np.arange(288.0).reshape(12, 24))
+    dec = eigendecompose(op, window=(2.5, 5.6))
+    assert len(eigsh_calls) == 1
+    assert eigh_kwargs == [{"subset_by_index": (5, 12), "overwrite_a": True}]
+    assert dec.certificate["solver"] == "dense"
+    assert dec.certificate["counts"] == [6, 12] and "sigma" not in dec.certificate
+    assert np.max(np.abs(dec.eigenvalues - np.repeat([3.0, 4.0, 5.0], 2))) \
+        <= 1e-12
+    assert np.max(np.abs(np.subtract(dec.certificate["bracket"],
+                                     [2.0, 6.0]))) <= 1e-12
+    assert dec.orthonormality_defect() <= 1e-12
+    # without room for the dense real form the sparse rejection stands
+    monkeypatch.setattr(magstark.grid, "DENSE_BYTES_MAX", 8 * op.dim ** 2 - 1)
+    with pytest.raises(SpectralWindowError, match="inertia counts 6, 12"):
+        eigendecompose(op, window=(2.5, 5.6))
 
 
 def test_a_window_end_on_an_eigenvalue_of_a_leading_block_raises():

@@ -11,7 +11,7 @@ from magstark.grid import DiscreteOperator, make_grid
 from magstark.hamiltonian import FieldParams, assemble
 from magstark.potentials import PotentialSpec, eval_potential
 from magstark.ssf import resolvent_expansion_check
-from magstark.traces import (ProbeSpec, weighted_resolvent_norms, frobenius_norm,
+from magstark.traces import (weighted_resolvent_norms, frobenius_norm,
                              nuclear_norm, operator_norm, tracebound_sweep,
                              resolvent_chain_tracenorm, resolvent)
 
@@ -155,39 +155,43 @@ def test_resolvent_raises_at_an_eigenvalue_of_an_assembled_operator():
 
 def test_tracebound_sweep_zero_potential():
     h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
-    probe = ProbeSpec(z=2.0 + 0.5j, z_prime=2.0 + 0.25j)
-    rep = tracebound_sweep(h, np.zeros(GRID.n_points), probe)
+    rep = tracebound_sweep(h, np.zeros(GRID.n_points), 2.0, 0.25,
+                           (0.5, 0.25, 0.125))
     assert all(p == 0.0 for p in rep.norms)
 
 
 def test_sandwich_norm_adjoint_symmetry():
-    # ||R_z V R_z'||_tr = ||R_conj(z') V R_conj(z)||_tr, the norm of the adjoint
+    # ||R_z V R_z'||_tr is the norm of the adjoint R_conj(z') V R_conj(z),
+    # and T = K P_y, which commutes with H and with V (even in y), maps
+    # that to R_z' V R_z: swapping Im z and Im z' keeps the product
     h = assemble(GRID, FIELDS, eval_potential(SEP3, GRID).v)
     v = eval_potential(SEP3, GRID).v
-    z, zp = 1.8 + 0.4j, 2.2 + 0.3j
-    a = tracebound_sweep(h, v, ProbeSpec(z, zp, (z.imag, z.imag / 2)))
-    b = tracebound_sweep(h, v, ProbeSpec(np.conj(zp), np.conj(z),
-                                         (zp.imag, zp.imag / 2)))
+    a = tracebound_sweep(h, v, 2.1, 0.3, (0.4, 0.2))
+    b = tracebound_sweep(h, v, 2.1, 0.4, (0.3, 0.15))
     assert np.isclose(a.norms[0], b.norms[0], rtol=1e-8)
 
 
 def test_tracebound_sweep_deterministic():
     h = assemble(GRID, FIELDS, eval_potential(SEP3, GRID).v)
     v = eval_potential(SEP3, GRID).v
-    probe = ProbeSpec(z=2.0 + 0.5j, z_prime=2.0 + 0.25j)
-    r1 = tracebound_sweep(h, v, probe)
-    r2 = tracebound_sweep(h, v, probe)
-    assert r1.norms == r2.norms
+    r1 = tracebound_sweep(h, v, 2.0, 0.25, (0.5, 0.25, 0.125))
+    r2 = tracebound_sweep(h, v, 2.0, 0.25, (0.5, 0.25, 0.125))
+    assert r1.norms == r2.norms and r1.params == (0.5, 0.25, 0.125)
 
 
-def test_probe_spec_validation():
-    with pytest.raises(ConfigurationError, match="imaginary"):
-        ProbeSpec(z=2.0 + 0j, z_prime=1.0 + 0.5j)
+def test_tracebound_sweep_refuses_before_any_solve(monkeypatch):
+    import magstark.traces as traces
+    monkeypatch.setattr(traces, "resolvent",
+                        lambda *a: pytest.fail("a resolvent was solved"))
+    h = assemble(GRID, FIELDS, np.zeros(GRID.n_points))
+    v = np.zeros(GRID.n_points)
+    with pytest.raises(ConfigurationError, match="im_zp must be nonzero"):
+        tracebound_sweep(h, v, 2.0, 0.0, (0.5, 0.25))
     with pytest.raises(ConfigurationError, match="decreasing"):
-        ProbeSpec(z=2j, z_prime=1j, delta_list=(0.25, 0.5))
+        tracebound_sweep(h, v, 2.0, 0.25, (0.25, 0.5))
     # the spread of one product is 1 whatever it is
     with pytest.raises(ConfigurationError, match="at least two"):
-        ProbeSpec(z=2j, z_prime=1j, delta_list=(0.5,))
+        tracebound_sweep(h, v, 2.0, 0.25, (0.5,))
 
 
 def test_weighted_resolvent_norms_monotone_in_delta():
@@ -297,7 +301,7 @@ BUDGETS = {
     "resolvent": (lambda: resolvent(_H, 2.0 + 0.5j), 2.1),
     # the scaled (z-H)^-1 V, and (z'-H)^-1 while it is solved
     "tracebound_sweep": (lambda: tracebound_sweep(
-        _H, _PV.v, ProbeSpec(2.0 + 0.5j, 2.0 + 0.25j)), 3.1),
+        _H, _PV.v, 2.0, 0.25, (0.5, 0.25, 0.125)), 3.1),
     # the chain, and the copy its SVD takes
     "resolvent_chain_tracenorm": (lambda: resolvent_chain_tracenorm(
         _Q, _PV.dxv, 2, 0.6, 0.5, 2.0 + 1.0j), 2.2),
