@@ -417,15 +417,19 @@ def default_config(experiment):
 
 
 def _coerce(key, default, raw):
-    """Parse a config value as the type of its default."""
+    """Parse a config value as the type of its default; a float must be
+    finite, so the config echo stays strict JSON."""
     kind = type(default)
     if kind is str:
         return str(raw)
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{key} must be {what}, got {raw!r}")
+    if kind is float and not np.isfinite(value):
+        raise ConfigurationError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def load_config(experiment, path=None, overrides=()):

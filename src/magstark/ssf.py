@@ -220,26 +220,28 @@ def resolvent_expansion_check(q: DiscreteOperator, h: DiscreteOperator,
     (z-H)^-1 = sum_{k<n} eps^k [(z-Q)^-1 X]^k (z-Q)^-1
                + eps^n [(z-Q)^-1 X]^n (z-H)^-1
     holds exactly for H = Q + eps X, so the residual only measures solver
-    round-off.  Both resolvents are solved once and shared by every order,
-    and one ascending pass over n carries the partial sum, its next term and
-    [(z-Q)^-1 X]^n (z-H)^-1, so order n costs two products over order n-1.
+    round-off.  Both resolvents are solved once and shared by every order.
+    One ascending pass over n subtracts each term from (z-H)^-1 in place, so
+    order n costs two products over order n-1 and the pass holds five N x N
+    arrays: that difference, the next term, (z-Q)^-1 X, the tail and one
+    product.
     """
     for n in orders:
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
-    rh = resolvent(h, z)
+    rest = resolvent(h, z)  # (z-H)^-1 minus the partial sum, once advanced
     term = resolvent(q, z)  # eps^(n-1) [(z-Q)^-1 X]^(n-1) (z-Q)^-1
     block = term * q.grid.meshes()[0]  # (z-Q)^-1 X
+    tail = block @ rest  # [(z-Q)^-1 X]^n (z-H)^-1
     top = max(orders, default=0)
     at = {}
-    total = np.zeros_like(term)
-    tail = rh  # [(z-Q)^-1 X]^n (z-H)^-1, once advanced
     for n in range(1, top + 1):
-        total += term
-        tail = block @ tail
+        rest -= term
         if n in orders:
-            at[n] = column_block_max(lambda s: rh[:, s] - total[:, s]
+            at[n] = column_block_max(lambda s: rest[:, s]
                                      - (eps ** n) * tail[:, s], q.grid)
         if n < top:
-            term = eps * (block @ term)
+            tail = block @ tail
+            term = block @ term
+            term *= eps
     return [at[n] for n in orders]

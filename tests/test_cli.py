@@ -1,16 +1,23 @@
 import ast
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magstark.cli import (EXPERIMENTS, _git_sha, default_config, load_config,
-                          main, run, run_convergence, write_csv)
+from magstark.cli import (EXPERIMENTS, ORDER_MIN, STABILITY_TOL, _git_sha,
+                          default_config, load_config, main, run,
+                          run_convergence, write_csv)
 from magstark.errors import ConfigurationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_default_configs_cover_all_experiments():
@@ -300,6 +307,27 @@ def test_convergence_stability_verdict(tmp_path):
     assert code == 0 and env["orders"][0] <= 0.05
 
 
+@pytest.mark.parametrize("of,levels,verdict", [
+    # orders [6.22, -4.72]: finite, and the second below ORDER_MIN
+    ("verify-theorem1", "17,21,25", "order>=1.5"),
+    # a relative change of 0.136 between the two finest grids
+    ("prop4", "9,11,13", "stability<=0.05")])
+def test_a_convergence_control_fails_its_verdict(of, levels, verdict,
+                                                 tmp_path, capsys):
+    code = main(["convergence", "--of", of, "--levels", levels,
+                 "--out", str(tmp_path)])
+    assert code == 2 and "convergence: FAIL" in capsys.readouterr().out
+    data = json.loads((tmp_path / f"{of}-convergence.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert data["verdict"] == verdict and data["all_pass"] is False
+    orders = data["orders"]
+    assert "reason" not in data and None not in orders
+    if EXPERIMENTS[of].exact:
+        assert len(orders) == 2 and min(orders) < ORDER_MIN
+    else:
+        assert orders[0] > STABILITY_TOL
+
+
 def test_convergence_rejects_experiment_without_observable(tmp_path):
     cfg = load_config("scaling")
     with pytest.raises(ConfigurationError, match="no convergence observable"):
@@ -307,30 +335,110 @@ def test_convergence_rejects_experiment_without_observable(tmp_path):
 
 
 # smallest grids at which each experiment runs and its CSV moves with a
-# 10% change of a kept entry
+# change of a kept entry
 _SMALLEST = {"verify-theorem1": (17, 17), "scaling": (31, 9), "mourre": (9, 9),
              "lap-probe": (13, 13), "lemma7": (21, 11), "prop2": (9, 9),
-             "appendix-norms": (9, 9), "truncation": (9, 9),
-             "expansion-check": (9, 9)}
+             "prop4": (9, 9), "appendix-norms": (9, 9), "spectrum": (13, 13),
+             "truncation": (9, 9), "expansion-check": (9, 9)}
+
+# kept entries, each with its moved value (None: 1.1 times its default);
+# every [experiment] entry that feeds a CSV value is one of them
+_KEPT = [
+    ("verify-theorem1", "fields.eps", None),
+    ("verify-theorem1", "function.center", None),
+    ("verify-theorem1", "experiment.wall_collar", None),
+    ("scaling", "function.center", None),
+    ("scaling", "experiment.eps_list", "0.4,0.283,0.2,0.141,0.11"),
+    ("mourre", "fields.eps", None), ("mourre", "experiment.window_lo", None),
+    ("mourre", "experiment.window_hi", None),
+    ("lap-probe", "fields.eps", None), ("lap-probe", "experiment.s", None),
+    ("lap-probe", "experiment.delta_min_exp", 9),
+    ("lap-probe", "experiment.delta_max_exp", 2),
+    ("lemma7", "function.center", None),
+    ("lemma7", "experiment.eps_list", "0.2,0.141,0.1,0.071,0.06"),
+    ("prop2", "fields.eps", None), ("prop2", "experiment.im_zp", None),
+    ("prop2", "experiment.delta_list", "0.5,0.25,0.15"),
+    # s = 0.66 would leave (1/2, min(1/2 + delta/4, 1)) at delta = 0.5
+    ("prop4", "experiment.order", 3), ("prop4", "experiment.s", 0.55),
+    ("prop4", "experiment.re_z", None), ("prop4", "experiment.im_z", None),
+    ("appendix-norms", "fields.eps", None),
+    ("appendix-norms", "experiment.delta", None),
+    # a 10% wider margin drops no point of the 13 x 13 mesh
+    ("spectrum", "experiment.margin", 0.1),
+    ("truncation", "fields.eps", None),
+    ("truncation", "function.center", None),
+    ("truncation", "experiment.radii", "3.0,4.5,5.5"),
+    ("expansion-check", "fields.eps", None),
+    ("expansion-check", "experiment.orders", "1,2,4"),
+    ("expansion-check", "experiment.re_z", None),
+    ("expansion-check", "experiment.im_z", None)]
+# [experiment] entries that feed no CSV value: gate thresholds, whose gates
+# test_every_emitted_gate_has_a_control fails, and guards, each with a value
+# that its refusal reads and the text of that refusal
+_THRESHOLDS = {"verify-theorem1": {"rel_tol"},
+               "scaling": {"slope_lo", "slope_hi", "r2_min"},
+               "mourre": {"rel_slack"}, "lap-probe": {"plateau_max"},
+               "lemma7": {"slope_lo", "slope_hi"}, "prop2": {"spread_max"},
+               "spectrum": {"cluster_targets", "cluster_tols", "cluster_min"},
+               "expansion-check": {"residual_max"}}
+_GUARDS = {
+    # prop4's delta only bounds s below min(1/2 + delta/4, 1)
+    ("prop4", "delta"): (0.4, "s must lie"),
+    # lemma7's sigma_margin only keeps the cutoff clear of localized Q
+    # levels, 0.89 and 2.32 at 21 x 11 against the support [1.708, 1.808]
+    ("lemma7", "sigma_margin"): (1.0, "within 1.0 of localized Q"),
+}
 
 
-@pytest.mark.parametrize("name,dotted", [
-    ("verify-theorem1", "fields.eps"), ("verify-theorem1", "function.center"),
-    ("scaling", "function.center"), ("mourre", "fields.eps"),
-    ("lap-probe", "fields.eps"), ("lemma7", "function.center"),
-    ("prop2", "fields.eps"), ("appendix-norms", "fields.eps"),
-    ("truncation", "fields.eps"), ("truncation", "function.center"),
-    ("expansion-check", "fields.eps")])
-def test_kept_entries_change_the_csv(name, dotted, tmp_path):
+def _csvs(name, moves, tmp_path):
+    """The CSV bytes of a run at _SMALLEST[name] with each --set of moves."""
     nx, ny = _SMALLEST[name]
-    sets = [f"grid.nx={nx}", f"grid.ny={ny}"]
+    out = []
+    for i, move in enumerate(moves):
+        cfg = load_config(name, None,
+                          [f"grid.nx={nx}", f"grid.ny={ny}", *move])
+        run(name, cfg, tmp_path / str(i))
+        out.append((tmp_path / str(i) / f"{name}.csv").read_bytes())
+    return out
+
+
+def _moved(name, dotted, value=None):
     section, key = dotted.split(".")
-    moved = f"{dotted}={default_config(name)[section][key] * 1.1}"
-    csvs = []
-    for sub, extra in (("a", []), ("b", [moved])):
-        run(name, load_config(name, None, sets + extra), tmp_path / sub)
-        csvs.append((tmp_path / sub / f"{name}.csv").read_bytes())
-    assert csvs[0] != csvs[1]
+    if value is None:
+        value = default_config(name)[section][key] * 1.1
+    return f"{dotted}={value}"
+
+
+@pytest.mark.parametrize("name,dotted,value", _KEPT,
+                         ids=[f"{n}-{d}" for n, d, _ in _KEPT])
+def test_kept_entries_change_the_csv(name, dotted, value, tmp_path):
+    a, b = _csvs(name, [[], [_moved(name, dotted, value)]], tmp_path)
+    assert a != b
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_experiment_entry_feeds_the_csv_a_gate_or_a_guard(name):
+    # an entry that the runner reads but never uses is in none of them
+    kept = {d.split(".")[1] for n, d, _ in _KEPT
+            if n == name and d.startswith("experiment.")}
+    parts = [kept, _THRESHOLDS.get(name, set()),
+             {k for n, k in _GUARDS if n == name}]
+    assert sum(map(len, parts)) == len(set().union(*parts))
+    assert set().union(*parts) == set(default_config(name)["experiment"])
+
+
+@pytest.mark.parametrize("name,key", sorted(_GUARDS))
+def test_a_guard_entry_moves_only_its_refusal(name, key, tmp_path, capsys):
+    dotted = f"experiment.{key}"
+    a, b = _csvs(name, [[], [_moved(name, dotted)]], tmp_path)
+    assert a == b
+    value, refusal = _GUARDS[name, key]
+    nx, ny = _SMALLEST[name]
+    out = tmp_path / "refused"
+    code = main([name, "--set", f"grid.nx={nx}", "--set", f"grid.ny={ny}",
+                 "--set", f"{dotted}={value}", "--out", str(out)])
+    assert code == 1 and refusal in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def _evd_bytes(n):
@@ -520,7 +628,7 @@ GATE_CONTROLS = [
     # and bound 0.49999999999999845 = eps to round-off with V = 0
     ("mourre", 15, 15, "bound_equals_eps", ["potential.family=zero"],
      ["potential.family=zero", "experiment.rel_slack=-0.01"]),
-    # expansion-check at 9 x 9 reads residual 5.07e-15
+    # expansion-check at 9 x 9 reads residual 4.31e-15
     ("expansion-check", 9, 9, "residual", [],
      ["experiment.residual_max=1e-16"]),
 ]
@@ -814,6 +922,28 @@ def test_a_non_finite_operator_exits_1(name, entry, tmp_path, capsys):
                      "grid.ny=9", "--out", str(tmp_path)])
     assert code == 1 and "finite" in capsys.readouterr().err
     assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["expansion-check", "--set", "experiment.residual_max=inf"],
+    ["prop4", "--set", "experiment.delta=inf"],
+    ["lap-probe", "--set", "experiment.plateau_max=inf"],
+    ["verify-theorem1", "--set", "experiment.rel_tol=inf"],
+    ["convergence", "--of", "appendix-norms", "--set",
+     "experiment.delta=inf"],
+    ["expansion-check", "--set", "experiment.re_z=nan"]], ids=" ".join)
+def test_a_non_finite_config_entry_exits_1(argv, tmp_path):
+    # the runners accept an infinite entry, whose config echo is no strict
+    # JSON, and a NaN z fails only its solve: each is refused as it is
+    # parsed, before any operator is assembled
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "magstark.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 1
+    assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_convergence_fails_a_zero_level_with_a_reason(tmp_path, monkeypatch,
